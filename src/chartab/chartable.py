@@ -21,8 +21,10 @@ from math import isqrt
 import numpy as np
 
 from . import cyclotomic
+from .arith import element_of_order, is_prime, prime_factors
 from .cyclotomic import RootSum
-from .fplinalg import eig_split_rows, inv_mod, mat_mul, rref
+from .fplinalg import (InconsistentTable, eig_split_rows, inv_mod, mat_mul,
+                       require, rref)
 from .perm import Permutation
 from .permgroup import ClassData, PermGroup
 
@@ -36,40 +38,6 @@ class WorkingField:
     exponent: int
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def _element_of_order(q: int, e: int) -> int:
-    """Element of exact multiplicative order e in F_q (needs e | q-1)."""
-    factors = []
-    n, d = e, 2
-    while d * d <= n:
-        if n % d == 0:
-            factors.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        factors.append(n)
-    for cand in range(2, q):
-        w = pow(cand, (q - 1) // e, q)
-        if w == 1 and e > 1:
-            continue
-        if all(pow(w, e // f, q) != 1 for f in factors):
-            return w
-    if e == 1:
-        return 1
-    raise RuntimeError(f"no element of order {e} in F_{q}")
-
-
 def select_prime(exponent: int, order: int, offset: int = 0) -> WorkingField:
     """Smallest prime q = 1 (mod exponent) with q > 2*floor(sqrt(order)).
 
@@ -80,10 +48,9 @@ def select_prime(exponent: int, order: int, offset: int = 0) -> WorkingField:
     q = exponent + 1 if exponent > 1 else 2
     skipped = 0
     while True:
-        if q > bound and _is_prime(q):
+        if q > bound and is_prime(q):
             if skipped == offset:
-                assert order % q != 0  # automatic: q = 1 mod exp and q prime
-                return WorkingField(q=q, w=_element_of_order(q, exponent),
+                return WorkingField(q=q, w=element_of_order(q, exponent),
                                     exponent=exponent)
             skipped += 1
         q += exponent if exponent > 1 else 1
@@ -104,6 +71,7 @@ class CharTable:
     values_mod_q: np.ndarray
     lifted: tuple[tuple[RootSum, ...], ...]
     _row_lookup: dict[bytes, int] = field(default_factory=dict, repr=False)
+    _galois_fixed: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
     _orthogonality_failures: list[str] | None = field(default=None, repr=False)
 
     @property
@@ -116,9 +84,27 @@ class CharTable:
                 self._row_lookup[self.values_mod_q[r].tobytes()] = r
         return self._row_lookup.get(np.ascontiguousarray(values).tobytes())
 
-    def inverse_classes(self) -> list[int]:
+    def power_classes(self, k: int) -> list[int]:
+        """Class of g^k for each class representative g."""
         cd = self.class_data
-        return [cd.inverse_class(j) for j in range(len(cd.reps))]
+        return [cd.class_power(j, k) for j in range(len(cd.reps))]
+
+    def inverse_classes(self) -> list[int]:
+        return self.power_classes(-1)
+
+    def galois_fixed(self, k: int) -> np.ndarray:
+        """Boolean mask of the rows sigma_k fixes: chi(g^k) = chi(g) for all g.
+
+        Memoised per k mod the exponent; field membership asks for the same
+        few k over and over.
+        """
+        k %= self.q_field.exponent
+        mask = self._galois_fixed.get(k)
+        if mask is None:
+            v = self.values_mod_q
+            mask = np.all(v[:, self.power_classes(k)] == v, axis=1)
+            self._galois_fixed[k] = mask
+        return mask
 
 
 def class_matrix(cd: ClassData, i: int) -> np.ndarray:
@@ -154,7 +140,7 @@ def _split_spaces(matrices, k: int, q: int) -> list[np.ndarray]:
             coords = transformed[:, pivots] % q
             pieces = eig_split_rows(coords, q)
             dims = sum(b.shape[0] for _, b in pieces)
-            assert dims == basis.shape[0], "restricted action must be diagonalizable"
+            require(dims == basis.shape[0], "restricted action must be diagonalizable")
             for _, coeff in pieces:
                 sub = mat_mul(coeff, basis, q)
                 sub, _ = rref(sub, q)
@@ -171,9 +157,6 @@ def _matrix_order(cd: ClassData) -> list[int]:
 
 def compute_table(group: PermGroup, prime_offset: int = 0) -> CharTable:
     """Full exact character table of a dense-mode group."""
-    cached = group._tables.get(prime_offset)
-    if cached is not None:
-        return cached
     cd = group.conjugacy_classes()
     order = group.order()
     k = len(cd.reps)
@@ -201,7 +184,7 @@ def compute_table(group: PermGroup, prime_offset: int = 0) -> CharTable:
             yield combo
 
     spaces = _split_spaces(matrix_stream(), k, q)
-    assert all(s.shape[0] == 1 for s in spaces), "eigenspace splitting incomplete"
+    require(all(s.shape[0] == 1 for s in spaces), "eigenspace splitting incomplete")
 
     inv_classes = [cd.inverse_class(j) for j in range(k)]
     size_invs = np.array([inv_mod(s % q, q) for s in cd.sizes], dtype=np.int64)
@@ -211,18 +194,18 @@ def compute_table(group: PermGroup, prime_offset: int = 0) -> CharTable:
     rows: list[np.ndarray] = []
     for space in spaces:
         u = space[0] % q
-        assert u[0] != 0, "identity-class coordinate must be nonzero"
+        require(u[0] != 0, "identity-class coordinate must be nonzero")
         u = (u * inv_mod(int(u[0]), q)) % q
         s = int(np.sum(u * u[inv_classes] % q * size_invs % q) % q)
-        assert s != 0
+        require(s != 0, "row norm must be nonzero")
         d_sq = (order % q) * inv_mod(s, q) % q
         d = sqrt_lookup.get(d_sq)
-        assert d is not None, "degree square root not found"
+        require(d is not None, "degree square root not found")
         row = (d * u % q) * size_invs % q
         degrees.append(d)
         rows.append(row)
 
-    assert sum(d * d for d in degrees) == order, "sum of squared degrees must be |G|"
+    require(sum(d * d for d in degrees) == order, "sum of squared degrees must be |G|")
     values = np.stack(rows) % q
 
     lifted_rows = _lift_all(values, degrees, cd, wf)
@@ -233,11 +216,11 @@ def compute_table(group: PermGroup, prime_offset: int = 0) -> CharTable:
     values = values[perm]
     lifted_rows = [lifted_rows[r] for r in perm]
 
-    assert degrees[0] == 1 and all(v == 1 for v in values[0]), "row 0 must be trivial"
-    assert [int(v) for v in values[:, 0]] == degrees, "identity column must list degrees"
-    assert all(order % d == 0 for d in degrees), "degrees must divide |G|"
+    require(degrees[0] == 1 and all(v == 1 for v in values[0]), "row 0 must be trivial")
+    require([int(v) for v in values[:, 0]] == degrees, "identity column must list degrees")
+    require(all(order % d == 0 for d in degrees), "degrees must divide |G|")
 
-    table = CharTable(
+    return CharTable(
         group=group,
         class_data=cd,
         q_field=wf,
@@ -245,8 +228,6 @@ def compute_table(group: PermGroup, prime_offset: int = 0) -> CharTable:
         values_mod_q=values,
         lifted=tuple(tuple(r) for r in lifted_rows),
     )
-    group._tables[prime_offset] = table
-    return table
 
 
 def _lift_all(values: np.ndarray, degrees: list[int], cd: ClassData,
@@ -274,22 +255,17 @@ def _lift_all(values: np.ndarray, degrees: list[int], cd: ClassData,
             deg = degrees[r]
             bad = row_m[row_m > deg]
             if bad.size:
-                raise RuntimeError(
+                raise InconsistentTable(
                     f"lifted multiplicity {int(bad[0])} exceeds degree {deg} "
-                    f"(row {r}, class {j}): inconsistent table")
+                    f"(row {r}, class {j})")
             if int(row_m.sum()) != deg:
-                raise RuntimeError(
+                raise InconsistentTable(
                     f"lifted multiplicities sum to {int(row_m.sum())} != degree "
-                    f"{deg} (row {r}, class {j}): inconsistent table")
+                    f"{deg} (row {r}, class {j})")
             ts = np.nonzero(row_m)[0]
             # t*step < e for t < m, so exponents are distinct and ascending
             out[r].append(tuple((int(t) * step, int(row_m[t])) for t in ts))
     return out
-
-
-def lift_values(table: CharTable, row: int, class_index: int) -> RootSum:
-    """Multiplicity vector of chi_row(g_class) over e-th roots of unity."""
-    return table.lifted[row][class_index]
 
 
 def verify_orthogonality(table: CharTable) -> bool:
@@ -380,19 +356,8 @@ def _orthogonality_failures(table: CharTable) -> list[str]:
 
 def table_document(table: CharTable) -> dict:
     """Machine-readable table export (JSON-serializable, deterministic)."""
-    from .fields import minimal_field_label
+    from .fields import field_labels
     cd = table.class_data
-    e = table.q_field.exponent
-    primes = []
-    n, d = e, 2
-    while d * d <= n:
-        if n % d == 0:
-            primes.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        primes.append(n)
     return {
         "order": table.group.order(),
         "degree": table.group.degree,
@@ -409,8 +374,7 @@ def table_document(table: CharTable) -> dict:
             for j in range(table.n_classes)
         ],
         "degrees": list(table.degrees),
-        "row_fields": [minimal_field_label(table, r, primes)
-                       for r in range(table.n_classes)],
+        "row_fields": field_labels(table, prime_factors(table.q_field.exponent)),
         "values_mod_q": table.values_mod_q.tolist(),
         "lifted": [[cyclotomic.render(vv) for vv in row] for row in table.lifted],
     }

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 = success / no violations, 1 = violations found,
-2 = usage or parse errors.
+2 = usage or parse errors, 3 = internal inconsistency (a failed
+self-consistency check of the table computation).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from importlib import resources
 
 from .chartable import compute_table, format_table, table_document
 from .fields import field_from_label
+from .fplinalg import InconsistentTable
 from .groupspec import GroupExprError, construct
 from .harness import (check_central_product, check_group, fuzz_lemmas,
                       parse_corpus, sharpness_scan, verify_corpus)
@@ -88,6 +90,9 @@ def main(argv: list[str] | None = None) -> int:
     except (GroupExprError, DenseCapExceeded, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InconsistentTable as exc:
+        print(f"error: internal inconsistency: {exc}", file=sys.stderr)
+        return 3
 
 
 def _dispatch(args) -> int:

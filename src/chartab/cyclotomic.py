@@ -17,32 +17,6 @@ import numpy as np
 RootSum = tuple[tuple[int, int], ...]
 
 
-def make_rootsum(pairs) -> RootSum:
-    acc: dict[int, int] = {}
-    for l, m in pairs:
-        if m:
-            acc[l] = acc.get(l, 0) + m
-    return tuple(sorted((l, m) for l, m in acc.items() if m))
-
-
-def conjugate(v: RootSum, e: int) -> RootSum:
-    return make_rootsum(((-l) % e, m) for l, m in v)
-
-
-def total(v: RootSum) -> int:
-    return sum(m for _, m in v)
-
-
-def eval_mod(v: RootSum, w: int, q: int) -> int:
-    """Value of the sum under zeta_e -> w in F_q."""
-    return sum(m * pow(w, l, q) for l, m in v) % q
-
-
-def eval_complex(v: RootSum, e: int) -> complex:
-    import cmath
-    return sum(m * cmath.exp(2j * cmath.pi * l / e) for l, m in v)
-
-
 def render(v: RootSum) -> str:
     """Human form "m*z^l + ...", with z a primitive e-th root of unity."""
     if not v:

@@ -17,7 +17,9 @@ from math import gcd
 
 import numpy as np
 
+from .arith import check_prime
 from .chartable import CharTable
+from .fplinalg import InconsistentTable
 
 
 @dataclass(frozen=True)
@@ -29,8 +31,9 @@ class FieldSpec:
         if self.kind not in ("all", "rational", "real", "cyclotomic"):
             raise ValueError(f"unknown field kind {self.kind!r}")
         if self.kind == "cyclotomic":
-            if self.p is None or self.p < 2:
+            if self.p is None:
                 raise ValueError("CyclotomicP needs a prime p")
+            check_prime(self.p)
         elif self.p is not None:
             raise ValueError(f"field kind {self.kind!r} takes no prime")
 
@@ -70,60 +73,19 @@ def field_from_label(label: str, p: int | None = None) -> FieldSpec:
     raise ValueError(f"unknown field label {label!r} (expected Q, Qp, R or C)")
 
 
-def _power_index(table: CharTable, k: int) -> list[int]:
-    cd = table.class_data
-    return [cd.class_power(j, k) for j in range(len(cd.reps))]
-
-
-def _fixed_rows(table: CharTable, k: int) -> np.ndarray:
-    """Boolean mask of rows fixed by sigma_k (cached per table)."""
-    cache = getattr(table, "_galois_fixed_cache", None)
-    if cache is None:
-        cache = {}
-        table._galois_fixed_cache = cache
-    k = k % table.q_field.exponent
-    mask = cache.get(k)
-    if mask is None:
-        idx = _power_index(table, k)
-        mask = np.all(table.values_mod_q[:, idx] == table.values_mod_q, axis=1)
-        cache[k] = mask
-    return mask
-
-
 def galois_image_row(table: CharTable, row: int, k: int) -> int:
     """Index of the row sigma_k(chi_row); k must be coprime to the exponent."""
     e = table.q_field.exponent
     if gcd(k, e) != 1:
         raise ValueError(f"k={k} is not coprime to the exponent {e}")
-    idx = _power_index(table, k)
-    target = table.values_mod_q[row][idx]
-    image = table.row_index(target)
+    image = table.row_index(table.values_mod_q[row][table.power_classes(k)])
     if image is None:
-        raise RuntimeError("Galois action did not permute the rows: "
-                           "inconsistent table")
+        raise InconsistentTable("Galois action did not permute the rows")
     return image
 
 
 def _coprime_residues(e: int) -> list[int]:
     return [k for k in range(1, e + 1) if gcd(k, e) == 1]
-
-
-def in_field(table: CharTable, row: int, spec: FieldSpec) -> bool:
-    """Do all values of the row lie in the given field?"""
-    kind = spec.kind
-    if kind == "all":
-        return True
-    e = table.q_field.exponent
-    if kind == "rational":
-        return all(bool(_fixed_rows(table, k)[row]) for k in _coprime_residues(e))
-    if kind == "real":
-        return bool(_fixed_rows(table, (e - 1) % e if e > 1 else 0)[row])
-    # cyclotomic
-    p = spec.p
-    if e % p != 0:
-        return in_field(table, row, FieldSpec.rational())
-    ks = [k for k in _coprime_residues(e) if k % p == 1]
-    return all(bool(_fixed_rows(table, k)[row]) for k in ks)
 
 
 def field_rows(table: CharTable, spec: FieldSpec) -> tuple[int, ...]:
@@ -136,27 +98,33 @@ def field_rows(table: CharTable, spec: FieldSpec) -> tuple[int, ...]:
     if kind == "rational":
         ks = _coprime_residues(e)
     elif kind == "real":
-        ks = [(e - 1) % e if e > 1 else 1]
+        ks = [e - 1]
     else:
         if e % spec.p != 0:
             return field_rows(table, FieldSpec.rational())
         ks = [kk for kk in _coprime_residues(e) if kk % spec.p == 1]
     mask = np.ones(k, dtype=bool)
     for kk in ks:
-        mask &= _fixed_rows(table, kk)
+        mask &= table.galois_fixed(kk)
     rows = tuple(int(r) for r in np.nonzero(mask)[0])
     assert 0 in rows
     return rows
 
 
-def minimal_field_label(table: CharTable, row: int, primes) -> str:
-    """Smallest detected membership among Q, R, Qp (given primes), C."""
-    if in_field(table, row, FieldSpec.rational()):
-        return "Q"
-    labels = []
-    if in_field(table, row, FieldSpec.real()):
-        labels.append("R")
-    for p in primes:
-        if in_field(table, row, FieldSpec.cyclotomic(p)):
-            labels.append(f"Q{p}")
-    return ",".join(labels) if labels else "C"
+def in_field(table: CharTable, row: int, spec: FieldSpec) -> bool:
+    """Do all values of the row lie in the given field?"""
+    return row in field_rows(table, spec)
+
+
+def field_labels(table: CharTable, primes) -> list[str]:
+    """Per row, the smallest detected field among Q, R, Qp (given primes), C.
+
+    Rational rows read "Q"; other rows list each of R, Qp holding their
+    values ("R,Q5"), or "C" when none does.
+    """
+    rational = set(field_rows(table, FieldSpec.rational()))
+    specs = [FieldSpec.real()] + [FieldSpec.cyclotomic(p) for p in primes]
+    others = [(spec.label(), set(field_rows(table, spec))) for spec in specs]
+    return ["Q" if r in rational
+            else ",".join(label for label, rows in others if r in rows) or "C"
+            for r in range(table.n_classes)]

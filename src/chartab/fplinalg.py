@@ -10,8 +10,17 @@ from __future__ import annotations
 import numpy as np
 
 
-def asfield(a, q: int) -> np.ndarray:
-    return np.asarray(a, dtype=np.int64) % q
+class InconsistentTable(RuntimeError):
+    """A self-consistency check of the character-table computation failed.
+
+    This signals a defect in the computation, never bad input.  The checks
+    raise it instead of using assert, so they also run under python -O.
+    """
+
+
+def require(ok: bool, message: str) -> None:
+    if not ok:
+        raise InconsistentTable(message)
 
 
 def mat_mul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
@@ -65,28 +74,6 @@ def nullspace(a: np.ndarray, q: int) -> np.ndarray:
     if len(free) > 1:
         basis, _ = rref(basis, q)
     return basis
-
-
-def det_mod(a: np.ndarray, q: int) -> int:
-    """Determinant over F_q by Gaussian elimination (test oracle helper)."""
-    m = a.copy() % q
-    n = m.shape[0]
-    det = 1
-    for c in range(n):
-        nz = np.nonzero(m[c:, c])[0]
-        if nz.size == 0:
-            return 0
-        r = c + int(nz[0])
-        if r != c:
-            m[[c, r]] = m[[r, c]]
-            det = (-det) % q
-        det = (det * int(m[c, c])) % q
-        inv = inv_mod(m[c, c], q)
-        below = np.nonzero(m[c + 1:, c])[0] + c + 1
-        if below.size:
-            factors = (m[below, c] * inv) % q
-            m[below] = (m[below] - np.outer(factors, m[c])) % q
-    return det
 
 
 def hessenberg(a: np.ndarray, q: int, transform: bool = False):
@@ -143,13 +130,6 @@ def charpoly_hessenberg(h: np.ndarray, q: int) -> np.ndarray:
     return polys[n]
 
 
-def charpoly(a: np.ndarray, q: int) -> np.ndarray:
-    """Monic characteristic polynomial det(xI - a), ascending coefficients."""
-    if a.shape[0] == 0:
-        return np.array([1], dtype=np.int64)
-    return charpoly_hessenberg(hessenberg(a, q), q)
-
-
 def poly_roots(coeffs: np.ndarray, q: int) -> list[int]:
     """All roots in F_q, ascending, by evaluation at every field point."""
     lams = np.arange(q, dtype=np.int64)
@@ -194,7 +174,7 @@ def _eig_unreduced(h: np.ndarray, qinv: np.ndarray, roots: list[int],
         acc = (mat_mul(h[m, m:], v[m:], q) - lams * v[m]) % q
         v[m - 1] = (-acc * inv_mod(h[m, m - 1], q)) % q
     top = (h[0, :] @ v - lams * v[0]) % q
-    assert not np.any(top), "back-substitution produced a non-eigenvector"
+    require(not np.any(top), "back-substitution produced a non-eigenvector")
     vecs = mat_mul(qinv, v, q)
     out = []
     for idx, lam in enumerate(roots):

@@ -23,6 +23,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .arith import element_of_order, is_prime
 from .perm import Permutation, parse_cycles
 from .permgroup import DEFAULT_ENUM_CAP, PermGroup, direct_product
 
@@ -274,14 +275,6 @@ class _GF:
     def mul(self, x: int, y: int) -> int:
         return self._mul[x][y] if self._mul else (x * y) % self.q
 
-    def neg(self, x: int) -> int:
-        if self._add is None:
-            return (-x) % self.q
-        return next(y for y in range(self.q) if self.add(x, y) == 0)
-
-    def units(self) -> list[int]:
-        return [x for x in range(1, self.q)]
-
 
 # -- named constructors --------------------------------------------------------
 
@@ -396,7 +389,7 @@ def projective_sl2(q: int, cap: int = DEFAULT_ENUM_CAP) -> PermGroup:
 
 
 def _gf_inv(gf: _GF, x: int) -> int:
-    for y in gf.units():
+    for y in range(1, gf.q):
         if gf.mul(x, y) == 1:
             return y
     raise ZeroDivisionError("no inverse for 0")
@@ -404,38 +397,18 @@ def _gf_inv(gf: _GF, x: int) -> int:
 
 def affine(p: int, d: int, cap: int = DEFAULT_ENUM_CAP) -> PermGroup:
     """Aff(p,d) = C_p : C_d with d | p-1, acting on p points."""
-    if p < 2 or any(p % k == 0 for k in range(2, int(p ** 0.5) + 1)):
+    if not is_prime(p):
         raise GroupExprError(f"Aff(p,d) needs p prime, got p={p}")
     if d < 1 or (p - 1) % d != 0:
         raise GroupExprError(f"Aff(p,d) needs d | p-1, got p={p}, d={d}")
     shift = Permutation(tuple((i + 1) % p for i in range(p)), _checked=True)
     if d == 1:
         return PermGroup([shift], p, cap)
-    g = _primitive_root(p)
-    h = pow(g, (p - 1) // d, p)
+    # a power of the primitive root: element_of_order(p, d) would pick a
+    # different multiplier for some (p, d), Aff(7,3) among them
+    h = pow(element_of_order(p, p - 1), (p - 1) // d, p)
     mult = Permutation(tuple((h * i) % p for i in range(p)), _checked=True)
     return PermGroup([shift, mult], p, cap)
-
-
-def _primitive_root(p: int) -> int:
-    factors = _prime_factors(p - 1)
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // f, p) != 1 for f in factors):
-            return g
-    raise RuntimeError(f"no primitive root mod {p}")
-
-
-def _prime_factors(n: int) -> list[int]:
-    out, d = [], 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def central_prod_sl25(m: int, cap: int = DEFAULT_ENUM_CAP) -> PermGroup:
@@ -525,5 +498,9 @@ def construct(spec: GroupSpec | str, enum_cap: int = DEFAULT_ENUM_CAP) -> PermGr
 
 @lru_cache(maxsize=None)
 def construct_cached(expr: str) -> PermGroup:
-    """Memoized construct() for repeated corpus/test use (groups are immutable)."""
+    """Memoized construct() (groups are immutable).
+
+    Entries, with the chains, elements and classes each group memoises,
+    live as long as the process; the library's own paths call construct().
+    """
     return construct(expr)

@@ -22,9 +22,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .arith import is_prime, prime_factors
 from .chartable import compute_table
 from .fields import FieldSpec
-from .groupspec import GroupExprError, construct_cached, parse_group_expr
+from .groupspec import GroupExprError, construct, parse_group_expr
 from .invariants import average_degree, degree_counts
 from .permgroup import PermGroup
 
@@ -162,24 +163,10 @@ class VerdictReport:
 def default_primes(group: PermGroup) -> list[int]:
     """Prime divisors of |G| plus the smallest prime > 5 not dividing |G|."""
     order = group.order()
-    primes = []
-    n, d = order, 2
-    while d * d <= n:
-        if n % d == 0:
-            primes.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        primes.append(n)
     extra = 7
-    while order % extra == 0 or not _is_prime(extra):
+    while order % extra == 0 or not is_prime(extra):
         extra += 1
-    return sorted(set(primes)) + [extra]
-
-
-def _is_prime(n: int) -> bool:
-    return n > 1 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+    return prime_factors(order) + [extra]
 
 
 def check_group(group: PermGroup, primes: list[int] | None = None,
@@ -302,7 +289,7 @@ def verify_corpus(entries: list[str], max_order: int | None = None,
 
     def run(expr: str) -> VerdictReport | str:
         try:
-            group = construct_cached(expr)
+            group = construct(expr)
         except GroupExprError as exc:
             return f"{expr}: {exc}"
         if max_order is not None and group.order() > max_order:
@@ -432,10 +419,10 @@ def check_central_product(ms: tuple[int, ...] = (2, 1)) -> CentralProductReport:
     """
     instances = []
     for m in ms:
-        g = construct_cached(f"CentralProd(SL(2,5), C({2 * m}))")
+        g = construct(f"CentralProd(SL(2,5), C({2 * m}))")
         table = compute_table(g)
         nd = degree_counts(table)
-        c_over_z = construct_cached(f"C({m})")       # C/Z for C cyclic of order 2m
+        c_over_z = construct(f"C({m})")  # C/Z for C cyclic of order 2m
         nd_cz = degree_counts(compute_table(c_over_z))
         n1, n2 = nd.get(1, 0), nd.get(2, 0)
         n2_cz = nd_cz.get(2, 0)
@@ -472,7 +459,7 @@ def sharpness_scan(entries: list[str], p: int, mode: str):
     best: Fraction | None = None
     witnesses: list[str] = []
     for expr in entries:
-        group = construct_cached(expr)
+        group = construct(expr)
         if mode == "solvability":
             fails = not group.is_solvable()
         else:

@@ -8,25 +8,18 @@ corrupt exactly-attained boundary cases (A4 sits exactly at 3/2).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .arith import check_prime
 from .chartable import CharTable
 from .fields import FieldSpec, field_rows
 from .permgroup import PermGroup
-
-ExactRational = Fraction
-
-
-def _check_prime(p: int) -> None:
-    if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
-        raise ValueError(f"{p} is not prime")
 
 
 def selected_rows(table: CharTable, p: int | None, spec: FieldSpec) -> tuple[int, ...]:
     """Rows with p'-degree (no filter when p is None) and values in the field."""
     if p is not None:
-        _check_prime(p)
+        check_prime(p)
     rows = field_rows(table, spec)
     if p is None:
         return rows
@@ -54,36 +47,6 @@ def average_degree(table: CharTable, p: int | None, spec: FieldSpec) -> Fraction
 def acd_pprime(table: CharTable, p: int, spec: FieldSpec = FieldSpec.all()) -> Fraction:
     """Average of p'-degrees of the field-restricted irreducible characters."""
     return average_degree(table, p, spec)
-
-
-@dataclass
-class DegreeProfile:
-    """Per-(field, prime) cache of row selections and degree statistics."""
-
-    table: CharTable
-    _cache: dict = field(default_factory=dict)
-
-    def rows(self, p: int | None = None, spec: FieldSpec = FieldSpec.all()):
-        key = (p, spec)
-        if key not in self._cache:
-            rows = selected_rows(self.table, p, spec)
-            degs = sorted(self.table.degrees[r] for r in rows)
-            self._cache[key] = (
-                rows,
-                degs,
-                dict(sorted(Counter(degs).items())),
-                Fraction(sum(degs), len(degs)),
-            )
-        return self._cache[key]
-
-    def degrees(self, p=None, spec=FieldSpec.all()):
-        return self.rows(p, spec)[1]
-
-    def counts(self, p=None, spec=FieldSpec.all()) -> dict[int, int]:
-        return self.rows(p, spec)[2]
-
-    def acd(self, p=None, spec=FieldSpec.all()) -> Fraction:
-        return self.rows(p, spec)[3]
 
 
 # -- relative counts n_d(G|N) -------------------------------------------------
@@ -162,7 +125,7 @@ def acd_pprime_over_central(table: CharTable, z: PermGroup, lam: dict,
     lam maps each element of Z to the exponent of its value as a power of
     zeta_e.  Z must be central; lam must be a homomorphism.
     """
-    _check_prime(p)
+    check_prime(p)
     if not table.group.is_central_subgroup(z):
         raise ValueError("subgroup is not central")
     elems = z.elements()

@@ -17,6 +17,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from math import lcm
 
+from .arith import check_prime, pprime_part
 from .perm import Permutation
 
 DEFAULT_ENUM_CAP = 200_000
@@ -164,7 +165,6 @@ class PermGroup:
         self._chain: StabilizerChain | None = None
         self._elements: tuple[Permutation, ...] | None = None
         self._classes: ClassData | None = None
-        self._tables: dict[int, object] = {}  # prime_offset -> CharTable
 
     # -- structure ---------------------------------------------------------
 
@@ -308,17 +308,17 @@ class PermGroup:
 
     def p_residual(self, p: int) -> "PermGroup":
         """O^p(G): normal closure of all elements of order coprime to p."""
-        _check_prime(p)
+        check_prime(p)
         cd = self.conjugacy_classes()
         seeds = [rep for rep, o in zip(cd.reps, cd.element_orders) if o % p != 0]
         return self.normal_closure(seeds)
 
     def has_normal_p_complement(self, p: int) -> bool:
-        _check_prime(p)
+        check_prime(p)
         residual = self.p_residual(p)
         if residual.order() % p != 0:
             # the complement's order must be the p'-part of |G|
-            assert residual.order() == _pprime_part(self.order(), p)
+            assert residual.order() == pprime_part(self.order(), p)
             return True
         return False
 
@@ -376,14 +376,3 @@ def direct_product(a: PermGroup, b: PermGroup) -> PermGroup:
         gens.append(Permutation(tuple(range(a.degree)) + tuple(i + a.degree for i in g.images),
                                 _checked=True))
     return PermGroup(gens, deg, max(a.enum_cap, b.enum_cap))
-
-
-def _check_prime(p: int) -> None:
-    if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
-        raise ValueError(f"{p} is not prime")
-
-
-def _pprime_part(n: int, p: int) -> int:
-    while n % p == 0:
-        n //= p
-    return n

@@ -7,6 +7,8 @@ word-tracking construction of abelian duals.
 
 from __future__ import annotations
 
+import cmath
+from functools import lru_cache
 from itertools import product
 from math import isqrt
 
@@ -16,6 +18,7 @@ from chartab import PermGroup, Permutation, construct_cached
 from chartab.chartable import class_matrix, compute_table
 
 
+@lru_cache(maxsize=None)
 def table_of(expr: str):
     return compute_table(construct_cached(expr))
 
@@ -152,6 +155,28 @@ def search_working_prime(exponent: int, order: int) -> int:
         q += 1
 
 
+def det_mod(a: np.ndarray, q: int) -> int:
+    """Determinant over F_q by Gaussian elimination."""
+    m = a.copy() % q
+    n = m.shape[0]
+    det = 1
+    for c in range(n):
+        nz = np.nonzero(m[c:, c])[0]
+        if nz.size == 0:
+            return 0
+        r = c + int(nz[0])
+        if r != c:
+            m[[c, r]] = m[[r, c]]
+            det = (-det) % q
+        det = (det * int(m[c, c])) % q
+        inv = pow(int(m[c, c]), -1, q)
+        below = np.nonzero(m[c + 1:, c])[0] + c + 1
+        if below.size:
+            factors = (m[below, c] * inv) % q
+            m[below] = (m[below] - np.outer(factors, m[c])) % q
+    return det
+
+
 # -- numeric character values (floats allowed here only) --------------------------
 
 def numeric_character_rows(group: PermGroup, seed: int = 5) -> list[list[complex]]:
@@ -175,8 +200,12 @@ def numeric_character_rows(group: PermGroup, seed: int = 5) -> list[list[complex
     return rows
 
 
+def eval_complex(v, e: int) -> complex:
+    """Complex value of a root-of-unity multiplicity vector ((l, m), ...)."""
+    return sum(m * cmath.exp(2j * cmath.pi * l / e) for l, m in v)
+
+
 def lifted_complex_rows(table) -> list[list[complex]]:
-    from chartab.cyclotomic import eval_complex
     e = table.q_field.exponent
     return [[eval_complex(v, e) for v in row] for row in table.lifted]
 

@@ -2,11 +2,9 @@ import numpy as np
 
 from chartab import construct, select_prime, verify_orthogonality
 from chartab.chartable import (CharTable, class_matrix, compute_table,
-                               lift_values, orthogonality_failures,
-                               table_document)
-from chartab.fplinalg import det_mod
+                               orthogonality_failures, table_document)
 
-from helpers import (lifted_complex_rows, match_rows_numeric,
+from helpers import (det_mod, lifted_complex_rows, match_rows_numeric,
                      numeric_character_rows, search_working_prime, table_of)
 
 
@@ -113,7 +111,7 @@ def test_table_shape_invariants():
 def test_lift_trivial_character():
     t = table_of("S(4)")
     for j in range(t.n_classes):
-        assert lift_values(t, 0, j) == ((0, 1),)
+        assert t.lifted[0][j] == ((0, 1),)
 
 
 def test_lift_cyclic3_linear_values():
@@ -121,7 +119,7 @@ def test_lift_cyclic3_linear_values():
     e = t.q_field.exponent
     gen_class = next(j for j in range(3) if t.class_data.element_orders[j] == 3)
     for row in (1, 2):
-        vals = lift_values(t, row, gen_class)
+        vals = t.lifted[row][gen_class]
         assert len(vals) == 1
         l, m = vals[0]
         assert m == 1 and l in {e // 3, 2 * e // 3}

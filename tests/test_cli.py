@@ -1,7 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import chartab
+from chartab import chartable
 from chartab.cli import main
 
 
@@ -116,3 +123,33 @@ def test_usage_error_exit_code():
 def test_dense_cap_error(capsys):
     code, _, err = run(capsys, "table", "S(9)")
     assert code == 2 and "too large" in err
+
+
+def _identity_class_matrix(cd, i):
+    return np.eye(len(cd.reps), dtype=np.int64)
+
+
+def test_inconsistent_table_exit_code(capsys, monkeypatch):
+    # identity class matrices split nothing, so the table cannot be finished
+    monkeypatch.setattr(chartable, "class_matrix", _identity_class_matrix)
+    code, out, err = run(capsys, "table", "S(3)")
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_inconsistent_table_exit_code_optimized():
+    script = (
+        "import sys, numpy as np\n"
+        "from chartab import chartable\n"
+        "from chartab.cli import main\n"
+        "chartable.class_matrix = lambda cd, i: np.eye(len(cd.reps), dtype=np.int64)\n"
+        "sys.exit(main(['table', 'S(3)']))\n"
+    )
+    src = str(Path(chartab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr

@@ -1,7 +1,7 @@
 import pytest
 
 from chartab import FieldSpec, field_rows, galois_image_row, in_field
-from chartab.fields import field_from_label, minimal_field_label
+from chartab.fields import field_from_label, field_labels
 
 from helpers import table_of
 
@@ -11,6 +11,8 @@ def test_fieldspec_validation():
         FieldSpec("rational", 3)
     with pytest.raises(ValueError):
         FieldSpec("cyclotomic")
+    with pytest.raises(ValueError, match="4 is not prime"):
+        FieldSpec.cyclotomic(4)
     with pytest.raises(ValueError):
         FieldSpec("galois")
     assert field_from_label("Qp", 7) == FieldSpec.cyclotomic(7)
@@ -113,7 +115,7 @@ def test_real_agrees_with_inverse_class_columns():
 
 def test_minimal_field_labels():
     t = table_of("SL(2,5)")
-    labels = [minimal_field_label(t, r, primes=(5,)) for r in range(t.n_classes)]
+    labels = field_labels(t, primes=(5,))
     assert labels[0] == "Q"
     # the degree-2 faithful rows are real with golden-ratio values in Q(zeta_5)
     deg2 = [r for r in range(t.n_classes) if t.degrees[r] == 2]

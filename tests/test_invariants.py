@@ -6,7 +6,7 @@ from chartab import (FieldSpec, acd_pprime, acd_pprime_over_central,
                      average_degree, central_linear_characters, construct,
                      degree_counts, irr_pprime, n_d_relative, relative_rows)
 from chartab.groupspec import construct_cached
-from chartab.invariants import DegreeProfile, kernel_contains
+from chartab.invariants import kernel_contains, selected_rows
 
 from helpers import table_of
 
@@ -78,12 +78,13 @@ def test_acd_one_iff_all_linear():
     assert acd_pprime(table_of("S(4)"), 3) > 1
 
 
-def test_degree_profile_caching():
-    prof = DegreeProfile(table_of("S(4)"))
-    assert prof.acd(2) == Fraction(2)
-    assert prof.counts() == {1: 2, 2: 1, 3: 2}
-    assert prof.degrees(2) == [1, 1, 3, 3]
-    assert prof.acd(2) == Fraction(2)  # cached path
+def test_degree_profile_s4():
+    t = table_of("S(4)")
+    assert average_degree(t, 2, FieldSpec.all()) == Fraction(2)
+    assert degree_counts(t) == {1: 2, 2: 1, 3: 2}
+    rows = selected_rows(t, 2, FieldSpec.all())
+    assert sorted(t.degrees[r] for r in rows) == [1, 1, 3, 3]
+    assert degree_counts(t, rows) == {1: 2, 3: 2}
 
 
 # -- relative counts ----------------------------------------------------------------

@@ -3,6 +3,8 @@ import random
 import pytest
 
 from chartab import DenseCapExceeded, NotNormal, construct, parse_cycles
+from chartab.arith import (check_prime, element_of_order, is_prime,
+                           pprime_part, prime_factors)
 from chartab.groupspec import construct_cached
 
 from helpers import (brute_conjugacy_sizes, brute_has_normal_p_complement,
@@ -186,6 +188,24 @@ def test_p_complement_agrees_with_brute_oracle_small():
 def test_prime_validation():
     with pytest.raises(ValueError):
         construct("S(4)").p_residual(4)
+    with pytest.raises(ValueError, match="4 is not prime"):
+        check_prime(4)
+    primes = [n for n in range(2000)
+              if n > 1 and all(n % d for d in range(2, n))]
+    assert [n for n in range(2000) if is_prime(n)] == primes
+    for n in range(1, 2000):
+        assert prime_factors(n) == [p for p in primes if n % p == 0], n
+    for n in range(1, 300):
+        for p in (2, 3, 5):
+            assert pprime_part(n, p) == max(d for d in range(1, n + 1)
+                                            if n % d == 0 and d % p), (n, p)
+    for q in (p for p in primes if p < 200):
+        for e in range(1, q):
+            if (q - 1) % e == 0:
+                w = element_of_order(q, e)
+                assert min(t for t in range(1, e + 1) if pow(w, t, q) == 1) == e, (q, e)
+    with pytest.raises(ValueError):
+        element_of_order(7, 4)
 
 
 # -- quotients ---------------------------------------------------------------------
