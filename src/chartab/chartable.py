@@ -14,7 +14,6 @@ and integer multiplicity vectors.  No floating point.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from math import isqrt
 
@@ -163,27 +162,7 @@ def compute_table(group: PermGroup, prime_offset: int = 0) -> CharTable:
     wf = select_prime(cd.exponent, order, offset=prime_offset)
     q = wf.q
 
-    cmat_cache: dict[int, np.ndarray] = {}
-
-    def get_cmat(i: int) -> np.ndarray:
-        if i not in cmat_cache:
-            cmat_cache[i] = class_matrix(cd, i)
-        return cmat_cache[i]
-
-    def matrix_stream():
-        for i in _matrix_order(cd):
-            yield get_cmat(i)
-        # deterministic pseudo-random combinations as a guarded fallback
-        rng = random.Random(order * 1_000_003 + q)
-        for _ in range(8):
-            coeffs = [rng.randrange(q) for _ in range(k)]
-            combo = np.zeros((k, k), dtype=np.int64)
-            for i in range(1, k):
-                if coeffs[i]:
-                    combo = (combo + coeffs[i] * get_cmat(i)) % q
-            yield combo
-
-    spaces = _split_spaces(matrix_stream(), k, q)
+    spaces = _split_spaces((class_matrix(cd, i) for i in _matrix_order(cd)), k, q)
     require(all(s.shape[0] == 1 for s in spaces), "eigenspace splitting incomplete")
 
     inv_classes = [cd.inverse_class(j) for j in range(k)]

@@ -14,6 +14,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .fplinalg import require
+
 RootSum = tuple[tuple[int, int], ...]
 
 
@@ -38,13 +40,13 @@ def _poly_divide_exact(num: list[int], den: list[int]) -> list[int]:
     out = [0] * (len(num) - len(den) + 1)
     for k in range(len(out) - 1, -1, -1):
         coeff = num[k + len(den) - 1]
-        assert coeff % den[-1] == 0
+        require(coeff % den[-1] == 0, "polynomial division must be exact")
         c = coeff // den[-1]
         out[k] = c
         if c:
             for i, d in enumerate(den):
                 num[k + i] -= c * d
-    assert all(x == 0 for x in num)
+    require(not any(num), "polynomial division must leave no remainder")
     return out
 
 

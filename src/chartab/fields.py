@@ -19,7 +19,7 @@ import numpy as np
 
 from .arith import check_prime
 from .chartable import CharTable
-from .fplinalg import InconsistentTable
+from .fplinalg import InconsistentTable, require
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,7 @@ def field_rows(table: CharTable, spec: FieldSpec) -> tuple[int, ...]:
     for kk in ks:
         mask &= table.galois_fixed(kk)
     rows = tuple(int(r) for r in np.nonzero(mask)[0])
-    assert 0 in rows
+    require(0 in rows, "the trivial character must lie in every field")
     return rows
 
 

@@ -11,7 +11,7 @@ import numpy as np
 
 
 class InconsistentTable(RuntimeError):
-    """A self-consistency check of the character-table computation failed.
+    """A self-consistency check of the computation failed.
 
     This signals a defect in the computation, never bad input.  The checks
     raise it instead of using assert, so they also run under python -O.
@@ -76,15 +76,15 @@ def nullspace(a: np.ndarray, q: int) -> np.ndarray:
     return basis
 
 
-def hessenberg(a: np.ndarray, q: int, transform: bool = False):
-    """Upper Hessenberg form similar to a, by row/column elimination.
+def hessenberg(a: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Upper Hessenberg form h similar to a, by row/column elimination.
 
-    With transform=True also returns Qinv with a = Qinv @ h @ Qinv^-1,
-    so eigenvectors of h map back through Qinv.
+    Also returns Qinv with a = Qinv @ h @ Qinv^-1, so eigenvectors of h
+    map back through Qinv.
     """
     h = a.copy() % q
     n = h.shape[0]
-    qinv = np.eye(n, dtype=np.int64) if transform else None
+    qinv = np.eye(n, dtype=np.int64)
     for c in range(n - 2):
         nz = np.nonzero(h[c + 1:, c])[0]
         if nz.size == 0:
@@ -93,8 +93,7 @@ def hessenberg(a: np.ndarray, q: int, transform: bool = False):
         if p != c + 1:
             h[[c + 1, p]] = h[[p, c + 1]]
             h[:, [c + 1, p]] = h[:, [p, c + 1]]
-            if transform:
-                qinv[:, [c + 1, p]] = qinv[:, [p, c + 1]]
+            qinv[:, [c + 1, p]] = qinv[:, [p, c + 1]]
         inv = inv_mod(h[c + 1, c], q)
         rows = np.nonzero(h[c + 2:, c])[0] + c + 2
         if rows.size:
@@ -102,11 +101,8 @@ def hessenberg(a: np.ndarray, q: int, transform: bool = False):
             h[rows] = (h[rows] - np.outer(factors, h[c + 1])) % q
             # inverse column operation keeps similarity
             h[:, c + 1] = (h[:, c + 1] + h[:, rows] @ factors) % q
-            if transform:
-                qinv[:, c + 1] = (qinv[:, c + 1] + qinv[:, rows] @ factors) % q
-    if transform:
-        return h, qinv
-    return h
+            qinv[:, c + 1] = (qinv[:, c + 1] + qinv[:, rows] @ factors) % q
+    return h, qinv
 
 
 def charpoly_hessenberg(h: np.ndarray, q: int) -> np.ndarray:
@@ -150,7 +146,7 @@ def eig_split_rows(a: np.ndarray, q: int) -> list[tuple[int, np.ndarray]]:
     """
     at = a.T % q
     n = a.shape[0]
-    h, qinv = hessenberg(at, q, transform=True)
+    h, qinv = hessenberg(at, q)
     roots = poly_roots(charpoly_hessenberg(h, q), q)
     if n > 1 and roots and np.all(np.diagonal(h, -1) % q):
         return _eig_unreduced(h, qinv, roots, q)

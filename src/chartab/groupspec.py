@@ -25,7 +25,8 @@ from functools import lru_cache
 
 from .arith import element_of_order, is_prime
 from .perm import Permutation, parse_cycles
-from .permgroup import DEFAULT_ENUM_CAP, PermGroup, direct_product
+from .fplinalg import require
+from .permgroup import PermGroup, direct_product
 
 
 class GroupExprError(ValueError):
@@ -230,7 +231,7 @@ class _Parser:
         return "".join(parts)
 
 
-def _validate_central(spec: CentralProdSpec, pos: int) -> CentralProdSpec:
+def _validate_central(spec: CentralProdSpec, pos: int | None = None) -> CentralProdSpec:
     if spec.left != NamedSpec("SL", (2, 5)):
         raise GroupExprError("CentralProd supports only CentralProd(SL(2,5), C(2m))", pos)
     if not (isinstance(spec.right, NamedSpec) and spec.right.name == "C"
@@ -278,46 +279,46 @@ class _GF:
 
 # -- named constructors --------------------------------------------------------
 
-def cyclic(n: int, cap: int = DEFAULT_ENUM_CAP) -> PermGroup:
+def cyclic(n: int) -> PermGroup:
     if n < 1:
         raise GroupExprError(f"C(n) needs n >= 1, got {n}")
     if n == 1:
-        return PermGroup([], 1, cap)
+        return PermGroup([], 1)
     rot = Permutation(tuple((i + 1) % n for i in range(n)), _checked=True)
-    return PermGroup([rot], n, cap)
+    return PermGroup([rot], n)
 
 
-def dihedral(n: int, cap: int = DEFAULT_ENUM_CAP) -> PermGroup:
+def dihedral(n: int) -> PermGroup:
     """Dihedral group of order 2n (n = 1, 2 get extra points for faithfulness)."""
     if n < 1:
         raise GroupExprError(f"D(n) needs n >= 1, got {n}")
     if n == 1:
-        return PermGroup([parse_cycles("(0 1)", 2)], 2, cap)
+        return PermGroup([parse_cycles("(0 1)", 2)], 2)
     if n == 2:
-        return PermGroup([parse_cycles("(0 1)", 4), parse_cycles("(2 3)", 4)], 4, cap)
+        return PermGroup([parse_cycles("(0 1)", 4), parse_cycles("(2 3)", 4)], 4)
     rot = Permutation(tuple((i + 1) % n for i in range(n)), _checked=True)
     flip = Permutation(tuple((n - i) % n for i in range(n)), _checked=True)
-    return PermGroup([rot, flip], n, cap)
+    return PermGroup([rot, flip], n)
 
 
-def symmetric(n: int, cap: int = DEFAULT_ENUM_CAP) -> PermGroup:
+def symmetric(n: int) -> PermGroup:
     if n < 1:
         raise GroupExprError(f"S(n) needs n >= 1, got {n}")
     if n == 1:
-        return PermGroup([], 1, cap)
+        return PermGroup([], 1)
     gens = [parse_cycles("(0 1)", n)]
     if n > 2:
         gens.append(Permutation(tuple((i + 1) % n for i in range(n)), _checked=True))
-    return PermGroup(gens, n, cap)
+    return PermGroup(gens, n)
 
 
-def alternating(n: int, cap: int = DEFAULT_ENUM_CAP) -> PermGroup:
+def alternating(n: int) -> PermGroup:
     if n < 1:
         raise GroupExprError(f"A(n) needs n >= 1, got {n}")
     if n <= 2:
-        return PermGroup([], max(n, 1), cap)
+        return PermGroup([], max(n, 1))
     if n == 3:
-        return PermGroup([parse_cycles("(0 1 2)", 3)], 3, cap)
+        return PermGroup([parse_cycles("(0 1 2)", 3)], 3)
     three = parse_cycles("(0 1 2)", n)
     if n % 2 == 1:
         # A_n = <(0 1 2), (0 1 ... n-1)> for odd n
@@ -329,7 +330,7 @@ def alternating(n: int, cap: int = DEFAULT_ENUM_CAP) -> PermGroup:
             imgs[i] = i + 1
         imgs[n - 1] = 1
         big = Permutation(tuple(imgs), _checked=True)
-    return PermGroup([three, big], n, cap)
+    return PermGroup([three, big], n)
 
 
 def _sl2_generators(q: int) -> tuple[list[list[list[int]]], _GF]:
@@ -346,7 +347,7 @@ def _vector_points(q: int) -> list[tuple[int, int]]:
     return [(a, b) for a in range(q) for b in range(q) if (a, b) != (0, 0)]
 
 
-def special_linear_2(q: int, cap: int = DEFAULT_ENUM_CAP) -> PermGroup:
+def special_linear_2(q: int) -> PermGroup:
     """SL(2,q) acting on the q^2 - 1 nonzero vectors of F_q^2."""
     if q not in (3, 5, 7, 9):
         raise GroupExprError(f"SL(2,q) supported for q in 3,5,7,9; got {q}")
@@ -361,12 +362,12 @@ def special_linear_2(q: int, cap: int = DEFAULT_ENUM_CAP) -> PermGroup:
             ny = gf.add(gf.mul(m[1][0], x), gf.mul(m[1][1], y))
             images.append(index[(nx, ny)])
         gens.append(Permutation(tuple(images), _checked=True))
-    group = PermGroup(gens, len(points), cap)
-    assert group.order() == q * (q * q - 1)
+    group = PermGroup(gens, len(points))
+    require(group.order() == q * (q * q - 1), f"SL(2,{q}) has the wrong order")
     return group
 
 
-def projective_sl2(q: int, cap: int = DEFAULT_ENUM_CAP) -> PermGroup:
+def projective_sl2(q: int) -> PermGroup:
     """PSL(2,q) acting on the q + 1 projective points."""
     if q not in (5, 7, 9):
         raise GroupExprError(f"PSL(2,q) supported for q in 5,7,9; got {q}")
@@ -383,8 +384,8 @@ def projective_sl2(q: int, cap: int = DEFAULT_ENUM_CAP) -> PermGroup:
         nx, ny = a, c   # image of [1 : 0]
         images.append(q if ny == 0 else gf.mul(nx, _gf_inv(gf, ny)))
         gens.append(Permutation(tuple(images), _checked=True))
-    group = PermGroup(gens, q + 1, cap)
-    assert group.order() == q * (q * q - 1) // 2
+    group = PermGroup(gens, q + 1)
+    require(group.order() == q * (q * q - 1) // 2, f"PSL(2,{q}) has the wrong order")
     return group
 
 
@@ -395,7 +396,7 @@ def _gf_inv(gf: _GF, x: int) -> int:
     raise ZeroDivisionError("no inverse for 0")
 
 
-def affine(p: int, d: int, cap: int = DEFAULT_ENUM_CAP) -> PermGroup:
+def affine(p: int, d: int) -> PermGroup:
     """Aff(p,d) = C_p : C_d with d | p-1, acting on p points."""
     if not is_prime(p):
         raise GroupExprError(f"Aff(p,d) needs p prime, got p={p}")
@@ -403,20 +404,20 @@ def affine(p: int, d: int, cap: int = DEFAULT_ENUM_CAP) -> PermGroup:
         raise GroupExprError(f"Aff(p,d) needs d | p-1, got p={p}, d={d}")
     shift = Permutation(tuple((i + 1) % p for i in range(p)), _checked=True)
     if d == 1:
-        return PermGroup([shift], p, cap)
+        return PermGroup([shift], p)
     # a power of the primitive root: element_of_order(p, d) would pick a
     # different multiplier for some (p, d), Aff(7,3) among them
     h = pow(element_of_order(p, p - 1), (p - 1) // d, p)
     mult = Permutation(tuple((h * i) % p for i in range(p)), _checked=True)
-    return PermGroup([shift, mult], p, cap)
+    return PermGroup([shift, mult], p)
 
 
-def central_prod_sl25(m: int, cap: int = DEFAULT_ENUM_CAP) -> PermGroup:
+def central_prod_sl25(m: int) -> PermGroup:
     """SL(2,5) o C_{2m}: quotient of the direct product by the diagonal C2."""
     if m < 1:
         raise GroupExprError("CentralProd needs a cyclic factor C(2m), m >= 1")
-    sl = special_linear_2(5, cap)
-    cyc = cyclic(2 * m, cap)
+    sl = special_linear_2(5)
+    cyc = cyclic(2 * m)
     prod = direct_product(sl, cyc)
     # -I in SL(2,5) on nonzero vectors: v -> -v
     points = _vector_points(5)
@@ -427,7 +428,7 @@ def central_prod_sl25(m: int, cap: int = DEFAULT_ENUM_CAP) -> PermGroup:
     return prod.quotient_by(prod.subgroup([diag]))
 
 
-def group_from_file(path: str, cap: int = DEFAULT_ENUM_CAP) -> PermGroup:
+def group_from_file(path: str) -> PermGroup:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -447,52 +448,52 @@ def group_from_file(path: str, cap: int = DEFAULT_ENUM_CAP) -> PermGroup:
                 gens.append(Permutation(entry))
         except ValueError as exc:
             raise GroupExprError(f"bad generator in {path!r}: {exc}") from exc
-    return PermGroup(gens, degree, cap)
+    return PermGroup(gens, degree)
 
 
-def construct(spec: GroupSpec | str, enum_cap: int = DEFAULT_ENUM_CAP) -> PermGroup:
+def construct(spec: GroupSpec | str) -> PermGroup:
     """Build the permutation group described by a spec or expression string."""
     if isinstance(spec, str):
         spec = parse_group_expr(spec)
     if isinstance(spec, NamedSpec):
         name, args = spec.name, spec.args
         if name == "C":
-            return cyclic(args[0], enum_cap)
+            return cyclic(args[0])
         if name == "D":
-            return dihedral(args[0], enum_cap)
+            return dihedral(args[0])
         if name == "S":
-            return symmetric(args[0], enum_cap)
+            return symmetric(args[0])
         if name == "A":
-            return alternating(args[0], enum_cap)
+            return alternating(args[0])
         if name == "SL":
             if args[0] != 2:
                 raise GroupExprError(f"only SL(2,q) is supported, got SL({args[0]},{args[1]})")
-            return special_linear_2(args[1], enum_cap)
+            return special_linear_2(args[1])
         if name == "PSL":
             if args[0] != 2:
                 raise GroupExprError(f"only PSL(2,q) is supported, got PSL({args[0]},{args[1]})")
-            return projective_sl2(args[1], enum_cap)
+            return projective_sl2(args[1])
         if name == "Aff":
-            return affine(args[0], args[1], enum_cap)
+            return affine(args[0], args[1])
         raise GroupExprError(f"unknown constructor {name!r}")
     if isinstance(spec, ProductSpec):
-        groups = [construct(f, enum_cap) for f in spec.factors]
+        groups = [construct(f) for f in spec.factors]
         out = groups[0]
         for g in groups[1:]:
             out = direct_product(out, g)
         return out
     if isinstance(spec, QuotientSpec):
-        inner = construct(spec.inner, enum_cap)
+        inner = construct(spec.inner)
         try:
             gens = [parse_cycles(text, inner.degree) for text in spec.gens]
         except ValueError as exc:
             raise GroupExprError(str(exc)) from exc
         return inner.quotient_by(inner.subgroup(gens))
     if isinstance(spec, CentralProdSpec):
-        assert isinstance(spec.right, NamedSpec)
-        return central_prod_sl25(spec.right.args[0] // 2, enum_cap)
+        _validate_central(spec)
+        return central_prod_sl25(spec.right.args[0] // 2)
     if isinstance(spec, FileSpec):
-        return group_from_file(spec.path, enum_cap)
+        return group_from_file(spec.path)
     raise TypeError(f"not a GroupSpec: {spec!r}")
 
 

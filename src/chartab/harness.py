@@ -178,6 +178,12 @@ def check_group(group: PermGroup, primes: list[int] | None = None,
         primes = default_primes(group)
     solvable = group.is_solvable()
     n_d = degree_counts(table)
+    # only the Qp field depends on p once the p'-filter is off
+    unfiltered_any_p = {
+        "C": average_degree(table, None, FieldSpec.all()),
+        "Q": average_degree(table, None, FieldSpec.rational()),
+        "R": average_degree(table, None, FieldSpec.real()),
+    }
     records = []
     for p in primes:
         acds = {
@@ -186,12 +192,8 @@ def check_group(group: PermGroup, primes: list[int] | None = None,
             "Qp": average_degree(table, p, FieldSpec.cyclotomic(p)),
             "R": average_degree(table, p, FieldSpec.real()),
         }
-        unfiltered = {
-            "C": average_degree(table, None, FieldSpec.all()),
-            "Q": average_degree(table, None, FieldSpec.rational()),
-            "Qp": average_degree(table, None, FieldSpec.cyclotomic(p)),
-            "R": average_degree(table, None, FieldSpec.real()),
-        }
+        unfiltered = dict(unfiltered_any_p,
+                          Qp=average_degree(table, None, FieldSpec.cyclotomic(p)))
         complement = group.has_normal_p_complement(p)
         verdicts = []
         for entry in THEOREM_CATALOG:

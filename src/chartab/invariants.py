@@ -13,6 +13,7 @@ from fractions import Fraction
 from .arith import check_prime
 from .chartable import CharTable
 from .fields import FieldSpec, field_rows
+from .fplinalg import require
 from .permgroup import PermGroup
 
 
@@ -29,7 +30,7 @@ def selected_rows(table: CharTable, p: int | None, spec: FieldSpec) -> tuple[int
 def irr_pprime(table: CharTable, p: int, spec: FieldSpec = FieldSpec.all()) -> tuple[int, ...]:
     """Rows of degree not divisible by p, restricted to the field."""
     rows = selected_rows(table, p, spec)
-    assert rows and rows[0] == 0  # the trivial character always qualifies
+    require(rows[:1] == (0,), "the trivial character must be a p'-degree row")
     return rows
 
 def degree_counts(table: CharTable, rows=None) -> dict[int, int]:
@@ -99,7 +100,7 @@ def central_linear_characters(table: CharTable, z: PermGroup) -> list[dict]:
     if gen is None:
         raise ValueError("central subgroup is not cyclic")
     e = table.q_field.exponent
-    assert e % m == 0
+    require(e % m == 0, "|Z| must divide the exponent of G")
     out = []
     for c in range(m):
         lam = {}
@@ -140,7 +141,7 @@ def acd_pprime_over_central(table: CharTable, z: PermGroup, lam: dict,
         ok = True
         for x in elems:
             j = cd.class_of[x]
-            assert cd.sizes[j] == 1  # central elements sit in singleton classes
+            require(cd.sizes[j] == 1, "central elements must sit in singleton classes")
             want = ((lam[x] % e, deg),) if lam[x] % e else ((0, deg),)
             if table.lifted[r][j] != want:
                 ok = False

@@ -4,8 +4,9 @@ Two representations coexist:
 
 * a deterministic Schreier-Sims stabilizer chain, used for orders and
   membership with no size limit, and
-* a dense element store (capped, default 200000 elements), which is the
-  substrate for conjugacy classes and all character-table work.
+* a dense element store (capped at 200000 elements, checked against the
+  chain's order before enumeration), which is the substrate for conjugacy
+  classes and all character-table work.
 
 Everything is immutable after construction; the lazy caches are
 write-once and safe to share across threads.
@@ -18,6 +19,7 @@ from dataclasses import dataclass, field
 from math import lcm
 
 from .arith import check_prime, pprime_part
+from .fplinalg import require
 from .perm import Permutation
 
 DEFAULT_ENUM_CAP = 200_000
@@ -154,14 +156,13 @@ class ClassData:
 class PermGroup:
     """A group generated by permutations of a common degree."""
 
-    def __init__(self, generators, degree: int, enum_cap: int = DEFAULT_ENUM_CAP):
+    def __init__(self, generators, degree: int):
         gens = tuple(g for g in generators if not g.is_identity())
         for g in gens:
             if g.degree != degree:
                 raise ValueError(f"generator degree {g.degree} != group degree {degree}")
         self.degree = degree
         self.generators = gens
-        self.enum_cap = enum_cap
         self._chain: StabilizerChain | None = None
         self._elements: tuple[Permutation, ...] | None = None
         self._classes: ClassData | None = None
@@ -186,30 +187,22 @@ class PermGroup:
     def is_trivial(self) -> bool:
         return not self.generators
 
-    def elements(self, cap: int | None = None) -> tuple[Permutation, ...]:
-        """All elements in a stable sorted order (dense mode)."""
+    def elements(self) -> tuple[Permutation, ...]:
+        """All elements in a stable sorted order (dense mode), read off the
+        chain: one transversal representative per level, deepest first."""
         if self._elements is None:
-            limit = self.enum_cap if cap is None else cap
-            seen = {self.identity()}
-            frontier = [self.identity()]
-            while frontier:
-                nxt = []
-                for x in frontier:
-                    for g in self.generators:
-                        y = x * g
-                        if y not in seen:
-                            seen.add(y)
-                            if len(seen) > limit:
-                                raise DenseCapExceeded(
-                                    f"group has more than {limit} elements: "
-                                    "too large for dense mode")
-                            nxt.append(y)
-                frontier = nxt
-            self._elements = tuple(sorted(seen))
+            if self.order() > DEFAULT_ENUM_CAP:
+                raise DenseCapExceeded(
+                    f"group has more than {DEFAULT_ENUM_CAP} elements: "
+                    "too large for dense mode")
+            elems = [self.identity()]
+            for lvl in reversed(self.chain.levels):
+                elems = [x * u for x in elems for u in lvl.transversal.values()]
+            self._elements = tuple(sorted(elems))
         return self._elements
 
     def subgroup(self, generators) -> "PermGroup":
-        return PermGroup(generators, self.degree, self.enum_cap)
+        return PermGroup(generators, self.degree)
 
     # -- conjugacy classes --------------------------------------------------
 
@@ -317,8 +310,8 @@ class PermGroup:
         check_prime(p)
         residual = self.p_residual(p)
         if residual.order() % p != 0:
-            # the complement's order must be the p'-part of |G|
-            assert residual.order() == pprime_part(self.order(), p)
+            require(residual.order() == pprime_part(self.order(), p),
+                    "normal p-complement must have the p'-order of the group")
             return True
         return False
 
@@ -355,12 +348,12 @@ class PermGroup:
             for h in n_elems:
                 coset_rep[h * x] = x
         index = {rep: i for i, rep in enumerate(reps)}
-        assert len(reps) * n.order() == self.order()
+        require(len(reps) * n.order() == self.order(), "cosets of N must partition G")
         quot_gens = []
         for g in self.generators:
             images = tuple(index[coset_rep[rep * g]] for rep in reps)
             quot_gens.append(Permutation(images, _checked=True))
-        return PermGroup(quot_gens, len(reps), self.enum_cap)
+        return PermGroup(quot_gens, len(reps))
 
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, ngens={len(self.generators)})"
@@ -375,4 +368,4 @@ def direct_product(a: PermGroup, b: PermGroup) -> PermGroup:
     for g in b.generators:
         gens.append(Permutation(tuple(range(a.degree)) + tuple(i + a.degree for i in g.images),
                                 _checked=True))
-    return PermGroup(gens, deg, max(a.enum_cap, b.enum_cap))
+    return PermGroup(gens, deg)

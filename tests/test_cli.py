@@ -129,13 +129,21 @@ def _identity_class_matrix(cd, i):
     return np.eye(len(cd.reps), dtype=np.int64)
 
 
+def _no_row_fixed(table, k):
+    return np.zeros(table.n_classes, dtype=bool)
+
+
 def test_inconsistent_table_exit_code(capsys, monkeypatch):
-    # identity class matrices split nothing, so the table cannot be finished
-    monkeypatch.setattr(chartable, "class_matrix", _identity_class_matrix)
-    code, out, err = run(capsys, "table", "S(3)")
-    assert code == 3 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "Traceback" not in err
+    # identity class matrices split nothing, so the table cannot be finished;
+    # Galois masks fixing no row leave even the trivial character outside Q
+    for owner, name, fake in ((chartable, "class_matrix", _identity_class_matrix),
+                              (chartable.CharTable, "galois_fixed", _no_row_fixed)):
+        with monkeypatch.context() as patch:
+            patch.setattr(owner, name, fake)
+            code, out, err = run(capsys, "table", "S(3)")
+        assert code == 3 and out == "", name
+        assert err.startswith("error: ") and err.count("\n") == 1, name
+        assert "Traceback" not in err, name
 
 
 def test_inconsistent_table_exit_code_optimized():

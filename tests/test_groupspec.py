@@ -3,7 +3,7 @@ import json
 import pytest
 
 from chartab import GroupExprError, construct, parse_group_expr, render
-from chartab.groupspec import NamedSpec, ProductSpec
+from chartab.groupspec import CentralProdSpec, NamedSpec, ProductSpec
 
 
 def test_parse_named():
@@ -57,6 +57,11 @@ def test_constructor_validation():
         construct("SL(3,3)")
     with pytest.raises(GroupExprError):
         construct("CentralProd(SL(2,5), C(3))")  # odd cyclic factor
+    # hand-built specs the parser would reject
+    for spec in (CentralProdSpec(NamedSpec("A", (5,)), NamedSpec("C", (4,))),
+                 CentralProdSpec(NamedSpec("SL", (2, 5)), NamedSpec("C", (3,)))):
+        with pytest.raises(GroupExprError):
+            construct(spec)
 
 
 def test_quotient_expression_requires_normal_subgroup():

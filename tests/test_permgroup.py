@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from chartab import DenseCapExceeded, NotNormal, construct, parse_cycles
+from chartab import (DenseCapExceeded, NotNormal, Permutation, construct,
+                     parse_cycles)
 from chartab.arith import (check_prime, element_of_order, is_prime,
                            pprime_part, prime_factors)
 from chartab.groupspec import construct_cached
@@ -46,13 +47,31 @@ def test_dihedral_small_orders():
 def test_enumerate_elements():
     assert len(construct("C(6)").elements()) == 6
     assert len(construct("A(5)").elements()) == 60
+    for expr in ("C(1)", "C(6)", "A(5)", "D(10)", "Aff(7,3)", "S(3) x C(4)",
+                 "CentralProd(SL(2,5), C(4))"):
+        g = construct(expr)
+        elems = g.elements()
+        assert list(elems) == sorted(elems), expr
+        assert len(elems) == g.order(), expr
+        assert set(elems) == brute_mulclose(g.generators or (g.identity(),)), expr
 
 
-def test_enumeration_cap():
-    with pytest.raises(DenseCapExceeded):
-        construct("S(9)").elements()  # 362880 > 200000
+def test_enumeration_cap(monkeypatch):
+    g = construct("S(9)")
     # order is still available through the stabilizer chain
-    assert construct("S(9)").order() == 362880
+    assert g.order() == 362880
+    products = 0
+    multiply = Permutation.__mul__
+
+    def counting_mul(a, b):
+        nonlocal products
+        products += 1
+        return multiply(a, b)
+
+    monkeypatch.setattr(Permutation, "__mul__", counting_mul)
+    with pytest.raises(DenseCapExceeded):
+        g.elements()  # 362880 > 200000
+    assert products == 0  # refused from the chain's order, before enumerating
 
 
 def test_elements_stable_order():

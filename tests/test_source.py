@@ -1,0 +1,14 @@
+import ast
+from pathlib import Path
+
+import chartab
+
+
+def test_library_has_no_assert_statements():
+    # python -O strips assert statements; the self-checks use require() instead
+    found = []
+    for path in sorted(Path(chartab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert not found, found
