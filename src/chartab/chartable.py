@@ -24,7 +24,6 @@ from .arith import element_of_order, is_prime, prime_factors
 from .cyclotomic import RootSum
 from .fplinalg import (InconsistentTable, eig_split_rows, inv_mod, mat_mul,
                        require, rref)
-from .perm import Permutation
 from .permgroup import ClassData, PermGroup
 
 
@@ -109,25 +108,17 @@ class CharTable:
 def class_matrix(cd: ClassData, i: int) -> np.ndarray:
     """Structure-constant matrix M[j,k] = #{x in C_i : x^-1 rep_k in C_j}."""
     k = len(cd.reps)
-    m = np.zeros((k, k), dtype=np.int64)
-    inv_arrays = np.array([x.inverse().images for x in cd.members[i]], dtype=np.intp)
-    class_of = cd.class_of
-    for kk, rep in enumerate(cd.reps):
-        rep_arr = np.asarray(rep.images, dtype=np.intp)
-        # (x^-1 * rep)[p] = rep[x^-1[p]] under left-to-right composition
-        products = rep_arr[inv_arrays]
-        for row in products:
-            j = class_of[Permutation(tuple(int(v) for v in row), _checked=True)]
-            m[j, kk] += 1
-    return m
+    members = cd.member_index[cd.member_offsets[i]:cd.member_offsets[i + 1]]
+    # (x^-1 * rep)[b] = rep[x^-1[b]] under left-to-right composition
+    classes = cd.lookup(cd.rep_images[:, cd.inv_base[members]])   # (k, |C_i|)
+    counts = np.bincount((classes * k + np.arange(k)[:, None]).ravel(), minlength=k * k)
+    return counts.reshape(k, k).astype(np.int64, copy=False)
 
 
 def _split_spaces(matrices, k: int, q: int) -> list[np.ndarray]:
     """Common eigenspace refinement; matrices yielded lazily in fixed order."""
     spaces = [np.eye(k, dtype=np.int64)]
     for mat in matrices:
-        if all(s.shape[0] == 1 for s in spaces):
-            break
         action = mat % q
         new_spaces: list[np.ndarray] = []
         for basis in spaces:
@@ -145,6 +136,8 @@ def _split_spaces(matrices, k: int, q: int) -> list[np.ndarray]:
                 sub, _ = rref(sub, q)
                 new_spaces.append(sub)
         spaces = new_spaces
+        if all(s.shape[0] == 1 for s in spaces):
+            break
     return spaces
 
 
@@ -215,6 +208,7 @@ def _lift_all(values: np.ndarray, degrees: list[int], cd: ClassData,
     q, w, e = wf.q, wf.w, wf.exponent
     k = values.shape[0]
     dft_cache: dict[int, np.ndarray] = {}
+    seen: dict[RootSum, RootSum] = {}     # one object per distinct value
     out: list[list[RootSum]] = [[] for _ in range(k)]
     for j in range(len(cd.reps)):
         m = cd.element_orders[j]
@@ -243,7 +237,8 @@ def _lift_all(values: np.ndarray, degrees: list[int], cd: ClassData,
                     f"{deg} (row {r}, class {j})")
             ts = np.nonzero(row_m)[0]
             # t*step < e for t < m, so exponents are distinct and ascending
-            out[r].append(tuple((int(t) * step, int(row_m[t])) for t in ts))
+            val = tuple((int(t) * step, int(row_m[t])) for t in ts)
+            out[r].append(seen.setdefault(val, val))
     return out
 
 

@@ -8,7 +8,6 @@ self-consistency check of the table computation).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from importlib import resources
 
@@ -17,13 +16,9 @@ from .fields import field_from_label
 from .fplinalg import InconsistentTable
 from .groupspec import GroupExprError, construct
 from .harness import (check_central_product, check_group, fuzz_lemmas,
-                      parse_corpus, sharpness_scan, verify_corpus)
+                      json_text, parse_corpus, sharpness_scan, verify_corpus)
 from .invariants import average_degree
 from .permgroup import DenseCapExceeded
-
-
-def _json_dumps(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=1, separators=(",", ": ")) + "\n"
 
 
 def default_corpus_text() -> str:
@@ -99,7 +94,7 @@ def _dispatch(args) -> int:
     if args.command == "table":
         table = compute_table(construct(args.expr))
         if args.json:
-            sys.stdout.write(_json_dumps(table_document(table)))
+            sys.stdout.write(json_text(table_document(table)))
         else:
             print(format_table(table))
         return 0
@@ -114,7 +109,7 @@ def _dispatch(args) -> int:
     if args.command == "check":
         report = check_group(construct(args.expr), primes=args.prime, name=args.expr)
         if args.json:
-            sys.stdout.write(_json_dumps(report.to_doc()))
+            sys.stdout.write(json_text(report.to_doc()))
         else:
             print(f"group {report.group}  order {report.order}")
             for rec in report.primes:
@@ -151,12 +146,12 @@ def _dispatch(args) -> int:
     if args.command == "fuzz":
         report = fuzz_lemmas(construct(args.expr), trials=args.trials,
                              seed=args.seed, name=args.expr)
-        sys.stdout.write(_json_dumps(report.to_doc()))
+        sys.stdout.write(json_text(report.to_doc()))
         return 1 if report.violations else 0
 
     if args.command == "centralproduct":
         report = check_central_product()
-        sys.stdout.write(_json_dumps(report.to_doc()))
+        sys.stdout.write(json_text(report.to_doc()))
         return 1 if report.violations else 0
 
     if args.command == "sharpness":

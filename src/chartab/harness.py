@@ -21,6 +21,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .arith import is_prime, prime_factors
 from .chartable import compute_table
@@ -28,6 +29,23 @@ from .fields import FieldSpec
 from .groupspec import GroupExprError, construct, parse_group_expr
 from .invariants import average_degree, degree_counts
 from .permgroup import PermGroup
+
+_REPORT_ENCODER = json.JSONEncoder(sort_keys=True, indent=1, separators=(",", ": "))
+_JOIN_BATCH = 4096
+
+
+def json_text(doc) -> str:
+    """The deterministic JSON text of a report, with a trailing newline.
+
+    The encoder yields one small string per token; joining them a batch at
+    a time keeps at most one batch of them alive instead of all of them.
+    """
+    chunks = _REPORT_ENCODER.iterencode(doc)
+    parts = []
+    while batch := list(islice(chunks, _JOIN_BATCH)):
+        parts.append("".join(batch))
+    parts.append("\n")
+    return "".join(parts)
 
 
 @dataclass(frozen=True)
@@ -264,8 +282,7 @@ class CorpusSummary:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_doc(), sort_keys=True, indent=1,
-                          separators=(",", ": ")) + "\n"
+        return json_text(self.to_doc())
 
 
 def parse_corpus(text: str) -> tuple[list[str], list[str]]:

@@ -8,8 +8,16 @@ Two representations coexist:
   chain's order before enumeration), which is the substrate for conjugacy
   classes and all character-table work.
 
-Everything is immutable after construction; the lazy caches are
-write-once and safe to share across threads.
+Classes are identified by base images, the images of the chain's base
+points, which determine an element.  ClassData holds them as exact sorted
+keys with their class ids, so class orbits, power maps and class matrices
+are numpy gathers plus one np.searchsorted lookup rather than a Permutation
+built and hashed per product; a row that matches no element raises
+InconsistentTable.
+
+Everything is immutable after construction (ClassData's arrays are
+read-only); the lazy caches are write-once and safe to share across
+threads.
 """
 
 from __future__ import annotations
@@ -17,6 +25,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from math import lcm
+
+import numpy as np
 
 from .arith import check_prime, pprime_part
 from .fplinalg import require
@@ -133,6 +143,14 @@ class ClassData:
 
     power_map[j][k] is the class of rep_j**k for 0 <= k < element_orders[j];
     class_power extends to arbitrary k by reduction mod the element order.
+
+    The array fields identify classes by base images (the images of the
+    chain's base points, which determine an element): keys holds the
+    base-image rows of all elements in sorted key order and key_class the
+    class of each; rep_images the full image rows of the reps; inv_base the
+    base images of x**-1 for each element x of elements(); member_index the
+    element indices of class i at member_offsets[i]:member_offsets[i+1].
+    All of them are read-only.
     """
 
     reps: tuple[Permutation, ...]
@@ -141,7 +159,13 @@ class ClassData:
     class_of: dict[Permutation, int]
     power_map: tuple[tuple[int, ...], ...]
     exponent: int
-    members: tuple[tuple[Permutation, ...], ...] = field(repr=False, default=())
+    members: tuple[tuple[Permutation, ...], ...] = field(repr=False)
+    keys: np.ndarray = field(repr=False, compare=False)
+    key_class: np.ndarray = field(repr=False, compare=False)
+    rep_images: np.ndarray = field(repr=False, compare=False)
+    inv_base: np.ndarray = field(repr=False, compare=False)
+    member_index: np.ndarray = field(repr=False, compare=False)
+    member_offsets: np.ndarray = field(repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.reps)
@@ -151,6 +175,37 @@ class ClassData:
 
     def inverse_class(self, j: int) -> int:
         return self.class_power(j, self.element_orders[j] - 1)
+
+    def lookup(self, rows: np.ndarray) -> np.ndarray:
+        """Class ids of the elements with the given base-image rows."""
+        return self.key_class[_search(self.keys, rows)]
+
+
+def _as_keys(rows: np.ndarray) -> np.ndarray:
+    """Rows (..., b) of base images as one exact byte-string key each."""
+    rows = np.ascontiguousarray(rows, dtype=np.int32)
+    if rows.shape[-1] == 0:     # trivial group: empty base, a single element
+        rows = np.zeros(rows.shape[:-1] + (1,), dtype=np.int32)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[-1])))[..., 0]
+
+
+def _search(keys: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Positions of base-image rows (..., b) among the sorted keys.
+
+    A row that matches no key raises InconsistentTable, so a lookup is
+    never silently wrong.
+    """
+    wanted = _as_keys(rows)
+    pos = np.searchsorted(keys, wanted)
+    np.minimum(pos, len(keys) - 1, out=pos)
+    require(bool(np.all(keys[pos] == wanted)),
+            "base images of a product match no element of the group")
+    return pos
+
+
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 class PermGroup:
@@ -213,46 +268,71 @@ class PermGroup:
 
     def _compute_classes(self) -> ClassData:
         elems = self.elements()
-        gen_invs = [(g, g.inverse()) for g in self.generators]
-        assigned: dict[Permutation, int] = {}
-        reps: list[Permutation] = []
-        members: list[tuple[Permutation, ...]] = []
-        for x in elems:
-            if x in assigned:
+        n = len(elems)
+        base = np.array([lvl.point for lvl in self.chain.levels], dtype=np.intp)
+        images = np.array([x.images for x in elems], dtype=np.int32)
+        inverses = np.empty_like(images)
+        inverses[np.arange(n)[:, None], images] = np.arange(self.degree, dtype=np.int32)
+        unsorted_keys = _as_keys(images[:, base])
+        key_order = np.argsort(unsorted_keys)
+        keys = unsorted_keys[key_order]
+        require(bool(np.all(keys[1:] != keys[:-1])), "base images must determine the element")
+
+        # conjugation by each generator as an index map on elements():
+        # (g^-1 x g)[b] = g[x[g^-1[b]]] under left-to-right composition
+        conj = []
+        for g in self.generators:
+            g_arr = np.array(g.images, dtype=np.int32)
+            g_inv = np.array(g.inverse().images, dtype=np.intp)
+            conj.append(key_order[_search(keys, g_arr[images[:, g_inv[base]]])].tolist())
+
+        assigned = [-1] * n
+        rep_index: list[int] = []
+        orbits: list[list[int]] = []
+        for x in range(n):
+            if assigned[x] >= 0:
                 continue
-            idx = len(reps)
+            idx = len(rep_index)
             orbit = [x]
             assigned[x] = idx
             head = 0
             while head < len(orbit):
                 y = orbit[head]
                 head += 1
-                for g, gi in gen_invs:
-                    z = gi * y * g
-                    if z not in assigned:
+                for c in conj:
+                    z = c[y]
+                    if assigned[z] < 0:
                         assigned[z] = idx
                         orbit.append(z)
-            reps.append(x)
-            members.append(tuple(orbit))
-        sizes = tuple(len(m) for m in members)
+            rep_index.append(x)
+            orbits.append(orbit)
+        reps = tuple(elems[x] for x in rep_index)
+        sizes = tuple(len(m) for m in orbits)
         orders = tuple(r.order() for r in reps)
-        power_map = []
-        for j, rep in enumerate(reps):
-            row = [assigned[self.identity()]]
-            p = self.identity()
-            for _ in range(orders[j] - 1):
-                p = p * rep
-                row.append(assigned[p])
-            power_map.append(tuple(row))
-        exponent = lcm(*orders)
+        key_class = np.array(assigned, dtype=np.intp)[key_order]
+
+        # power maps on the base columns only: rep^t[b] = rep[rep^(t-1)[b]]
+        k = len(reps)
+        rep_images = images[rep_index]
+        powers = np.empty((max(orders), k, len(base)), dtype=np.int32)
+        powers[0] = base
+        for t in range(1, len(powers)):
+            powers[t] = rep_images[np.arange(k)[:, None], powers[t - 1]]
+        classes = key_class[_search(keys, powers)]
         return ClassData(
-            reps=tuple(reps),
+            reps=reps,
             sizes=sizes,
             element_orders=orders,
-            class_of=assigned,
-            power_map=tuple(power_map),
-            exponent=exponent,
-            members=tuple(members),
+            class_of=dict(zip(elems, assigned)),
+            power_map=tuple(tuple(classes[:orders[j], j].tolist()) for j in range(k)),
+            exponent=lcm(*orders),
+            members=tuple(tuple(elems[x] for x in m) for m in orbits),
+            keys=_readonly(keys),
+            key_class=_readonly(key_class),
+            rep_images=_readonly(rep_images),
+            inv_base=_readonly(inverses[:, base]),
+            member_index=_readonly(np.concatenate(orbits)),
+            member_offsets=_readonly(np.cumsum([0, *sizes])),
         )
 
     # -- normal structure ----------------------------------------------------

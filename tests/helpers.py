@@ -8,6 +8,7 @@ word-tracking construction of abelian duals.
 from __future__ import annotations
 
 import cmath
+import random
 from functools import lru_cache
 from itertools import product
 from math import isqrt
@@ -21,6 +22,20 @@ from chartab.chartable import class_matrix, compute_table
 @lru_cache(maxsize=None)
 def table_of(expr: str):
     return compute_table(construct_cached(expr))
+
+
+def relabel(group: PermGroup, seed: int) -> PermGroup:
+    """The group conjugated by a seeded permutation of its points."""
+    n = group.degree
+    sigma = list(range(n))
+    random.Random(seed).shuffle(sigma)
+    gens = []
+    for g in group.generators:
+        images = [0] * n
+        for x, y in enumerate(g.images):
+            images[sigma[x]] = sigma[y]
+        gens.append(Permutation(images))
+    return PermGroup(gens, n)
 
 
 # -- brute-force group theory ---------------------------------------------------
@@ -111,6 +126,17 @@ def brute_has_normal_p_complement(group: PermGroup, p: int) -> bool:
     while target % p == 0:
         target //= p
     return target in normal_subgroup_orders(group)
+
+
+def reference_class_matrix(cd, i: int) -> np.ndarray:
+    """M[j,k] = #{x in C_i : x^-1 rep_k in C_j}, one Permutation per product."""
+    k = len(cd.reps)
+    m = np.zeros((k, k), dtype=np.int64)
+    for x in cd.members[i]:
+        x_inv = x.inverse()
+        for kk, rep in enumerate(cd.reps):
+            m[cd.class_of[x_inv * rep], kk] += 1
+    return m
 
 
 # -- SL(2,5) by matrices ---------------------------------------------------------

@@ -1,11 +1,17 @@
-import numpy as np
+import dataclasses
 
-from chartab import construct, select_prime, verify_orthogonality
-from chartab.chartable import (CharTable, class_matrix, compute_table,
+import numpy as np
+import pytest
+
+from chartab import (InconsistentTable, construct, select_prime,
+                     verify_orthogonality)
+from chartab.chartable import (CharTable, _matrix_order, _split_spaces,
+                               class_matrix, compute_table,
                                orthogonality_failures, table_document)
 
 from helpers import (det_mod, lifted_complex_rows, match_rows_numeric,
-                     numeric_character_rows, search_working_prime, table_of)
+                     numeric_character_rows, reference_class_matrix, relabel,
+                     search_working_prime, table_of)
 
 
 # -- working prime ---------------------------------------------------------------
@@ -59,6 +65,50 @@ def test_class_matrix_column_sums_a5():
     i = list(cd.sizes).index(15)  # double transpositions
     m = class_matrix(cd, i)
     assert np.array_equal(m.sum(axis=0), np.full(5, 15, dtype=np.int64))
+
+
+def test_class_matrix_matches_per_product_reference():
+    for expr in ("C(1)", "A(5)", "D(10)", "S(3) x C(4)", "Aff(7,3)",
+                 "CentralProd(SL(2,5), C(4))"):
+        for group in (construct(expr), relabel(construct(expr), seed=3)):
+            cd = group.conjugacy_classes()
+            for i in range(len(cd.reps)):
+                assert np.array_equal(class_matrix(cd, i), reference_class_matrix(cd, i)), \
+                    (expr, i)
+
+
+def test_class_matrix_corrupted_key_raises():
+    cd = construct("A(5)").conjugacy_classes()
+    keys = cd.keys.copy()
+    keys.view(np.int32)[-1] += 1        # the last element's base images no longer match
+    bad = dataclasses.replace(cd, keys=keys)
+    with pytest.raises(InconsistentTable):
+        for i in range(len(cd.reps)):
+            class_matrix(bad, i)
+
+
+def test_split_spaces_builds_only_applied_matrices():
+    early = 0
+    for expr in ("S(4)", "A(5)", "D(10)", "SL(2,5)", "Aff(7,3)"):
+        group = construct(expr)
+        cd = group.conjugacy_classes()
+        k, q = len(cd.reps), select_prime(cd.exponent, group.order()).q
+        mats = [class_matrix(cd, i) for i in _matrix_order(cd)]
+        # the shortest prefix of the matrix order that splits every space
+        applied = next(n for n in range(len(mats) + 1)
+                       if all(s.shape[0] == 1 for s in _split_spaces(mats[:n], k, q)))
+        pulls = 0
+
+        def stream():
+            nonlocal pulls
+            for mat in mats:
+                pulls += 1
+                yield mat
+
+        assert all(s.shape[0] == 1 for s in _split_spaces(stream(), k, q))
+        assert pulls == applied, expr
+        early += applied < len(mats)
+    assert early        # some split finishes before the last matrix
 
 
 # -- tables --------------------------------------------------------------------------

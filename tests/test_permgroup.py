@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from chartab import (DenseCapExceeded, NotNormal, Permutation, construct,
@@ -10,7 +11,7 @@ from chartab.groupspec import construct_cached
 
 from helpers import (brute_conjugacy_sizes, brute_has_normal_p_complement,
                      brute_mulclose, brute_normal_closure,
-                     central_product_coset_count, sl25_matrix_order)
+                     central_product_coset_count, relabel, sl25_matrix_order)
 
 
 # -- construction and orders ---------------------------------------------------
@@ -139,6 +140,32 @@ def test_power_map_consistency():
             if cd.element_orders[j] > 1:
                 assert cd.class_power(j, 1) == j
             assert cd.class_power(j, cd.element_orders[j]) == 0
+
+
+def test_power_map_matches_permutation_powers():
+    for expr in ("C(1)", "S(4)", "D(15)", "SL(2,5)", "Aff(7,3)", "S(3) x C(4)"):
+        for group in (construct(expr), relabel(construct(expr), seed=5)):
+            cd = group.conjugacy_classes()
+            for j, rep in enumerate(cd.reps):
+                assert rep.order() == cd.element_orders[j]
+                assert list(cd.power_map[j]) == [cd.class_of[rep ** t]
+                                                 for t in range(cd.element_orders[j])]
+
+
+def test_class_arrays_read_only():
+    cd = construct("A(5)").conjugacy_classes()
+    arrays = [cd.keys, cd.key_class, cd.rep_images, cd.inv_base,
+              cd.member_index, cd.member_offsets]
+    for arr in arrays:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = arr[0]
+    # the flat member arrays list each class's members in order
+    elems = construct("A(5)").elements()
+    for i, members in enumerate(cd.members):
+        idx = cd.member_index[cd.member_offsets[i]:cd.member_offsets[i + 1]]
+        assert [elems[x] for x in idx] == list(members)
+    assert np.array_equal(cd.rep_images, [r.images for r in cd.reps])
 
 
 # -- normal structure -------------------------------------------------------------

@@ -12,3 +12,15 @@ def test_library_has_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert not found, found
+
+
+def test_class_matrices_build_no_permutations():
+    # class identification works on base-image arrays, not Permutation objects
+    path = Path(chartab.__file__).parent / "chartable.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported = [alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names]
+    modules = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "Permutation" not in imported
+    assert not modules & {"perm", "chartab.perm"}
