@@ -116,29 +116,30 @@ def class_matrix(cd: ClassData, i: int) -> np.ndarray:
 
 
 def _split_spaces(matrices, k: int, q: int) -> list[np.ndarray]:
-    """Common eigenspace refinement; matrices yielded lazily in fixed order."""
-    spaces = [np.eye(k, dtype=np.int64)]
+    """Common eigenspace refinement; matrices yielded lazily in fixed order.
+
+    Each space is a basis in reduced echelon form, kept with its pivot
+    columns.
+    """
+    spaces = [(np.eye(k, dtype=np.int64), list(range(k)))]
     for mat in matrices:
         action = mat % q
-        new_spaces: list[np.ndarray] = []
-        for basis in spaces:
+        new_spaces: list[tuple[np.ndarray, list[int]]] = []
+        for basis, pivots in spaces:
             if basis.shape[0] == 1:
-                new_spaces.append(basis)
+                new_spaces.append((basis, pivots))
                 continue
             transformed = mat_mul(basis, action.T, q)
-            _, pivots = rref(basis, q)
             coords = transformed[:, pivots] % q
             pieces = eig_split_rows(coords, q)
             dims = sum(b.shape[0] for _, b in pieces)
             require(dims == basis.shape[0], "restricted action must be diagonalizable")
             for _, coeff in pieces:
-                sub = mat_mul(coeff, basis, q)
-                sub, _ = rref(sub, q)
-                new_spaces.append(sub)
+                new_spaces.append(rref(mat_mul(coeff, basis, q), q))
         spaces = new_spaces
-        if all(s.shape[0] == 1 for s in spaces):
+        if all(basis.shape[0] == 1 for basis, _ in spaces):
             break
-    return spaces
+    return [basis for basis, _ in spaces]
 
 
 def _matrix_order(cd: ClassData) -> list[int]:

@@ -32,6 +32,16 @@ def _load_corpus(path: str) -> str:
         return fh.read()
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chartab",
@@ -58,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="corpus file path, or 'default' for the bundled corpus")
     p_verify.add_argument("--max-order", type=int, default=None)
     p_verify.add_argument("--out", default=None)
-    p_verify.add_argument("--jobs", type=int, default=1)
+    p_verify.add_argument("--jobs", type=_positive_int, default=1)
     p_verify.add_argument("--seed", type=int, default=0)
 
     p_fuzz = sub.add_parser("fuzz", help="fuzz the counting lemmas on random subgroups")

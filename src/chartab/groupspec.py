@@ -439,13 +439,17 @@ def group_from_file(path: str) -> PermGroup:
         raw_gens = doc["generators"]
     except (KeyError, TypeError, ValueError) as exc:
         raise GroupExprError(f"group file {path!r} needs 'degree' and 'generators'") from exc
+    if not isinstance(raw_gens, list):
+        raise GroupExprError(f"group file {path!r}: 'generators' must be a list")
     gens = []
     for entry in raw_gens:
+        if not (isinstance(entry, str)
+                or isinstance(entry, list) and all(type(i) is int for i in entry)):
+            raise GroupExprError(f"bad generator in {path!r}: {entry!r} is neither "
+                                 "a cycle string nor a list of points")
         try:
-            if isinstance(entry, str):
-                gens.append(parse_cycles(entry, degree))
-            else:
-                gens.append(Permutation(entry))
+            gens.append(parse_cycles(entry, degree) if isinstance(entry, str)
+                        else Permutation(entry))
         except ValueError as exc:
             raise GroupExprError(f"bad generator in {path!r}: {exc}") from exc
     return PermGroup(gens, degree)

@@ -10,6 +10,8 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
+
 from .arith import check_prime
 from .chartable import CharTable
 from .fields import FieldSpec, field_rows
@@ -54,7 +56,8 @@ def acd_pprime(table: CharTable, p: int, spec: FieldSpec = FieldSpec.all()) -> F
 
 def _classes_meeting(table: CharTable, n: PermGroup) -> list[int]:
     cd = table.class_data
-    return sorted({cd.class_of[x] for x in n.elements()})
+    rows = np.array([x.images for x in n.elements()], dtype=np.int32)
+    return np.unique(cd.lookup(rows[:, cd.base])).tolist()
 
 
 def kernel_contains(table: CharTable, row: int, n: PermGroup) -> bool:
@@ -140,7 +143,7 @@ def acd_pprime_over_central(table: CharTable, z: PermGroup, lam: dict,
         deg = table.degrees[r]
         ok = True
         for x in elems:
-            j = cd.class_of[x]
+            j = cd.class_of(x)
             require(cd.sizes[j] == 1, "central elements must sit in singleton classes")
             want = ((lam[x] % e, deg),) if lam[x] % e else ((0, deg),)
             if table.lifted[r][j] != want:

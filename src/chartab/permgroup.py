@@ -3,21 +3,25 @@
 Two representations coexist:
 
 * a deterministic Schreier-Sims stabilizer chain, used for orders and
-  membership with no size limit, and
+  membership with no size limit.  Each level keeps one coset table, of
+  inverse coset representatives, which sifting multiplies by directly;
+  StabilizerChain.extend grows a chain in place, and a normal closure
+  keeps the chain it grew;
 * a dense element store (capped at 200000 elements, checked against the
   chain's order before enumeration), which is the substrate for conjugacy
   classes and all character-table work.
 
 Classes are identified by base images, the images of the chain's base
 points, which determine an element.  ClassData holds them as exact sorted
-keys with their class ids, so class orbits, power maps and class matrices
-are numpy gathers plus one np.searchsorted lookup rather than a Permutation
-built and hashed per product; a row that matches no element raises
-InconsistentTable.
+keys with their class ids, its one class index: class orbits, power maps,
+class matrices and ClassData.class_of(x) are numpy gathers plus one
+np.searchsorted lookup rather than a Permutation built and hashed per
+product; a row that matches no element raises InconsistentTable.
 
-Everything is immutable after construction (ClassData's arrays are
-read-only); the lazy caches are write-once and safe to share across
-threads.
+Groups and their class data are immutable after construction (ClassData's
+arrays are read-only), and so is a group's chain: only extend changes a
+chain, and normal_closure calls it before the subgroup it returns exists.
+The lazy caches are write-once and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -44,13 +48,20 @@ class NotNormal(ValueError):
 
 
 class _Level:
-    __slots__ = ("point", "gens", "transversal", "inverses")
+    """One level of the chain: a base point, the strong generators that fix
+    the earlier base points, and one coset table over the orbit.
+
+    transversal maps each orbit point x to v_x, the inverse of a coset
+    representative carrying point to x, so v_x.images[x] == point: sifting
+    multiplies by it directly.
+    """
+
+    __slots__ = ("point", "gens", "transversal")
 
     def __init__(self, point: int, degree: int):
         self.point = point
         self.gens: list[Permutation] = []
         self.transversal: dict[int, Permutation] = {point: Permutation.identity(degree)}
-        self.inverses: dict[int, Permutation] = {point: Permutation.identity(degree)}
 
 
 class StabilizerChain:
@@ -65,19 +76,16 @@ class StabilizerChain:
 
     def _rebuild_orbit(self, i: int) -> None:
         lvl = self.levels[i]
-        ident = Permutation.identity(self.degree)
-        lvl.transversal = {lvl.point: ident}
-        lvl.inverses = {lvl.point: ident}
+        lvl.transversal = {lvl.point: Permutation.identity(self.degree)}
+        gens = [(s, s.inverse()) for s in lvl.gens]
         queue = deque([lvl.point])
         while queue:
             pt = queue.popleft()
-            u = lvl.transversal[pt]
-            for s in lvl.gens:
+            v = lvl.transversal[pt]
+            for s, s_inv in gens:
                 img = s.images[pt]
                 if img not in lvl.transversal:
-                    t = u * s
-                    lvl.transversal[img] = t
-                    lvl.inverses[img] = t.inverse()
+                    lvl.transversal[img] = s_inv * v     # img -> pt -> point
                     queue.append(img)
 
     def sift(self, g: Permutation, start: int = 0) -> tuple[Permutation, int]:
@@ -87,13 +95,21 @@ class StabilizerChain:
             img = g.images[lvl.point]
             if img not in lvl.transversal:
                 return g, i
-            g = g * lvl.inverses[img]
+            g = g * lvl.transversal[img]
         return g, len(self.levels)
 
-    def _add(self, g: Permutation) -> None:
+    def extend(self, g: Permutation) -> bool:
+        """Add g to the group unless it is already a member, then restore the
+        strong generating set; returns whether the group grew."""
+        if not self._add(g):
+            return False
+        self._close()
+        return True
+
+    def _add(self, g: Permutation) -> bool:
         h, i = self.sift(g)
         if h.is_identity():
-            return
+            return False
         if i == len(self.levels):
             base_pt = min(p for p in range(self.degree) if h.images[p] != p)
             self.levels.append(_Level(base_pt, self.degree))
@@ -101,6 +117,7 @@ class StabilizerChain:
         for j in range(i + 1):
             self.levels[j].gens.append(h)
             self._rebuild_orbit(j)
+        return True
 
     def _close(self) -> None:
         # Sims's criterion: every Schreier generator must sift to identity.
@@ -110,10 +127,10 @@ class StabilizerChain:
             for i in reversed(range(len(self.levels))):
                 lvl = self.levels[i]
                 for pt in sorted(lvl.transversal):
-                    u = lvl.transversal[pt]
+                    u = lvl.transversal[pt].inverse()
                     for s in list(lvl.gens):
                         img = s.images[pt]
-                        schreier = u * s * lvl.inverses[img]
+                        schreier = u * s * lvl.transversal[img]
                         residue, _ = self.sift(schreier, i + 1)
                         if not residue.is_identity():
                             self._add(residue)
@@ -145,21 +162,21 @@ class ClassData:
     class_power extends to arbitrary k by reduction mod the element order.
 
     The array fields identify classes by base images (the images of the
-    chain's base points, which determine an element): keys holds the
-    base-image rows of all elements in sorted key order and key_class the
-    class of each; rep_images the full image rows of the reps; inv_base the
-    base images of x**-1 for each element x of elements(); member_index the
-    element indices of class i at member_offsets[i]:member_offsets[i+1].
-    All of them are read-only.
+    chain's base points, which determine an element): base holds the base
+    points, keys the base-image rows of all elements in sorted key order and
+    key_class the class of each; rep_images the full image rows of the reps;
+    inv_base the base images of x**-1 for each element x of elements();
+    member_index the element indices of class i at
+    member_offsets[i]:member_offsets[i+1].  All of them are read-only, and
+    they are the only class index: class_of(x) looks x up through them.
     """
 
     reps: tuple[Permutation, ...]
     sizes: tuple[int, ...]
     element_orders: tuple[int, ...]
-    class_of: dict[Permutation, int]
     power_map: tuple[tuple[int, ...], ...]
     exponent: int
-    members: tuple[tuple[Permutation, ...], ...] = field(repr=False)
+    base: np.ndarray = field(repr=False, compare=False)
     keys: np.ndarray = field(repr=False, compare=False)
     key_class: np.ndarray = field(repr=False, compare=False)
     rep_images: np.ndarray = field(repr=False, compare=False)
@@ -179,6 +196,10 @@ class ClassData:
     def lookup(self, rows: np.ndarray) -> np.ndarray:
         """Class ids of the elements with the given base-image rows."""
         return self.key_class[_search(self.keys, rows)]
+
+    def class_of(self, x: Permutation) -> int:
+        """Class id of an element x of the group."""
+        return int(self.lookup(np.array([x.images])[:, self.base])[0])
 
 
 def _as_keys(rows: np.ndarray) -> np.ndarray:
@@ -244,7 +265,8 @@ class PermGroup:
 
     def elements(self) -> tuple[Permutation, ...]:
         """All elements in a stable sorted order (dense mode), read off the
-        chain: one transversal representative per level, deepest first."""
+        chain as the products v_0 * v_1 * ... of one coset-table entry per
+        level."""
         if self._elements is None:
             if self.order() > DEFAULT_ENUM_CAP:
                 raise DenseCapExceeded(
@@ -252,7 +274,7 @@ class PermGroup:
                     "too large for dense mode")
             elems = [self.identity()]
             for lvl in reversed(self.chain.levels):
-                elems = [x * u for x in elems for u in lvl.transversal.values()]
+                elems = [v * x for x in elems for v in lvl.transversal.values()]
             self._elements = tuple(sorted(elems))
         return self._elements
 
@@ -323,10 +345,9 @@ class PermGroup:
             reps=reps,
             sizes=sizes,
             element_orders=orders,
-            class_of=dict(zip(elems, assigned)),
             power_map=tuple(tuple(classes[:orders[j], j].tolist()) for j in range(k)),
             exponent=lcm(*orders),
-            members=tuple(tuple(elems[x] for x in m) for m in orbits),
+            base=_readonly(base),
             keys=_readonly(keys),
             key_class=_readonly(key_class),
             rep_images=_readonly(rep_images),
@@ -348,14 +369,12 @@ class PermGroup:
         todo = deque(seeds)
         while todo:
             x = todo.popleft()
-            if chain.contains(x):
-                continue
-            closure_gens.append(x)
-            chain._add(x)
-            chain._close()
-            for g in self.generators:
-                todo.append(x.conjugate(g))
-        return self.subgroup(closure_gens)
+            if chain.extend(x):
+                closure_gens.append(x)
+                todo.extend(x.conjugate(g) for g in self.generators)
+        closure = self.subgroup(closure_gens)
+        closure._chain = chain      # the chain built here already spans it
+        return closure
 
     def derived_subgroup(self) -> "PermGroup":
         comms = []

@@ -128,14 +128,32 @@ def brute_has_normal_p_complement(group: PermGroup, p: int) -> bool:
     return target in normal_subgroup_orders(group)
 
 
-def reference_class_matrix(cd, i: int) -> np.ndarray:
-    """M[j,k] = #{x in C_i : x^-1 rep_k in C_j}, one Permutation per product."""
-    k = len(cd.reps)
+def brute_class_map(group: PermGroup, reps) -> dict[Permutation, int]:
+    """Class index of every element: each rep conjugated by every element."""
+    elems = group.elements()
+    inverses = [g.inverse() for g in elems]
+    classes: dict[Permutation, int] = {}
+    for j, rep in enumerate(reps):
+        for g, g_inv in zip(elems, inverses):
+            c = classes.setdefault(g_inv * rep * g, j)
+            assert c == j, "reps share a class"
+    assert len(classes) == len(elems)
+    return classes
+
+
+def reference_class_matrix(reps, classes: dict, i: int) -> np.ndarray:
+    """M[j,k] = #{x in C_i : x^-1 rep_k in C_j}, one Permutation per product.
+
+    classes maps every element to its class, as brute_class_map does.
+    """
+    k = len(reps)
     m = np.zeros((k, k), dtype=np.int64)
-    for x in cd.members[i]:
+    for x, c in classes.items():
+        if c != i:
+            continue
         x_inv = x.inverse()
-        for kk, rep in enumerate(cd.reps):
-            m[cd.class_of[x_inv * rep], kk] += 1
+        for kk, rep in enumerate(reps):
+            m[classes[x_inv * rep], kk] += 1
     return m
 
 

@@ -12,8 +12,8 @@ from chartab import (FieldSpec, acd_pprime, check_central_product,
                      verify_orthogonality)
 from chartab.groupspec import construct_cached
 
-from helpers import (abelian_dual_rows, brute_has_normal_p_complement,
-                     table_of)
+from helpers import (abelian_dual_rows, brute_class_map,
+                     brute_has_normal_p_complement, table_of)
 
 QUOT_A5 = ("Quot(SL(2,5); (0 3)(1 2)(4 19)(5 23)(6 22)(7 21)(8 20)(9 14)"
            "(10 18)(11 17)(12 16)(13 15))")
@@ -203,12 +203,12 @@ def test_criterion_8a_abelian_dual_oracle(corpus_entries):
         assert all(d == 1 for d in table.degrees)
         oracle = abelian_dual_rows(group, table.q_field.exponent)
         elems = sorted(group.elements())
-        cd = table.class_data
+        classes = brute_class_map(group, table.class_data.reps)
         got = set()
         for r in range(table.n_classes):
             row = []
             for x in elems:
-                vals = table.lifted[r][cd.class_of[x]]
+                vals = table.lifted[r][classes[x]]
                 assert len(vals) == 1 and vals[0][1] == 1
                 row.append(vals[0][0])
             got.add(tuple(row))

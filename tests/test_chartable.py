@@ -3,15 +3,16 @@ import dataclasses
 import numpy as np
 import pytest
 
-from chartab import (InconsistentTable, construct, select_prime,
+from chartab import (InconsistentTable, chartable, construct, select_prime,
                      verify_orthogonality)
 from chartab.chartable import (CharTable, _matrix_order, _split_spaces,
                                class_matrix, compute_table,
                                orthogonality_failures, table_document)
 
-from helpers import (det_mod, lifted_complex_rows, match_rows_numeric,
-                     numeric_character_rows, reference_class_matrix, relabel,
-                     search_working_prime, table_of)
+from helpers import (brute_class_map, det_mod, lifted_complex_rows,
+                     match_rows_numeric, numeric_character_rows,
+                     reference_class_matrix, relabel, search_working_prime,
+                     table_of)
 
 
 # -- working prime ---------------------------------------------------------------
@@ -72,9 +73,10 @@ def test_class_matrix_matches_per_product_reference():
                  "CentralProd(SL(2,5), C(4))"):
         for group in (construct(expr), relabel(construct(expr), seed=3)):
             cd = group.conjugacy_classes()
+            classes = brute_class_map(group, cd.reps)
             for i in range(len(cd.reps)):
-                assert np.array_equal(class_matrix(cd, i), reference_class_matrix(cd, i)), \
-                    (expr, i)
+                assert np.array_equal(class_matrix(cd, i),
+                                      reference_class_matrix(cd.reps, classes, i)), (expr, i)
 
 
 def test_class_matrix_corrupted_key_raises():
@@ -109,6 +111,32 @@ def test_split_spaces_builds_only_applied_matrices():
         assert pulls == applied, expr
         early += applied < len(mats)
     assert early        # some split finishes before the last matrix
+
+
+def test_split_spaces_reduces_each_new_space_once(monkeypatch):
+    # every space is kept in reduced echelon form with its pivots, so the
+    # split calls rref once per new subspace and never on a space it holds
+    calls = {"rref": 0, "spaces": 0}
+    rref, eig_split_rows = chartable.rref, chartable.eig_split_rows
+
+    def counted_rref(a, q):
+        calls["rref"] += 1
+        return rref(a, q)
+
+    def counted_split(coords, q):
+        pieces = eig_split_rows(coords, q)
+        calls["spaces"] += len(pieces)
+        return pieces
+
+    monkeypatch.setattr(chartable, "rref", counted_rref)
+    monkeypatch.setattr(chartable, "eig_split_rows", counted_split)
+    for expr in ("S(4)", "A(5)", "D(10)", "SL(2,5)", "C(2) x C(2) x C(2)"):
+        group = construct(expr)
+        cd = group.conjugacy_classes()
+        k, q = len(cd.reps), select_prime(cd.exponent, group.order()).q
+        spaces = _split_spaces((class_matrix(cd, i) for i in _matrix_order(cd)), k, q)
+        assert len(spaces) == k, expr
+    assert calls["spaces"] > 0 and calls["rref"] == calls["spaces"]
 
 
 # -- tables --------------------------------------------------------------------------

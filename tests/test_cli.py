@@ -120,6 +120,22 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_verify_rejects_jobs_below_one(capsys, jobs):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--corpus", "default", "--jobs", jobs])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("generators", [[5], 7], ids=["entry-not-a-list", "not-a-list"])
+def test_malformed_group_file_exit_code(capsys, tmp_path, generators):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({"degree": 3, "generators": generators}))
+    code, _, err = run(capsys, "table", f'File("{path}")')
+    assert code == 2 and err.startswith("error:") and "Traceback" not in err
+
+
 def test_dense_cap_error(capsys):
     code, _, err = run(capsys, "table", "S(9)")
     assert code == 2 and "too large" in err

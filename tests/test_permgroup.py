@@ -7,11 +7,15 @@ from chartab import (DenseCapExceeded, NotNormal, Permutation, construct,
                      parse_cycles)
 from chartab.arith import (check_prime, element_of_order, is_prime,
                            pprime_part, prime_factors)
+from chartab.chartable import compute_table
 from chartab.groupspec import construct_cached
 
-from helpers import (brute_conjugacy_sizes, brute_has_normal_p_complement,
-                     brute_mulclose, brute_normal_closure,
-                     central_product_coset_count, relabel, sl25_matrix_order)
+from chartab.permgroup import PermGroup, StabilizerChain
+
+from helpers import (brute_class_map, brute_conjugacy_sizes,
+                     brute_has_normal_p_complement, brute_mulclose,
+                     brute_normal_closure, central_product_coset_count,
+                     relabel, sl25_matrix_order)
 
 
 # -- construction and orders ---------------------------------------------------
@@ -93,6 +97,26 @@ def test_closure_on_random_pairs():
             assert x * y in store
 
 
+def test_chain_levels_keep_one_table_of_inverse_representatives():
+    # transversal[x] carries x back to the level's base point
+    for expr in ("S(6)", "A(7)", "D(10)", "SL(2,5)", "C(12)"):
+        g = construct(expr)
+        for lvl in g.chain.levels:
+            assert not hasattr(lvl, "inverses")
+            assert all(v.images[x] == lvl.point for x, v in lvl.transversal.items()), expr
+            assert all(v in g for v in lvl.transversal.values()), expr
+
+
+def test_chain_extend_reports_growth():
+    chain = StabilizerChain([], 4)
+    four_cycle, swap = parse_cycles("(0 1 2 3)", 4), parse_cycles("(0 1)", 4)
+    assert chain.extend(four_cycle) and chain.order() == 4
+    assert not chain.extend(four_cycle * four_cycle)
+    assert not chain.extend(Permutation.identity(4))
+    assert chain.extend(swap) and chain.order() == 24
+    assert not chain.extend(swap * four_cycle)
+
+
 # -- conjugacy classes -----------------------------------------------------------
 
 def test_alt5_class_sizes_against_brute_force():
@@ -121,9 +145,14 @@ def test_class_data_invariants():
         assert sum(cd.sizes) == g.order()
         assert all(g.order() % s == 0 for s in cd.sizes)
         assert cd.sizes[0] == 1 and cd.reps[0].is_identity()
-        # class_of is constant on each conjugacy orbit
-        for j, members in enumerate(cd.members):
-            assert {cd.class_of[x] for x in members} == {j}
+        # the flat member arrays and class_of agree with brute-force orbits
+        classes = brute_class_map(g, cd.reps)
+        elems = g.elements()
+        for j in range(len(cd.reps)):
+            idx = cd.member_index[cd.member_offsets[j]:cd.member_offsets[j + 1]]
+            assert sorted(elems[x] for x in idx) == sorted(
+                x for x, c in classes.items() if c == j)
+        assert all(cd.class_of(x) == c for x, c in classes.items())
 
 
 def test_power_map_consistency():
@@ -146,25 +175,21 @@ def test_power_map_matches_permutation_powers():
     for expr in ("C(1)", "S(4)", "D(15)", "SL(2,5)", "Aff(7,3)", "S(3) x C(4)"):
         for group in (construct(expr), relabel(construct(expr), seed=5)):
             cd = group.conjugacy_classes()
+            classes = brute_class_map(group, cd.reps)
             for j, rep in enumerate(cd.reps):
                 assert rep.order() == cd.element_orders[j]
-                assert list(cd.power_map[j]) == [cd.class_of[rep ** t]
+                assert list(cd.power_map[j]) == [classes[rep ** t]
                                                  for t in range(cd.element_orders[j])]
 
 
 def test_class_arrays_read_only():
     cd = construct("A(5)").conjugacy_classes()
-    arrays = [cd.keys, cd.key_class, cd.rep_images, cd.inv_base,
+    arrays = [cd.base, cd.keys, cd.key_class, cd.rep_images, cd.inv_base,
               cd.member_index, cd.member_offsets]
     for arr in arrays:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = arr[0]
-    # the flat member arrays list each class's members in order
-    elems = construct("A(5)").elements()
-    for i, members in enumerate(cd.members):
-        idx = cd.member_index[cd.member_offsets[i]:cd.member_offsets[i + 1]]
-        assert [elems[x] for x in idx] == list(members)
     assert np.array_equal(cd.rep_images, [r.images for r in cd.reps])
 
 
@@ -229,6 +254,32 @@ def test_p_complement_agrees_with_brute_oracle_small():
             if g.order() % p == 0:
                 assert g.has_normal_p_complement(p) == \
                     brute_has_normal_p_complement(g, p), (expr, p)
+
+
+def test_normal_closures_keep_their_chain(monkeypatch):
+    # each closure builds one chain, which the subgroup it returns keeps
+    built, closures = [], []
+    init, closure = StabilizerChain.__init__, PermGroup.normal_closure
+
+    def counted_init(self, generators, degree):
+        built.append(list(generators))
+        init(self, generators, degree)
+
+    def counted_closure(self, seeds):
+        closures.append(self)
+        return closure(self, seeds)
+
+    for expr in ("S(4)", "A(5)", "SL(2,5)", "Aff(7,3)", "D(10)", "C(12)"):
+        g = construct(expr)
+        compute_table(g)
+        with monkeypatch.context() as m:
+            m.setattr(StabilizerChain, "__init__", counted_init)
+            m.setattr(PermGroup, "normal_closure", counted_closure)
+            for p in prime_factors(g.order()):
+                g.has_normal_p_complement(p)
+            g.is_solvable()
+    assert closures and len(built) == len(closures)
+    assert not any(built)       # each starts empty and grows by extend()
 
 
 def test_prime_validation():

@@ -24,3 +24,18 @@ def test_class_matrices_build_no_permutations():
     modules = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
     assert "Permutation" not in imported
     assert not modules & {"perm", "chartab.perm"}
+
+
+def test_private_methods_are_called_only_on_self():
+    # an object's underscore methods are its own business; dunders are public
+    found = []
+    for path in sorted(Path(chartab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                continue
+            name, owner = node.func.attr, node.func.value
+            private = name.startswith("_") and not name.endswith("__")
+            if private and not (isinstance(owner, ast.Name) and owner.id == "self"):
+                found.append(f"{path.name}:{node.lineno} {ast.unparse(node.func)}")
+    assert not found, found
