@@ -8,6 +8,11 @@ from the first orthogonality relation (the q > 2*sqrt|G| bound makes the
 square root unique), mod-q values follow, and exact cyclotomic values are
 lifted by an inverse DFT over each class representative's power map.
 
+verify_orthogonality checks both orthogonality relations mod q and then
+the first one exactly in Z[zeta_e], in one pass per row r: the sums
+sum_j |C_j| chi_r(g_j) conj(chi_s(g_j)) for all rows s >= r are bucketed
+by exponent of zeta_e and reduced modulo the e-th cyclotomic polynomial.
+
 Everything in this module is exact: F_q arithmetic on int64 numpy arrays
 and integer multiplicity vectors.  No floating point.
 """
@@ -245,8 +250,14 @@ def _lift_all(values: np.ndarray, degrees: list[int], cd: ClassData,
 
 def verify_orthogonality(table: CharTable) -> bool:
     """First and second orthogonality mod q, plus exact first orthogonality
-    over the lifted cyclotomic values.  False leaves a located failure
-    report in orthogonality_failures()."""
+    over the lifted cyclotomic values.
+
+    The exact check runs once the mod-q checks pass.  For each row r it
+    gathers |C_j| m1 m2 for every class j, every term pair (l1, m1) of
+    chi_r(g_j) and (l2, m2) of chi_s(g_j), and every row s >= r into
+    integer buckets (s, l1 - l2 mod e); each bucket row is reduced modulo
+    Phi_e and must equal |G| for s = r and 0 otherwise.  False leaves a
+    located failure report in orthogonality_failures()."""
     if table._orthogonality_failures is None:
         table._orthogonality_failures = _orthogonality_failures(table)
     return not table._orthogonality_failures
@@ -258,9 +269,13 @@ def orthogonality_failures(table: CharTable) -> list[str]:
 
 
 def _orthogonality_failures(table: CharTable) -> list[str]:
+    # two functions, so the k x k mod-q arrays are freed before the exact pass
+    return _mod_q_failures(table) or _exact_failures(table)
+
+
+def _mod_q_failures(table: CharTable) -> list[str]:
     cd = table.class_data
     q = table.q_field.q
-    e = table.q_field.exponent
     order = table.group.order()
     k = table.n_classes
     v = table.values_mod_q
@@ -280,50 +295,38 @@ def _orthogonality_failures(table: CharTable) -> list[str]:
         cent[j, j] = (order // cd.sizes[j]) % q
     for j, kk in zip(*np.nonzero(col != cent)):
         failures.append(f"second orthogonality mod q fails at classes ({j},{kk})")
+    return failures
 
-    if failures:
-        return failures
 
-    # exact first orthogonality over the lifted values
-    lifted = table.lifted
-    single_term = all(len(val) == 1 for row in lifted for val in row)
+def _exact_failures(table: CharTable) -> list[str]:
+    e = table.q_field.exponent
+    order = table.group.order()
+    k = table.n_classes
+    sizes = np.array(table.class_data.sizes, dtype=np.int64)
+    # the lifted values as (row, class, term) arrays: each distinct value is
+    # padded once with multiplicity-0 terms (numpy converts k*k nested tuples
+    # slowly and with a large transient)
+    index: dict[RootSum, int] = {}
+    cells = np.array([[index.setdefault(val, len(index)) for val in row]
+                      for row in table.lifted])
+    width = max(map(len, index))
+    padded = np.array([val + ((0, 0),) * (width - len(val)) for val in index],
+                      dtype=np.int64)
+    exps, mults = padded[cells, :, 0], padded[cells, :, 1]
     red_table = cyclotomic.reduction_table(e)
-    if single_term:
-        # common fast case (all linear characters): vectorize per row pair
-        exps = np.array([[val[0][0] for val in row] for row in lifted],
-                        dtype=np.int64)
-        mults = np.array([[val[0][1] for val in row] for row in lifted],
-                         dtype=np.int64)
-        sizes_full = np.array(cd.sizes, dtype=np.int64)
-        for r in range(k):
-            weights_r = sizes_full * mults[r]
-            for s in range(r, k):
-                diff = (exps[r] - exps[s]) % e
-                acc_vec = np.zeros(e, dtype=np.int64)
-                np.add.at(acc_vec, diff, weights_r * mults[s])
-                reduced = acc_vec @ red_table
-                target = order if r == s else 0
-                reduced[0] -= target
-                if np.any(reduced):
-                    failures.append(
-                        f"exact first orthogonality fails at rows ({r},{s})")
-        return failures
+    failures: list[str] = []
     for r in range(k):
-        for s in range(r, k):
-            acc: dict[int, int] = {}
-            for j in range(k):
-                size = cd.sizes[j]
-                right = lifted[s][j]
-                for l1, m1 in lifted[r][j]:
-                    for l2, m2 in right:
-                        key = (l1 - l2) % e
-                        acc[key] = acc.get(key, 0) + size * m1 * m2
-            target = order if r == s else 0
-            value = cyclotomic.reduce_to_integer(acc, e)
-            if value != target:
-                failures.append(
-                    f"exact first orthogonality fails at rows ({r},{s}): "
-                    f"got {value}, want {target}")
+        # row r against all rows s >= r: buckets (s - r, l1 - l2 mod e); one
+        # row at a time keeps the working set at (k - r) * k * width**2
+        buckets = ((exps[r, :, :, None] - exps[r:, :, None, :]) % e
+                   + e * np.arange(k - r)[:, None, None, None])
+        weights = sizes[:, None, None] * mults[r, :, :, None] * mults[r:, :, None, :]
+        acc = np.zeros((k - r) * e, dtype=np.int64)
+        np.add.at(acc, buckets.ravel(), weights.ravel())
+        reduced = acc.reshape(k - r, e) @ red_table
+        reduced[0, 0] -= order
+        for s in np.flatnonzero(reduced.any(axis=1)):
+            failures.append(f"exact first orthogonality fails at rows ({r},{r + s})")
     return failures
 
 

@@ -82,15 +82,3 @@ def reduction_table(e: int) -> np.ndarray:
             row = row + lead * top
     return table
 
-
-def reduce_to_integer(acc: dict[int, int], e: int) -> int | None:
-    """If sum acc[l] * zeta_e^l is a rational integer, return it, else None."""
-    table = reduction_table(e)
-    deg = table.shape[1]
-    vec = np.zeros(deg, dtype=np.int64)
-    for l, c in acc.items():
-        if c:
-            vec = vec + c * table[l % e]
-    if np.any(vec[1:]):
-        return None
-    return int(vec[0])

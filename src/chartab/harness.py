@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import random
-import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -157,7 +156,6 @@ class VerdictReport:
     group: str
     order: int
     primes: list[PrimeRecord]
-    timing: float = 0.0          # informational; excluded from serialization
 
     @property
     def violations(self) -> list[TheoremVerdict]:
@@ -190,7 +188,6 @@ def default_primes(group: PermGroup) -> list[int]:
 def check_group(group: PermGroup, primes: list[int] | None = None,
                 name: str = "") -> VerdictReport:
     """Evaluate every applicable catalog entry for each prime."""
-    start = time.perf_counter()
     table = compute_table(group)
     if primes is None:
         primes = default_primes(group)
@@ -245,8 +242,7 @@ def check_group(group: PermGroup, primes: list[int] | None = None,
             conjecture_relation=rel,
         ))
     return VerdictReport(group=name or f"<degree {group.degree}>",
-                         order=group.order(), primes=records,
-                         timing=time.perf_counter() - start)
+                         order=group.order(), primes=records)
 
 
 # -- corpus runs ---------------------------------------------------------------

@@ -279,7 +279,9 @@ def abelian_dual_rows(group: PermGroup, exponent: int) -> set[tuple[int, ...]]:
     Built independently of the character-table engine: elements get words
     in the generators, candidate characters assign a root of unity to each
     generator, and candidates are kept iff the induced value map is a
-    homomorphism on all of G x G.
+    homomorphism on all of G x G.  That is tested as val[x*g] == val[x] +
+    val[g] for every element x and generator g: every element is a word in
+    the generators, so induction on word length gives the law on all pairs.
     """
     gens = group.generators
     for a in gens:
@@ -308,7 +310,7 @@ def abelian_dual_rows(group: PermGroup, exponent: int) -> set[tuple[int, ...]]:
             w = words[x]
             val[x] = sum(assignment[i] * w[i] * (exponent // orders[i])
                          for i in range(len(gens))) % exponent
-        if all(val[x * y] == (val[x] + val[y]) % exponent
-               for x in elems for y in elems):
+        if all(val[x * g] == (val[x] + val[g]) % exponent
+               for x in elems for g in gens):
             rows.add(tuple(val[x] for x in elems))
     return rows

@@ -7,9 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from chartab import (FieldSpec, acd_pprime, check_central_product,
-                     compute_table, field_rows, fuzz_lemmas, relative_rows,
-                     verify_orthogonality)
+from chartab import (FieldSpec, PermGroup, Permutation, acd_pprime,
+                     check_central_product, compute_table, field_rows,
+                     fuzz_lemmas, relative_rows, verify_orthogonality)
 from chartab.groupspec import construct_cached
 
 from helpers import (abelian_dual_rows, brute_class_map,
@@ -217,6 +217,19 @@ def test_criterion_8a_abelian_dual_oracle(corpus_entries):
     assert checked >= 70
     ok("8a", f"BDS tables equal the word-built dual tables on {checked} "
              "abelian groups of order <= 64")
+
+
+def test_criterion_8a_oracle_rejects_non_homomorphisms():
+    # C(4) generated by g and g^2: 4 * 2 candidate assignments, of which
+    # only the 4 with val[g^2] == 2 val[g] are characters
+    g = Permutation([1, 2, 3, 0])
+    group = PermGroup([g, g * g], 4)
+    rows = abelian_dual_rows(group, 4)
+    assert len(rows) == 4
+    elems = sorted(group.elements())
+    for row in rows:
+        val = dict(zip(elems, row))
+        assert all(val[x * y] == (val[x] + val[y]) % 4 for x in elems for y in elems)
 
 
 def test_criterion_8b_prime_independence(corpus_entries):

@@ -1,4 +1,6 @@
 import dataclasses
+import random
+import re
 
 import numpy as np
 import pytest
@@ -269,22 +271,67 @@ def test_mutated_table_fails_orthogonality():
     assert orthogonality_failures(mutated)
 
 
-def test_exact_orthogonality_catches_bad_lift():
-    t = table_of("C(3)")
-    e = t.q_field.exponent
-    bad_lifted = list(list(row) for row in t.lifted)
-    # swap the two nontrivial values in one row: mod-q stays untouched
-    bad_lifted[1][1], bad_lifted[1][2] = bad_lifted[1][2], bad_lifted[1][1]
-    mutated = CharTable(
-        group=t.group,
-        class_data=t.class_data,
-        q_field=t.q_field,
-        degrees=t.degrees,
-        values_mod_q=t.values_mod_q,
-        lifted=tuple(tuple(r) for r in bad_lifted),
-    )
-    failures = orthogonality_failures(mutated)
-    assert any("exact" in f for f in failures)
+def _with_lifted(t, lifted):
+    # values_mod_q is left untouched, so only the exact check can fail
+    return CharTable(group=t.group, class_data=t.class_data, q_field=t.q_field,
+                     degrees=t.degrees, values_mod_q=t.values_mod_q,
+                     lifted=tuple(tuple(row) for row in lifted))
+
+
+def _swap_two_values(lifted):
+    # C(3): swap the two nontrivial values of row 1, which turns it into
+    # row 2, so the norm holds and the pair (1,2) fails
+    lifted[1][1], lifted[1][2] = lifted[1][2], lifted[1][1]
+    return 1, 2
+
+
+def _bump_multiterm_multiplicity(lifted):
+    # first value with more than one term; one more copy of its first root
+    r, j = next((r, j) for r, row in enumerate(lifted)
+                for j, val in enumerate(row) if len(val) > 1)
+    (l, m), *rest = lifted[r][j]
+    lifted[r][j] = ((l, m + 1), *rest)
+    return r, r
+
+
+@pytest.mark.parametrize("expr, mutate", [("C(3)", _swap_two_values),
+                                          ("A(5)", _bump_multiterm_multiplicity)],
+                         ids=["C(3)-swap", "A(5)-bump"])
+def test_exact_orthogonality_catches_bad_lift(expr, mutate):
+    t = table_of(expr)
+    bad_lifted = [list(row) for row in t.lifted]
+    r, s = mutate(bad_lifted)
+    failures = orthogonality_failures(_with_lifted(t, bad_lifted))
+    assert f"exact first orthogonality fails at rows ({r},{s})" in failures
+    for f in failures:
+        pair = re.fullmatch(r"exact first orthogonality fails at rows \((\d+),(\d+)\)", f)
+        assert pair and r in map(int, pair.groups()), f
+
+
+def test_exact_orthogonality_matches_complex_gram():
+    # seeded one-cell corruptions of the lifted values; the exact verdict
+    # must name exactly the row pairs whose complex inner product is off
+    rng = random.Random(5)
+    for expr in ("S(4)", "A(5)", "D(10)", "Aff(7,3)", "C(3) x S(3)"):
+        t = table_of(expr)
+        order, k = t.group.order(), t.n_classes
+        sizes = np.array(t.class_data.sizes)
+        for _ in range(10):
+            bad_lifted = [list(row) for row in t.lifted]
+            r, j = rng.randrange(1, k), rng.randrange(k)
+            if rng.random() < 0.5:
+                i = rng.randrange(len(bad_lifted[r][j]))
+                l, m = bad_lifted[r][j][i]
+                bad_lifted[r][j] = bad_lifted[r][j][:i] + ((l, m + 1),) + bad_lifted[r][j][i + 1:]
+            else:
+                jj = rng.randrange(k)
+                bad_lifted[r][j], bad_lifted[r][jj] = bad_lifted[r][jj], bad_lifted[r][j]
+            mutated = _with_lifted(t, bad_lifted)
+            x = np.array(lifted_complex_rows(mutated))
+            gram = (x * sizes) @ x.conj().T - order * np.eye(k)
+            want = [f"exact first orthogonality fails at rows ({a},{b})"
+                    for a in range(k) for b in range(a, k) if abs(gram[a, b]) > 1e-6]
+            assert orthogonality_failures(mutated) == want, expr
 
 
 # -- determinism and prime independence ----------------------------------------------
