@@ -124,23 +124,26 @@ def _split_spaces(matrices, k: int, q: int) -> list[np.ndarray]:
     """Common eigenspace refinement; matrices yielded lazily in fixed order.
 
     Each space is a basis in reduced echelon form, kept with its pivot
-    columns.
+    columns.  A space the matrix acts on as a scalar, as on every
+    1-dimensional space, is already one of its eigenspaces and is kept as
+    is; any other is split by eig_split_rows, and each piece is reduced
+    once, as the image of its coefficient rows.
     """
     spaces = [(np.eye(k, dtype=np.int64), list(range(k)))]
     for mat in matrices:
         action = mat % q
         new_spaces: list[tuple[np.ndarray, list[int]]] = []
         for basis, pivots in spaces:
-            if basis.shape[0] == 1:
-                new_spaces.append((basis, pivots))
-                continue
-            transformed = mat_mul(basis, action.T, q)
-            coords = transformed[:, pivots] % q
-            pieces = eig_split_rows(coords, q)
-            dims = sum(b.shape[0] for _, b in pieces)
-            require(dims == basis.shape[0], "restricted action must be diagonalizable")
-            for _, coeff in pieces:
-                new_spaces.append(rref(mat_mul(coeff, basis, q), q))
+            dim = basis.shape[0]
+            if dim > 1:
+                coords = mat_mul(basis, action.T, q)[:, pivots]
+                if not np.array_equal(coords, coords[0, 0] * np.eye(dim, dtype=np.int64)):
+                    pieces = eig_split_rows(coords, q)
+                    require(sum(c.shape[0] for c in pieces) == dim,
+                            "restricted action must be diagonalizable")
+                    new_spaces.extend(rref(mat_mul(c, basis, q), q) for c in pieces)
+                    continue
+            new_spaces.append((basis, pivots))
         spaces = new_spaces
         if all(basis.shape[0] == 1 for basis, _ in spaces):
             break
@@ -171,9 +174,9 @@ def compute_table(group: PermGroup, prime_offset: int = 0) -> CharTable:
     degrees: list[int] = []
     rows: list[np.ndarray] = []
     for space in spaces:
-        u = space[0] % q
-        require(u[0] != 0, "identity-class coordinate must be nonzero")
-        u = (u * inv_mod(int(u[0]), q)) % q
+        u = space[0]
+        # a reduced echelon row is 1 at its first nonzero entry
+        require(u[0] == 1, "identity-class coordinate must be nonzero")
         s = int(np.sum(u * u[inv_classes] % q * size_invs % q) % q)
         require(s != 0, "row norm must be nonzero")
         d_sq = (order % q) * inv_mod(s, q) % q

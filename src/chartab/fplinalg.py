@@ -62,7 +62,7 @@ def rref(a: np.ndarray, q: int) -> tuple[np.ndarray, list[int]]:
 
 
 def nullspace(a: np.ndarray, q: int) -> np.ndarray:
-    """Row basis of {x : a @ x = 0}, in reduced echelon form."""
+    """Row basis of {x : a @ x = 0}, one row per free column of rref(a), not reduced."""
     red, pivots = rref(a, q)
     cols = a.shape[1]
     free = [c for c in range(cols) if c not in pivots]
@@ -71,8 +71,6 @@ def nullspace(a: np.ndarray, q: int) -> np.ndarray:
         basis[i, fc] = 1
         for r, pc in enumerate(pivots):
             basis[i, pc] = (-red[r, fc]) % q
-    if len(free) > 1:
-        basis, _ = rref(basis, q)
     return basis
 
 
@@ -135,12 +133,12 @@ def poly_roots(coeffs: np.ndarray, q: int) -> list[int]:
     return [int(x) for x in np.nonzero(vals == 0)[0]]
 
 
-def eig_split_rows(a: np.ndarray, q: int) -> list[tuple[int, np.ndarray]]:
+def eig_split_rows(a: np.ndarray, q: int) -> list[np.ndarray]:
     """Split row space by the right action c -> c @ a.
 
-    Returns (eigenvalue, row basis) pairs for each eigenvalue of a, sorted
-    by eigenvalue; the bases are rref rows of the nullspaces of a.T - lam.
-    When the Hessenberg form of a.T is unreduced (every eigenspace is then
+    Returns one row basis per eigenvalue of a, by ascending eigenvalue:
+    a basis of the nullspace of a.T - lam, not reduced.  When the
+    Hessenberg form of a.T is unreduced (every eigenspace is then
     one-dimensional) the eigenvectors come from an O(n^2)-per-eigenvalue
     back-substitution instead of one elimination per eigenvalue.
     """
@@ -155,12 +153,12 @@ def eig_split_rows(a: np.ndarray, q: int) -> list[tuple[int, np.ndarray]]:
         m = (at - lam * np.eye(n, dtype=np.int64)) % q
         basis = nullspace(m, q)
         if basis.shape[0]:
-            out.append((lam, basis))
+            out.append(basis)
     return out
 
 
 def _eig_unreduced(h: np.ndarray, qinv: np.ndarray, roots: list[int],
-                   q: int) -> list[tuple[int, np.ndarray]]:
+                   q: int) -> list[np.ndarray]:
     n = h.shape[0]
     lams = np.array(roots, dtype=np.int64)
     v = np.zeros((n, len(roots)), dtype=np.int64)
@@ -171,9 +169,4 @@ def _eig_unreduced(h: np.ndarray, qinv: np.ndarray, roots: list[int],
         v[m - 1] = (-acc * inv_mod(h[m, m - 1], q)) % q
     top = (h[0, :] @ v - lams * v[0]) % q
     require(not np.any(top), "back-substitution produced a non-eigenvector")
-    vecs = mat_mul(qinv, v, q)
-    out = []
-    for idx, lam in enumerate(roots):
-        basis, _ = rref(vecs[:, idx].reshape(1, n), q)
-        out.append((int(lam), basis))
-    return out
+    return [col[None, :] for col in mat_mul(qinv, v, q).T]

@@ -435,10 +435,13 @@ def group_from_file(path: str) -> PermGroup:
     except (OSError, json.JSONDecodeError) as exc:
         raise GroupExprError(f"cannot read group file {path!r}: {exc}") from exc
     try:
-        degree = int(doc["degree"])
+        degree = doc["degree"]
         raw_gens = doc["generators"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise GroupExprError(f"group file {path!r} needs 'degree' and 'generators'") from exc
+    if type(degree) is not int or degree < 1:
+        raise GroupExprError(f"group file {path!r}: 'degree' must be an integer >= 1, "
+                             f"got {degree!r}")
     if not isinstance(raw_gens, list):
         raise GroupExprError(f"group file {path!r}: 'generators' must be a list")
     gens = []

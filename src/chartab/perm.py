@@ -14,7 +14,7 @@ _CYCLE_RE = re.compile(r"\(\s*((?:\d+[\s,]*)*)\)")
 
 
 class Permutation:
-    __slots__ = ("images", "_hash")
+    __slots__ = ("images",)
 
     def __init__(self, images, _checked: bool = False):
         images = tuple(images)
@@ -23,7 +23,6 @@ class Permutation:
             if sorted(images) != list(range(n)):
                 raise ValueError(f"not a permutation of 0..{n - 1}: {images!r}")
         self.images = images
-        self._hash = hash(images)
 
     @staticmethod
     def identity(degree: int) -> "Permutation":
@@ -99,7 +98,7 @@ class Permutation:
         return self.images < other.images
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.images)
 
 
 def parse_cycles(text: str, degree: int) -> Permutation:

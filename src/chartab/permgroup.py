@@ -233,12 +233,12 @@ class PermGroup:
     """A group generated by permutations of a common degree."""
 
     def __init__(self, generators, degree: int):
-        gens = tuple(g for g in generators if not g.is_identity())
-        for g in gens:
+        generators = tuple(generators)
+        for g in generators:
             if g.degree != degree:
                 raise ValueError(f"generator degree {g.degree} != group degree {degree}")
         self.degree = degree
-        self.generators = gens
+        self.generators = tuple(g for g in generators if not g.is_identity())
         self._chain: StabilizerChain | None = None
         self._elements: tuple[Permutation, ...] | None = None
         self._classes: ClassData | None = None

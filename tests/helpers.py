@@ -83,49 +83,21 @@ def brute_normal_closure(group: PermGroup, seeds) -> frozenset:
         current = brute_mulclose(current | conj)
 
 
-def normal_subgroup_orders(group: PermGroup) -> set[int]:
-    """Orders of all normal subgroups, via joins of class closures.
-
-    Every normal subgroup is a union of classes, hence the join of the
-    normal closures of the single class representatives it contains; the
-    join-closure of those atoms is therefore the full normal lattice.
-    """
-    cd = group.conjugacy_classes()
-    atoms = []
-    seen_keys = set()
-    for rep in cd.reps:
-        sub = group.normal_closure([rep])
-        key = _subgroup_key(sub)
-        if key not in seen_keys:
-            seen_keys.add(key)
-            atoms.append(sub)
-    lattice = {(_subgroup_key(a)): a for a in atoms}
-    work = list(atoms)
-    while work:
-        cur = work.pop()
-        for other in list(lattice.values()):
-            join = group.subgroup(cur.generators + other.generators)
-            key = _subgroup_key(join)
-            if key not in lattice:
-                lattice[key] = join
-                work.append(join)
-    return {sub.order() for sub in lattice.values()} | {1}
-
-
-def _subgroup_key(sub: PermGroup) -> tuple:
-    # order + membership fingerprint of a fixed sample is not enough for
-    # exact dedup; use order plus sorted orbit of generator images
-    if sub.order() <= 4096:
-        return ("elts", tuple(sorted(x.images for x in sub.elements())))
-    return ("gens", sub.order(), tuple(sorted(g.images for g in sub.generators)))
-
-
 def brute_has_normal_p_complement(group: PermGroup, p: int) -> bool:
-    order = group.order()
-    target = order
+    """G has a normal p-complement iff its p'-elements (order prime to p)
+    number |G|_{p'} and are closed under products.
+
+    A normal p-complement K contains every p'-element g: gK has p-power
+    order in G/K and order prime to p, so gK = K.  Conversely, a
+    product-closed set of |G|_{p'} p'-elements is a subgroup, and as a
+    union of classes it is normal.
+    """
+    elems = brute_mulclose(group.generators) or {group.identity()}
+    target = len(elems)
     while target % p == 0:
         target //= p
-    return target in normal_subgroup_orders(group)
+    p_prime = {g for g in elems if g.order() % p}
+    return len(p_prime) == target and all(x * y in p_prime for x in p_prime for y in p_prime)
 
 
 def brute_class_map(group: PermGroup, reps) -> dict[Permutation, int]:

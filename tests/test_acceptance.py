@@ -271,5 +271,5 @@ def test_criterion_9_p_complement_oracle(corpus_entries):
             assert group.has_normal_p_complement(p) == \
                 brute_has_normal_p_complement(group, p), (expr, p)
             checked += 1
-    ok("9", f"normal p-complement agrees with the normal-subgroup-lattice "
+    ok("9", f"normal p-complement agrees with the elementwise p'-element "
             f"oracle on {checked} (group, prime) pairs with |G| <= 100")

@@ -5,8 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from chartab import (InconsistentTable, chartable, construct, select_prime,
-                     verify_orthogonality)
+from chartab import (InconsistentTable, chartable, construct, fplinalg,
+                     select_prime, verify_orthogonality)
 from chartab.chartable import (CharTable, _matrix_order, _split_spaces,
                                class_matrix, compute_table,
                                orthogonality_failures, table_document)
@@ -139,6 +139,69 @@ def test_split_spaces_reduces_each_new_space_once(monkeypatch):
         spaces = _split_spaces((class_matrix(cd, i) for i in _matrix_order(cd)), k, q)
         assert len(spaces) == k, expr
     assert calls["spaces"] > 0 and calls["rref"] == calls["spaces"]
+
+
+def test_split_spaces_never_splits_a_scalar_action(monkeypatch):
+    # a space a class matrix acts on as a scalar is one of its eigenspaces
+    # already, so only a non-scalar restricted action reaches eig_split_rows
+    scalar = []
+    split = chartable.eig_split_rows
+
+    def checked_split(coords, q):
+        scalar.append(np.array_equal(coords, coords[0, 0] * np.eye(len(coords), dtype=np.int64)))
+        return split(coords, q)
+
+    monkeypatch.setattr(chartable, "eig_split_rows", checked_split)
+    for expr in ("S(4)", "A(5)", "D(10)", "SL(2,5)", "C(2) x C(2) x C(2)"):
+        group = construct(expr)
+        cd = group.conjugacy_classes()
+        k, q = len(cd.reps), select_prime(cd.exponent, group.order()).q
+        spaces = _split_spaces((class_matrix(cd, i) for i in _matrix_order(cd)), k, q)
+        assert len(spaces) == k, expr
+    assert scalar and not any(scalar)
+
+
+def _similar_to_diagonal(diag: list[int], seed: int, q: int) -> np.ndarray:
+    """P^-1 D P for a seeded invertible P: row i of P is a left eigenvector."""
+    n = len(diag)
+    rng = np.random.default_rng(seed)
+    det = 0
+    while not det:
+        p = rng.integers(0, q, size=(n, n))
+        det = det_mod(p, q)
+    # adjugate: entry (i, j) is the signed minor of P without row j and column i
+    adj = np.array([[(-1) ** (i + j) * det_mod(np.delete(np.delete(p, j, 0), i, 1), q)
+                     for j in range(n)] for i in range(n)])
+    p_inv = adj * pow(det, -1, q) % q
+    assert np.array_equal(p_inv @ p % q, np.eye(n, dtype=np.int64))
+    return p_inv @ np.diag(diag) @ p % q
+
+
+@pytest.mark.parametrize("diag, route", [([4, 0, 11, 2, 7, 9], "_eig_unreduced"),
+                                         ([8, 3, 3, 1, 8, 3], "nullspace")],
+                         ids=["distinct", "repeated"])
+def test_eig_split_rows_eigenspaces(monkeypatch, diag, route):
+    q = 13
+    a = _similar_to_diagonal(diag, seed=3, q=q)
+    calls = []
+    solve = getattr(fplinalg, route)
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(fplinalg, route, counted)
+    bases = fplinalg.eig_split_rows(a, q)
+    assert calls, route
+    lams = []
+    for basis in bases:
+        c = int(np.flatnonzero(basis[0])[0])
+        lam = int(basis[0] @ a[:, c]) * pow(int(basis[0, c]), -1, q) % q
+        assert not np.any((basis @ a - lam * basis) % q)
+        assert len(fplinalg.rref(basis, q)[1]) == len(basis) == diag.count(lam)
+        lams.append(lam)
+    assert lams == sorted(set(diag))
+    assert sum(len(b) for b in bases) == len(diag)
 
 
 # -- tables --------------------------------------------------------------------------

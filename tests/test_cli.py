@@ -128,10 +128,21 @@ def test_verify_rejects_jobs_below_one(capsys, jobs):
     assert "--jobs" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("generators", [[5], 7], ids=["entry-not-a-list", "not-a-list"])
-def test_malformed_group_file_exit_code(capsys, tmp_path, generators):
+@pytest.mark.parametrize("doc", [
+    {"degree": 3, "generators": [5]},
+    {"degree": 3, "generators": 7},
+    {"degree": 3.5, "generators": [[1, 0, 2]]},
+    {"degree": "3", "generators": [[1, 0, 2]]},
+    {"degree": True, "generators": [[0]]},
+    {"degree": 0, "generators": []},
+    {"degree": -1, "generators": []},
+    {"degree": 3, "generators": [[0, 1]]},
+    {"degree": 3, "generators": [[1, 0]]},
+], ids=["entry-not-a-list", "not-a-list", "float-degree", "string-degree", "bool-degree",
+        "zero-degree", "negative-degree", "short-identity-generator", "short-generator"])
+def test_malformed_group_file_exit_code(capsys, tmp_path, doc):
     path = tmp_path / "group.json"
-    path.write_text(json.dumps({"degree": 3, "generators": generators}))
+    path.write_text(json.dumps(doc))
     code, _, err = run(capsys, "table", f'File("{path}")')
     assert code == 2 and err.startswith("error:") and "Traceback" not in err
 

@@ -22,6 +22,7 @@ def test_inverse_and_power():
     p = parse_cycles("(0 1 2 3 4)", 5)
     assert (p * p.inverse()).is_identity()
     assert p ** 5 == Permutation.identity(5)
+    assert hash(p ** 5) == hash(Permutation.identity(5)) == hash((0, 1, 2, 3, 4))
     assert p ** -2 == p ** 3
     assert p.order() == 5
 
