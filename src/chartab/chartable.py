@@ -6,7 +6,11 @@ Their simultaneous eigenvectors, one per irreducible character, carry the
 values omega(K_j) = |C_j| chi(g_j) / chi(1) mod q.  Degrees are recovered
 from the first orthogonality relation (the q > 2*sqrt|G| bound makes the
 square root unique), mod-q values follow, and exact cyclotomic values are
-lifted by an inverse DFT over each class representative's power map.
+lifted by one inverse DFT mod q per rational class (Galois orbit of
+classes), all the rational classes of one element order in one product.
+The other classes of an orbit are filled in by sigma_a, chi(g^a) =
+sigma_a(chi(g)), and every class's lifted value is checked against its
+value mod q.
 
 verify_orthogonality checks both orthogonality relations mod q and then
 the first one exactly in Z[zeta_e], in one pass per row r: the sums
@@ -20,7 +24,7 @@ and integer multiplicity vectors.  No floating point.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import isqrt
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -211,44 +215,108 @@ def compute_table(group: PermGroup, prime_offset: int = 0) -> CharTable:
     )
 
 
+def _galois_orbits(cd: ClassData) -> dict[int, list[tuple[int, dict[int, int]]]]:
+    """Rational classes grouped by element order m.
+
+    Each entry is (rep, orbit): rep is the first class of its orbit under
+    the power maps g -> g^a with gcd(a, m) = 1, and orbit maps every class
+    of the orbit, rep included, to the smallest such a reaching it."""
+    done: set[int] = set()
+    by_order: dict[int, list[tuple[int, dict[int, int]]]] = {}
+    for j, m in enumerate(cd.element_orders):
+        if j in done:
+            continue
+        orbit: dict[int, int] = {}
+        for a in range(m):
+            if gcd(a, m) == 1:
+                orbit.setdefault(cd.power_map[j][a], a)
+        done.update(orbit)
+        by_order.setdefault(m, []).append((j, orbit))
+    return by_order
+
+
 def _lift_all(values: np.ndarray, degrees: list[int], cd: ClassData,
-              wf: WorkingField) -> list[list[RootSum]]:
-    """Exact character values for every row and class (inverse DFT mod q)."""
+              wf: WorkingField) -> list[tuple[RootSum, ...]]:
+    """Exact character values for every row and class.
+
+    One inverse DFT mod q per rational class: the representatives of one
+    element order m are lifted together, chi(g^t) for t < m gathered through
+    the power maps as a (row, rep, t) block and multiplied by the m x m
+    inverse-DFT matrix, in chunks of at most k*k entries.  The result is the
+    multiplicity of each m-th root z^t in chi(g); every multiplicity must be
+    at most chi(1) and they must sum to chi(1).  Each conjugate class g^a
+    (gcd(a, m) = 1) is filled in by sigma_a, which sends exponent t to a*t
+    mod m.  Every class's lifted value, evaluated at z = w^(e/m), must equal
+    its value mod q.
+    """
     q, w, e = wf.q, wf.w, wf.exponent
-    k = values.shape[0]
-    dft_cache: dict[int, np.ndarray] = {}
+    k, n = values.shape
+    deg = np.asarray(degrees, dtype=np.int64)
     seen: dict[RootSum, RootSum] = {}     # one object per distinct value
-    out: list[list[RootSum]] = [[] for _ in range(k)]
-    for j in range(len(cd.reps)):
-        m = cd.element_orders[j]
-        zm = dft_cache.get(m)
-        if zm is None:
-            z_inv = inv_mod(pow(w, e // m, q), q)
-            pows = np.array([pow(z_inv, t, q) for t in range(m)], dtype=np.int64)
-            idx = (np.arange(m)[:, None] * np.arange(m)[None, :]) % m
-            zm = pows[idx]           # zm[kk, t] = z^(-kk*t)
-            dft_cache[m] = zm
-        power_classes = list(cd.power_map[j])
-        col_block = values[:, power_classes]            # chi(g^kk), rows x m
-        mults = mat_mul(col_block, zm, q) * inv_mod(m % q, q) % q
+    columns: dict[int, list[RootSum]] = {}
+    for m, reps in _galois_orbits(cd).items():
         step = e // m
-        for r in range(k):
-            row_m = mults[r]
-            deg = degrees[r]
-            bad = row_m[row_m > deg]
-            if bad.size:
-                raise InconsistentTable(
-                    f"lifted multiplicity {int(bad[0])} exceeds degree {deg} "
-                    f"(row {r}, class {j})")
-            if int(row_m.sum()) != deg:
-                raise InconsistentTable(
-                    f"lifted multiplicities sum to {int(row_m.sum())} != degree "
-                    f"{deg} (row {r}, class {j})")
-            ts = np.nonzero(row_m)[0]
-            # t*step < e for t < m, so exponents are distinct and ascending
-            val = tuple((int(t) * step, int(row_m[t])) for t in ts)
-            out[r].append(seen.setdefault(val, val))
-    return out
+        z = pow(w, step, q)
+        zpow = np.array([pow(z, t, q) for t in range(m)], dtype=np.int64)
+        t = np.arange(m)
+        # idft[s, t] = z^(-s*t) / m
+        idft = zpow[-np.outer(t, t) % m] * inv_mod(m % q, q) % q
+        chunk = max(1, k // m)
+        for start in range(0, len(reps), chunk):
+            batch = reps[start:start + chunk]
+            powers = np.array([cd.power_map[j] for j, _ in batch])
+            mults = mat_mul(values[:, powers], idft, q)       # (row, rep, t)
+            _check_multiplicities(mults, deg, [j for j, _ in batch])
+            for i, (_, orbit) in enumerate(batch):
+                columns.update(_orbit_columns(np.ascontiguousarray(mults[:, i]), orbit,
+                                              values, zpow, step, q, seen))
+    require(len(columns) == n, "every class must be lifted")
+    return list(zip(*(columns[j] for j in range(n))))
+
+
+def _check_multiplicities(mults: np.ndarray, deg: np.ndarray, classes: list[int]) -> None:
+    over = mults > deg[:, None, None]
+    if over.any():
+        i, r, t = np.argwhere(over.transpose(1, 0, 2))[0]
+        raise InconsistentTable(
+            f"lifted multiplicity {int(mults[r, i, t])} exceeds degree {int(deg[r])} "
+            f"(row {r}, class {classes[i]})")
+    sums = mults.sum(axis=2)
+    wrong = sums != deg[:, None]
+    if wrong.any():
+        i, r = np.argwhere(wrong.T)[0]
+        raise InconsistentTable(
+            f"lifted multiplicities sum to {int(sums[r, i])} != degree "
+            f"{int(deg[r])} (row {r}, class {classes[i]})")
+
+
+def _orbit_columns(mults: np.ndarray, orbit: dict[int, int], values: np.ndarray,
+                   zpow: np.ndarray, step: int, q: int,
+                   seen: dict[RootSum, RootSum]) -> dict[int, list[RootSum]]:
+    """The lifted values of every class in one rational class, by class.
+
+    mults[r, t] is the multiplicity of z^t in chi_r(rep); class g^a gets
+    exponent a*t mod m for each term, times step to become a power of w."""
+    m = mults.shape[1]
+    classes = list(orbit)
+    exps = np.outer(np.arange(m), list(orbit.values())) % m     # (t, class)
+    got = mat_mul(mults, zpow[exps], q)
+    wrong = got != values[:, classes]
+    if wrong.any():
+        i, r = np.argwhere(wrong.T)[0]
+        raise InconsistentTable(
+            f"lifted value does not match its value mod q (row {r}, class {classes[i]})")
+    keys = mults.view(np.dtype((np.void, mults.itemsize * m))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    built: list[list[RootSum]] = [[] for _ in classes]
+    for row in mults[first]:
+        ts = np.flatnonzero(row)
+        ms = row[ts].tolist()
+        for vals, ex in zip(built, (exps[ts] * step).T.tolist()):
+            val = tuple(sorted(zip(ex, ms)))
+            vals.append(seen.setdefault(val, val))
+    inverse = inverse.tolist()
+    return {j: [vals[u] for u in inverse] for j, vals in zip(classes, built)}
 
 
 def verify_orthogonality(table: CharTable) -> bool:

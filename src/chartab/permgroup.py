@@ -4,7 +4,9 @@ Two representations coexist:
 
 * a deterministic Schreier-Sims stabilizer chain, used for orders and
   membership with no size limit.  Each level keeps one coset table, of
-  inverse coset representatives, which sifting multiplies by directly;
+  inverse coset representatives, which sifting multiplies by directly,
+  and the orbit-tree edges that built it, whose Schreier generators are
+  the identity and are skipped when closing;
   StabilizerChain.extend grows a chain in place, and a normal closure
   keeps the chain it grew;
 * a dense element store (capped at 200000 elements, checked against the
@@ -53,15 +55,18 @@ class _Level:
 
     transversal maps each orbit point x to v_x, the inverse of a coset
     representative carrying point to x, so v_x.images[x] == point: sifting
-    multiplies by it directly.
+    multiplies by it directly.  tree_edges holds the (point, generator
+    index) pairs that discovered an orbit point; their Schreier generators
+    are the identity by construction.
     """
 
-    __slots__ = ("point", "gens", "transversal")
+    __slots__ = ("point", "gens", "transversal", "tree_edges")
 
     def __init__(self, point: int, degree: int):
         self.point = point
         self.gens: list[Permutation] = []
         self.transversal: dict[int, Permutation] = {point: Permutation.identity(degree)}
+        self.tree_edges: set[tuple[int, int]] = set()
 
 
 class StabilizerChain:
@@ -77,15 +82,17 @@ class StabilizerChain:
     def _rebuild_orbit(self, i: int) -> None:
         lvl = self.levels[i]
         lvl.transversal = {lvl.point: Permutation.identity(self.degree)}
+        lvl.tree_edges = set()
         gens = [(s, s.inverse()) for s in lvl.gens]
         queue = deque([lvl.point])
         while queue:
             pt = queue.popleft()
             v = lvl.transversal[pt]
-            for s, s_inv in gens:
+            for gi, (s, s_inv) in enumerate(gens):
                 img = s.images[pt]
                 if img not in lvl.transversal:
                     lvl.transversal[img] = s_inv * v     # img -> pt -> point
+                    lvl.tree_edges.add((pt, gi))
                     queue.append(img)
 
     def sift(self, g: Permutation, start: int = 0) -> tuple[Permutation, int]:
@@ -121,14 +128,19 @@ class StabilizerChain:
 
     def _close(self) -> None:
         # Sims's criterion: every Schreier generator must sift to identity.
+        # A tree edge's, v_pt^-1 * s * (s^-1 * v_pt), is the identity as built.
         restart = True
         while restart:
             restart = False
             for i in reversed(range(len(self.levels))):
                 lvl = self.levels[i]
                 for pt in sorted(lvl.transversal):
-                    u = lvl.transversal[pt].inverse()
-                    for s in list(lvl.gens):
+                    u = None
+                    for gi, s in enumerate(list(lvl.gens)):
+                        if (pt, gi) in lvl.tree_edges:
+                            continue
+                        if u is None:
+                            u = lvl.transversal[pt].inverse()
                         img = s.images[pt]
                         schreier = u * s * lvl.transversal[img]
                         residue, _ = self.sift(schreier, i + 1)

@@ -17,6 +17,7 @@ import numpy as np
 
 from chartab import PermGroup, Permutation, construct_cached
 from chartab.chartable import class_matrix, compute_table
+from chartab.fplinalg import InconsistentTable
 
 
 @lru_cache(maxsize=None)
@@ -191,6 +192,32 @@ def det_mod(a: np.ndarray, q: int) -> int:
             factors = (m[below, c] * inv) % q
             m[below] = (m[below] - np.outer(factors, m[c])) % q
     return det
+
+
+def per_class_lift(values: np.ndarray, degrees, cd, wf) -> list[tuple]:
+    """Exact values by one inverse DFT per class, with no Galois step.
+
+    values[:, power_map[j]] (chi(g_j^s) for s < m) times the m x m matrix
+    z^(-s*t) / m gives the multiplicity of z^t in chi(g_j), z = w^(e/m).
+    Raises InconsistentTable on a multiplicity above the degree or a sum
+    other than the degree.
+    """
+    q, w, e = wf.q, wf.w, wf.exponent
+    k, n = values.shape
+    out = [[] for _ in range(k)]
+    for j in range(n):
+        m = cd.element_orders[j]
+        z_inv = pow(pow(w, e // m, q), -1, q)
+        dft = np.array([[pow(z_inv, s * t, q) for t in range(m)] for s in range(m)],
+                       dtype=np.int64)
+        mults = values[:, list(cd.power_map[j])] @ dft % q * pow(m, -1, q) % q
+        for r in range(k):
+            row = mults[r]
+            if (row > degrees[r]).any() or int(row.sum()) != degrees[r]:
+                raise InconsistentTable(f"bad multiplicities (row {r}, class {j})")
+            out[r].append(tuple((int(t) * (e // m), int(row[t]))
+                                for t in np.flatnonzero(row)))
+    return [tuple(row) for row in out]
 
 
 # -- numeric character values (floats allowed here only) --------------------------

@@ -13,8 +13,8 @@ from chartab.chartable import (CharTable, _matrix_order, _split_spaces,
 
 from helpers import (brute_class_map, det_mod, lifted_complex_rows,
                      match_rows_numeric, numeric_character_rows,
-                     reference_class_matrix, relabel, search_working_prime,
-                     table_of)
+                     per_class_lift, reference_class_matrix, relabel,
+                     search_working_prime, table_of)
 
 
 # -- working prime ---------------------------------------------------------------
@@ -300,6 +300,75 @@ def test_numeric_diagonalization_more_groups():
         assert match_rows_numeric(
             lifted_complex_rows(compute_table(g)),
             numeric_character_rows(g), tol=1e-6), expr
+
+
+LIFT_CASES = [(expr, seed, 0) for expr in ("C(12)", "C(60)", "C(2) x C(8)", "Aff(7,3)",
+                                           "A(5)", "SL(2,5)", "D(10)", "S(4)")
+              for seed in (None, 7)] + [("C(60)", None, 1), ("Aff(7,3)", None, 1)]
+
+
+@pytest.mark.parametrize("expr, seed, offset", LIFT_CASES)
+def test_lift_matches_per_class_oracle(expr, seed, offset):
+    g = construct(expr) if seed is None else relabel(construct(expr), seed)
+    t = compute_table(g, prime_offset=offset)
+    oracle = per_class_lift(t.values_mod_q, t.degrees, t.class_data, t.q_field)
+    assert tuple(oracle) == t.lifted
+
+
+def test_lift_catches_wrong_galois_fill():
+    # swap g^2 and g^3 in the power map of the class the DFT runs on
+    t = table_of("C(5)")
+    cd = t.class_data
+    j = cd.element_orders.index(5)
+    row = list(cd.power_map[j])
+    row[2], row[3] = row[3], row[2]
+    power_map = cd.power_map[:j] + (tuple(row),) + cd.power_map[j + 1:]
+    bad = dataclasses.replace(cd, power_map=power_map)
+    with pytest.raises(InconsistentTable, match=r"lifted (multiplicit|value)"):
+        chartable._lift_all(t.values_mod_q, list(t.degrees), bad, t.q_field)
+
+
+def test_lift_catches_wrong_galois_exponent(monkeypatch):
+    # fill the classes of g^2 and g^3 with each other's exponent: only the
+    # check of every class mod q can see it, the DFT block is unchanged
+    t = table_of("C(5)")
+    orbits = chartable._galois_orbits(t.class_data)
+    (_, orbit), = orbits[5]
+    by_exponent = {a: c for c, a in orbit.items()}
+    orbit[by_exponent[2]], orbit[by_exponent[3]] = 3, 2
+    monkeypatch.setattr(chartable, "_galois_orbits", lambda cd: orbits)
+    with pytest.raises(InconsistentTable, match="does not match its value mod q"):
+        chartable._lift_all(t.values_mod_q, list(t.degrees), t.class_data, t.q_field)
+
+
+def test_lift_catches_any_corrupted_value():
+    t = table_of("A(5)")
+    q = t.q_field.q
+    for r in range(t.n_classes):
+        for j in range(t.n_classes):
+            values = t.values_mod_q.copy()
+            values[r, j] = (values[r, j] + 1) % q
+            with pytest.raises(InconsistentTable, match=r"lifted (multiplicit|value)"):
+                chartable._lift_all(values, list(t.degrees), t.class_data, t.q_field)
+
+
+@pytest.mark.parametrize("expr, rational_classes",
+                         [("C(60)", 12), ("C(2) x C(2) x C(2)", 8), ("A(5)", 4)])
+def test_lift_one_dft_per_rational_class(monkeypatch, expr, rational_classes):
+    # C(60): one class per divisor of 60; every class of C(2)^3 is rational;
+    # A(5)'s two classes of 5-cycles are Galois conjugate
+    t = table_of(expr)
+    dft_classes = []
+
+    def counted(a, b, q):
+        if a.ndim == 3:           # (row, class, power) blocks go to the DFT
+            dft_classes.append(a.shape[1])
+        return fplinalg.mat_mul(a, b, q)
+
+    monkeypatch.setattr(chartable, "mat_mul", counted)
+    lifted = chartable._lift_all(t.values_mod_q, list(t.degrees), t.class_data, t.q_field)
+    assert tuple(lifted) == t.lifted
+    assert sum(dft_classes) == rational_classes
 
 
 # -- orthogonality ----------------------------------------------------------------

@@ -117,6 +117,56 @@ def test_chain_extend_reports_growth():
     assert not chain.extend(swap * four_cycle)
 
 
+# base points, orbit sizes and strong generators per level, which skipping
+# the orbit-tree edges' Schreier generators must leave as they are
+CHAIN_SHAPES = {
+    "S(4)": [(0, 4, ["(0 1)", "(1 2 3)", "(2 3)"]), (1, 3, ["(1 2 3)", "(2 3)"]),
+             (2, 2, ["(2 3)"])],
+    "A(5)": [(0, 5, ["(0 1 2)", "(2 3 4)", "(1 3 4)"]), (2, 4, ["(2 3 4)", "(1 3 4)"]),
+             (1, 3, ["(1 3 4)"])],
+    "D(10)": [(0, 10, ["(0 1 2 3 4 5 6 7 8 9)", "(1 9)(2 8)(3 7)(4 6)"]),
+              (1, 2, ["(1 9)(2 8)(3 7)(4 6)"])],
+    "C(50)": [(0, 50, ["(" + " ".join(map(str, range(50))) + ")"])],
+}
+
+
+@pytest.mark.parametrize("expr", sorted(CHAIN_SHAPES))
+def test_chain_shape_unchanged_by_tree_edge_skip(expr):
+    g = construct(expr)
+    chain = StabilizerChain(list(g.generators), g.degree)
+    got = [(lvl.point, len(lvl.transversal), [s.cycle_string() for s in lvl.gens])
+           for lvl in chain.levels]
+    assert got == CHAIN_SHAPES[expr]
+
+
+def test_chain_tree_edges_give_identity_schreier_generators():
+    for expr in ("S(6)", "A(7)", "D(10)", "SL(2,5)", "C(12)"):
+        g = construct(expr)
+        for lvl in g.chain.levels:
+            assert len(lvl.tree_edges) == len(lvl.transversal) - 1, expr
+            for pt, gi in lvl.tree_edges:
+                s = lvl.gens[gi]
+                schreier = lvl.transversal[pt].inverse() * s * lvl.transversal[s.images[pt]]
+                assert schreier.is_identity(), expr
+
+
+def test_chain_close_skips_tree_edges(monkeypatch):
+    # C(50)'s orbit tree is the path 0 -> 1 -> ... -> 49; only the edge
+    # 49 -> 0 closes a cycle, so at most one Schreier generator is sifted
+    sifted = []
+    original = StabilizerChain.sift
+
+    def counted(self, g, start=0):
+        if start > 0:
+            sifted.append(g)
+        return original(self, g, start)
+
+    monkeypatch.setattr(StabilizerChain, "sift", counted)
+    g = construct("C(50)")
+    StabilizerChain(list(g.generators), g.degree)
+    assert len(sifted) <= 1
+
+
 # -- conjugacy classes -----------------------------------------------------------
 
 def test_alt5_class_sizes_against_brute_force():
