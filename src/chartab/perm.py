@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from math import lcm
+from operator import itemgetter
 
 _CYCLE_RE = re.compile(r"\(\s*((?:\d+[\s,]*)*)\)")
 
@@ -33,8 +34,7 @@ class Permutation:
         return len(self.images)
 
     def __mul__(self, other: "Permutation") -> "Permutation":
-        q = other.images
-        return Permutation(tuple(q[i] for i in self.images), _checked=True)
+        return Permutation(compose(self.images, other.images), _checked=True)
 
     def inverse(self) -> "Permutation":
         inv = [0] * len(self.images)
@@ -59,7 +59,7 @@ class Permutation:
         return g.inverse() * self * g
 
     def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
+        return self.images == tuple(range(len(self.images)))
 
     def order(self) -> int:
         return lcm(*(len(c) for c in self.cycles()))
@@ -99,6 +99,16 @@ class Permutation:
 
     def __hash__(self) -> int:
         return hash(self.images)
+
+
+def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    """Image tuple of the product p * q, (q[p[0]], q[p[1]], ...), in one
+    C-level call; the one place where image tuples are composed."""
+    if len(p) <= 1:
+        # itemgetter needs two indices to return a tuple; degree <= 1 has
+        # only the identity, so the product is q
+        return q
+    return itemgetter(*p)(q)
 
 
 def parse_cycles(text: str, degree: int) -> Permutation:

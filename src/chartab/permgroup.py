@@ -6,7 +6,9 @@ Two representations coexist:
   membership with no size limit.  Each level keeps one coset table, of
   inverse coset representatives, which sifting multiplies by directly,
   and the orbit-tree edges that built it, whose Schreier generators are
-  the identity and are skipped when closing;
+  the identity and are skipped when closing.  Sifting composes image
+  tuples and builds one Permutation, the residue, per call; closing never
+  sifts a Schreier generator that is already the identity;
   StabilizerChain.extend grows a chain in place, and a normal closure
   keeps the chain it grew;
 * a dense element store (capped at 200000 elements, checked against the
@@ -36,7 +38,7 @@ import numpy as np
 
 from .arith import check_prime, pprime_part
 from .fplinalg import require
-from .perm import Permutation
+from .perm import Permutation, compose
 
 DEFAULT_ENUM_CAP = 200_000
 
@@ -96,14 +98,17 @@ class StabilizerChain:
                     queue.append(img)
 
     def sift(self, g: Permutation, start: int = 0) -> tuple[Permutation, int]:
-        """Reduce g through the chain; returns (residue, stuck level)."""
+        """Reduce g through the chain; returns (residue, stuck level).
+
+        Works on the image tuple and builds one Permutation, the residue."""
+        images = g.images
         for i in range(start, len(self.levels)):
             lvl = self.levels[i]
-            img = g.images[lvl.point]
-            if img not in lvl.transversal:
-                return g, i
-            g = g * lvl.transversal[img]
-        return g, len(self.levels)
+            v = lvl.transversal.get(images[lvl.point])
+            if v is None:
+                return Permutation(images, _checked=True), i
+            images = compose(images, v.images)
+        return Permutation(images, _checked=True), len(self.levels)
 
     def extend(self, g: Permutation) -> bool:
         """Add g to the group unless it is already a member, then restore the
@@ -143,6 +148,8 @@ class StabilizerChain:
                             u = lvl.transversal[pt].inverse()
                         img = s.images[pt]
                         schreier = u * s * lvl.transversal[img]
+                        if schreier.is_identity():
+                            continue
                         residue, _ = self.sift(schreier, i + 1)
                         if not residue.is_identity():
                             self._add(residue)

@@ -73,6 +73,19 @@ def brute_mulclose(gens) -> frozenset:
     return frozenset(out)
 
 
+def product_sift(chain, g: Permutation, start: int = 0) -> tuple[Permutation, int]:
+    """StabilizerChain.sift by one Permutation product per level, each
+    composed as tuple(q[x] for x in p): (residue, stuck level)."""
+    for i in range(start, len(chain.levels)):
+        lvl = chain.levels[i]
+        img = g.images[lvl.point]
+        if img not in lvl.transversal:
+            return g, i
+        q = lvl.transversal[img].images
+        g = Permutation(tuple(q[x] for x in g.images))
+    return g, len(chain.levels)
+
+
 def brute_normal_closure(group: PermGroup, seeds) -> frozenset:
     """Close under products and conjugation by all group elements."""
     elems = group.elements()

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -30,6 +31,17 @@ def test_table_json(capsys):
     doc = json.loads(out)
     assert doc["degrees"] == [1, 3, 3, 4, 5]
     assert doc["order"] == 60 and doc["q"] == 31
+
+
+@pytest.mark.parametrize("expr, sha256", [
+    ("C(1)", "0ef00963b49031d956874a576f09d7fedd302c1434d8f628c0d5b1978ec7d7c9"),
+    ("C(1) x C(2)", "7a58c4717c6683d6ca7fbbd5ba98885ed72676a04783755c928e552c0161e04d"),
+])
+def test_table_json_bytes_at_degree_one(capsys, expr, sha256):
+    # the trivial group alone and as a factor: their JSON bytes are pinned
+    code, out, _ = run(capsys, "table", expr, "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
 def test_acd(capsys):

@@ -1,3 +1,6 @@
+import random
+from itertools import permutations
+
 import pytest
 
 from chartab import Permutation, parse_cycles
@@ -16,6 +19,27 @@ def test_compose_left_to_right():
     # apply p first: 0 -> 1 -> 2
     assert (p * q).images[0] == 2
     assert (q * p).images[0] == 1
+
+
+def test_product_and_identity_at_every_degree():
+    # degrees 0 and 1 hold only the identity, where the product kernel
+    # cannot use itemgetter; larger degrees are checked on seeded pairs
+    pairs = [(p, q) for n in (0, 1, 2) for p in permutations(range(n))
+             for q in permutations(range(n))]
+    rng = random.Random(3)
+    for n in (16, 1000):
+        for _ in range(20):
+            p, q = list(range(n)), list(range(n))
+            rng.shuffle(p)
+            rng.shuffle(q)
+            pairs.append((tuple(p), tuple(q)))
+    for p, q in pairs:
+        product = Permutation(p) * Permutation(q)
+        assert product.images == tuple(q[i] for i in p)
+        assert type(product.images) is tuple
+        identity = tuple(range(len(p)))
+        assert product.is_identity() == (product.images == identity)
+        assert Permutation(p).is_identity() == (p == identity)
 
 
 def test_inverse_and_power():

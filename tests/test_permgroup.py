@@ -15,7 +15,7 @@ from chartab.permgroup import PermGroup, StabilizerChain
 from helpers import (brute_class_map, brute_conjugacy_sizes,
                      brute_has_normal_p_complement, brute_mulclose,
                      brute_normal_closure, central_product_coset_count,
-                     relabel, sl25_matrix_order)
+                     product_sift, relabel, sl25_matrix_order)
 
 
 # -- construction and orders ---------------------------------------------------
@@ -165,6 +165,52 @@ def test_chain_close_skips_tree_edges(monkeypatch):
     g = construct("C(50)")
     StabilizerChain(list(g.generators), g.degree)
     assert len(sifted) <= 1
+
+
+def test_chain_close_sifts_no_identity_schreier_generator(monkeypatch):
+    # D(10)'s reflection alone gives 8 identity Schreier generators at level 0
+    sifted = []
+    original = StabilizerChain.sift
+
+    def recorded(self, g, start=0):
+        if start > 0:
+            sifted.append(g)
+        return original(self, g, start)
+
+    monkeypatch.setattr(StabilizerChain, "sift", recorded)
+    for expr in ("D(10)", "S(6)", "SL(2,5)"):
+        g = construct(expr)
+        sifted.clear()
+        chain = StabilizerChain(list(g.generators), g.degree)
+        assert chain.order() == g.order(), expr
+        assert sifted and not any(x.is_identity() for x in sifted), expr
+
+
+@pytest.mark.parametrize("expr", ["S(6)", "A(7)", "D(10)", "SL(2,5)", "PSL(2,7)",
+                                  "C(1)", "C(2)"])
+@pytest.mark.parametrize("relabelled", [False, True])
+def test_sift_matches_product_oracle(expr, relabelled):
+    g = construct(expr)
+    if relabelled:
+        g = relabel(g, 7)
+    chain = g.chain
+    gens = g.generators or (g.identity(),)
+    rng = random.Random(11)
+    queries = []
+    for _ in range(40):
+        word = g.identity()
+        for _ in range(rng.randrange(12)):
+            word = word * rng.choice(gens)
+        queries.append(word)
+    for _ in range(40):
+        images = list(range(g.degree))
+        rng.shuffle(images)
+        queries.append(Permutation(images))
+    for x in queries:
+        for start in (0, 1):
+            residue, level = chain.sift(x, start)
+            expected, expected_level = product_sift(chain, x, start)
+            assert (residue.images, level) == (expected.images, expected_level), expr
 
 
 # -- conjugacy classes -----------------------------------------------------------

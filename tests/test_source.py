@@ -39,3 +39,30 @@ def test_private_methods_are_called_only_on_self():
             if private and not (isinstance(owner, ast.Name) and owner.id == "self"):
                 found.append(f"{path.name}:{node.lineno} {ast.unparse(node.func)}")
     assert not found, found
+
+
+def test_image_tuples_are_composed_only_in_perm():
+    # the product kernel has one home: no other module imports itemgetter or
+    # composes image tuples itself, as in tuple(q[i] for i in p.images)
+    found = []
+    for path in sorted(Path(chartab.__file__).parent.glob("*.py")):
+        if path.name == "perm.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "operator":
+                found += [f"{path.name}:{node.lineno} imports {a.name}" for a in node.names
+                          if a.name == "itemgetter"]
+            elif isinstance(node, ast.Attribute) and node.attr == "itemgetter":
+                found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+            elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
+                targets = {g.target.id for g in node.generators if isinstance(g.target, ast.Name)}
+                elt = node.elt
+                if not (isinstance(elt, ast.Subscript) and isinstance(elt.slice, ast.Name)
+                        and elt.slice.id in targets):
+                    continue
+                sources = [elt.value] + [g.iter for g in node.generators]
+                if any(isinstance(n, ast.Attribute) and n.attr == "images"
+                       for src in sources for n in ast.walk(src)):
+                    found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    assert not found, found
