@@ -3,7 +3,10 @@
 The class-sum structure constants a_ijk act on F_q^k (k = number of
 classes, q a prime with q = 1 mod exponent(G) and q > 2*floor(sqrt|G|)).
 Their simultaneous eigenvectors, one per irreducible character, carry the
-values omega(K_j) = |C_j| chi(g_j) / chi(1) mod q.  Degrees are recovered
+values omega(K_j) = |C_j| chi(g_j) / chi(1) mod q.  They are split off the
+unit vector e_0 of the identity class, a sum of nonzero multiples of all
+of them: each class matrix in turn splits every piece it does not map to
+a multiple of itself into its eigen-components.  Degrees are recovered
 from the first orthogonality relation (the q > 2*sqrt|G| bound makes the
 square root unique), mod-q values follow, and exact cyclotomic values are
 lifted by one inverse DFT mod q per rational class (Galois orbit of
@@ -31,8 +34,7 @@ import numpy as np
 from . import cyclotomic
 from .arith import element_of_order, is_prime, prime_factors
 from .cyclotomic import RootSum
-from .fplinalg import (InconsistentTable, eig_split_rows, inv_mod, mat_mul,
-                       require, rref)
+from .fplinalg import InconsistentTable, eig_split_rows, inv_mod, mat_mul, require
 from .permgroup import ClassData, PermGroup
 
 
@@ -77,19 +79,11 @@ class CharTable:
     degrees: tuple[int, ...]
     values_mod_q: np.ndarray
     lifted: tuple[tuple[RootSum, ...], ...]
-    _row_lookup: dict[bytes, int] = field(default_factory=dict, repr=False)
     _galois_fixed: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
-    _orthogonality_failures: list[str] | None = field(default=None, repr=False)
 
     @property
     def n_classes(self) -> int:
         return len(self.class_data.reps)
-
-    def row_index(self, values: np.ndarray) -> int | None:
-        if not self._row_lookup:
-            for r in range(self.n_classes):
-                self._row_lookup[self.values_mod_q[r].tobytes()] = r
-        return self._row_lookup.get(np.ascontiguousarray(values).tobytes())
 
     def power_classes(self, k: int) -> list[int]:
         """Class of g^k for each class representative g."""
@@ -125,33 +119,32 @@ def class_matrix(cd: ClassData, i: int) -> np.ndarray:
 
 
 def _split_spaces(matrices, k: int, q: int) -> list[np.ndarray]:
-    """Common eigenspace refinement; matrices yielded lazily in fixed order.
+    """Split e_0 into one common eigenvector per character; matrices are
+    yielded lazily in fixed order.
 
-    Each space is a basis in reduced echelon form, kept with its pivot
-    columns.  A space the matrix acts on as a scalar, as on every
-    1-dimensional space, is already one of its eigenspaces and is kept as
-    is; any other is split by eig_split_rows, and each piece is reduced
-    once, as the image of its coefficient rows.
+    e_0, the unit vector of the identity class, is sum_chi chi(1)^2/|G| u_chi
+    over the common eigenvectors u_chi of the actions x -> x M^T, and no
+    coefficient is 0 mod q (q divides neither |G| nor any chi(1)).  So each
+    piece is a sum of nonzero multiples of the u_chi of a set of characters.
+    A piece whose image under the next matrix is a multiple of itself (tested
+    by cross-multiplying at its first nonzero coordinate) stays as it is;
+    any other is replaced by its eigen-components, which split that set by
+    eigenvalue.  The split stops once there are k pieces.
     """
-    spaces = [(np.eye(k, dtype=np.int64), list(range(k)))]
+    pieces = np.eye(1, k, dtype=np.int64)
     for mat in matrices:
-        action = mat % q
-        new_spaces: list[tuple[np.ndarray, list[int]]] = []
-        for basis, pivots in spaces:
-            dim = basis.shape[0]
-            if dim > 1:
-                coords = mat_mul(basis, action.T, q)[:, pivots]
-                if not np.array_equal(coords, coords[0, 0] * np.eye(dim, dtype=np.int64)):
-                    pieces = eig_split_rows(coords, q)
-                    require(sum(c.shape[0] for c in pieces) == dim,
-                            "restricted action must be diagonalizable")
-                    new_spaces.extend(rref(mat_mul(c, basis, q), q) for c in pieces)
-                    continue
-            new_spaces.append((basis, pivots))
-        spaces = new_spaces
-        if all(basis.shape[0] == 1 for basis, _ in spaces):
+        at = mat.T % q
+        image = mat_mul(pieces, at, q)
+        rows = np.arange(len(pieces))
+        lead = np.argmax(pieces != 0, axis=1)
+        cross = (image[rows, lead, None] * pieces - pieces[rows, lead, None] * image) % q
+        mixed = cross.any(axis=1)
+        if mixed.any():
+            pieces = np.vstack([eig_split_rows(w, at, q) if split else w[None, :]
+                                for w, split in zip(pieces, mixed)])
+        if len(pieces) == k:
             break
-    return [basis for basis, _ in spaces]
+    return list(pieces)
 
 
 def _matrix_order(cd: ClassData) -> list[int]:
@@ -169,7 +162,7 @@ def compute_table(group: PermGroup, prime_offset: int = 0) -> CharTable:
     q = wf.q
 
     spaces = _split_spaces((class_matrix(cd, i) for i in _matrix_order(cd)), k, q)
-    require(all(s.shape[0] == 1 for s in spaces), "eigenspace splitting incomplete")
+    require(len(spaces) == k, "eigenspace splitting incomplete")
 
     inv_classes = [cd.inverse_class(j) for j in range(k)]
     size_invs = np.array([inv_mod(s % q, q) for s in cd.sizes], dtype=np.int64)
@@ -177,10 +170,9 @@ def compute_table(group: PermGroup, prime_offset: int = 0) -> CharTable:
 
     degrees: list[int] = []
     rows: list[np.ndarray] = []
-    for space in spaces:
-        u = space[0]
-        # a reduced echelon row is 1 at its first nonzero entry
-        require(u[0] == 1, "identity-class coordinate must be nonzero")
+    for w in spaces:
+        require(w[0] != 0, "identity-class coordinate must be nonzero")
+        u = w * inv_mod(w[0], q) % q
         s = int(np.sum(u * u[inv_classes] % q * size_invs % q) % q)
         require(s != 0, "row norm must be nonzero")
         d_sq = (order % q) * inv_mod(s, q) % q
@@ -327,19 +319,12 @@ def verify_orthogonality(table: CharTable) -> bool:
     gathers |C_j| m1 m2 for every class j, every term pair (l1, m1) of
     chi_r(g_j) and (l2, m2) of chi_s(g_j), and every row s >= r into
     integer buckets (s, l1 - l2 mod e); each bucket row is reduced modulo
-    Phi_e and must equal |G| for s = r and 0 otherwise.  False leaves a
-    located failure report in orthogonality_failures()."""
-    if table._orthogonality_failures is None:
-        table._orthogonality_failures = _orthogonality_failures(table)
-    return not table._orthogonality_failures
+    Phi_e and must equal |G| for s = r and 0 otherwise.  On False,
+    orthogonality_failures() locates the failures."""
+    return not orthogonality_failures(table)
 
 
 def orthogonality_failures(table: CharTable) -> list[str]:
-    verify_orthogonality(table)
-    return list(table._orthogonality_failures or [])
-
-
-def _orthogonality_failures(table: CharTable) -> list[str]:
     # two functions, so the k x k mod-q arrays are freed before the exact pass
     return _mod_q_failures(table) or _exact_failures(table)
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .arith import check_prime
 from .chartable import CharTable
-from .fplinalg import InconsistentTable, require
+from .fplinalg import require
 
 
 @dataclass(frozen=True)
@@ -78,10 +78,10 @@ def galois_image_row(table: CharTable, row: int, k: int) -> int:
     e = table.q_field.exponent
     if gcd(k, e) != 1:
         raise ValueError(f"k={k} is not coprime to the exponent {e}")
-    image = table.row_index(table.values_mod_q[row][table.power_classes(k)])
-    if image is None:
-        raise InconsistentTable("Galois action did not permute the rows")
-    return image
+    v = table.values_mod_q
+    matches = np.flatnonzero(np.all(v == v[row][table.power_classes(k)], axis=1))
+    require(len(matches) == 1, "Galois action did not permute the rows")
+    return int(matches[0])
 
 
 def _coprime_residues(e: int) -> list[int]:

@@ -426,14 +426,14 @@ class CentralProductReport:
         return {"instances": self.instances, "violations": len(self.violations)}
 
 
-def check_central_product(ms: tuple[int, ...] = (2, 1)) -> CentralProductReport:
+def check_central_product() -> CentralProductReport:
     """Verify the degree-count identities on SL(2,5) o C_{2m} instances.
 
-    The default covers G = SL(2,5) o C4 (the primary instance) and the
-    degenerate m=1 case, where the central product is SL(2,5) itself.
+    m = 2 gives G = SL(2,5) o C4, the primary instance; m = 1 is the
+    degenerate case, where the central product is SL(2,5) itself.
     """
     instances = []
-    for m in ms:
+    for m in (2, 1):
         g = construct(f"CentralProd(SL(2,5), C({2 * m}))")
         table = compute_table(g)
         nd = degree_counts(table)

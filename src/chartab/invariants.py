@@ -61,19 +61,10 @@ def _classes_meeting(table: CharTable, n: PermGroup) -> list[int]:
 
 
 def kernel_contains(table: CharTable, row: int, n: PermGroup) -> bool:
-    """Is N inside Ker(chi_row)?  chi(x) = chi(1) iff x is in the kernel.
-
-    The mod-q equality is screened first; a passing class is confirmed with
-    the exact lifted value (multiplicity vector concentrated at exponent 0).
-    """
+    """Is N inside Ker(chi_row)?  chi(x) = chi(1) iff x is in the kernel,
+    that is, iff the exact lifted value is chi(1) times the root 1."""
     deg = table.degrees[row]
-    q = table.q_field.q
-    for j in _classes_meeting(table, n):
-        if int(table.values_mod_q[row][j]) != deg % q:
-            return False
-        if table.lifted[row][j] != ((0, deg),):
-            return False
-    return True
+    return all(table.lifted[row][j] == ((0, deg),) for j in _classes_meeting(table, n))
 
 
 def relative_rows(table: CharTable, n: PermGroup) -> tuple[int, ...]:

@@ -113,15 +113,17 @@ class StabilizerChain:
     def extend(self, g: Permutation) -> bool:
         """Add g to the group unless it is already a member, then restore the
         strong generating set; returns whether the group grew."""
-        if not self._add(g):
+        if self._add(g) < 0:
             return False
         self._close()
         return True
 
-    def _add(self, g: Permutation) -> bool:
+    def _add(self, g: Permutation) -> int:
+        """Register the residue of g; returns the level where it stopped,
+        or -1 if g is already a member."""
         h, i = self.sift(g)
         if h.is_identity():
-            return False
+            return -1
         if i == len(self.levels):
             base_pt = min(p for p in range(self.degree) if h.images[p] != p)
             self.levels.append(_Level(base_pt, self.degree))
@@ -129,36 +131,36 @@ class StabilizerChain:
         for j in range(i + 1):
             self.levels[j].gens.append(h)
             self._rebuild_orbit(j)
-        return True
+        return i
 
     def _close(self) -> None:
-        # Sims's criterion: every Schreier generator must sift to identity.
-        # A tree edge's, v_pt^-1 * s * (s^-1 * v_pt), is the identity as built.
-        restart = True
-        while restart:
-            restart = False
-            for i in reversed(range(len(self.levels))):
-                lvl = self.levels[i]
-                for pt in sorted(lvl.transversal):
-                    u = None
-                    for gi, s in enumerate(list(lvl.gens)):
-                        if (pt, gi) in lvl.tree_edges:
-                            continue
-                        if u is None:
-                            u = lvl.transversal[pt].inverse()
-                        img = s.images[pt]
-                        schreier = u * s * lvl.transversal[img]
-                        if schreier.is_identity():
-                            continue
-                        residue, _ = self.sift(schreier, i + 1)
-                        if not residue.is_identity():
-                            self._add(residue)
-                            restart = True
-                            break
-                    if restart:
-                        break
-                if restart:
-                    break
+        # Sims's criterion, deepest level first: every Schreier generator must
+        # sift to identity.  A residue changes only the levels up to where it
+        # stopped, so the check resumes there; the deeper levels stay closed.
+        i = len(self.levels) - 1
+        while i >= 0:
+            residue = self._schreier_residue(i)
+            i = i - 1 if residue is None else self._add(residue)
+
+    def _schreier_residue(self, i: int) -> Permutation | None:
+        """The residue of the first Schreier generator of level i that does
+        not sift to the identity through the levels below, or None."""
+        lvl = self.levels[i]
+        for pt in sorted(lvl.transversal):
+            u = None
+            for gi, s in enumerate(lvl.gens):
+                # a tree edge's, v_pt^-1 * s * (s^-1 * v_pt), is the identity as built
+                if (pt, gi) in lvl.tree_edges:
+                    continue
+                if u is None:
+                    u = lvl.transversal[pt].inverse()
+                schreier = u * s * lvl.transversal[s.images[pt]]
+                if schreier.is_identity():
+                    continue
+                residue, _ = self.sift(schreier, i + 1)
+                if not residue.is_identity():
+                    return residue
+        return None
 
     def order(self) -> int:
         n = 1

@@ -98,9 +98,9 @@ def test_split_spaces_builds_only_applied_matrices():
         cd = group.conjugacy_classes()
         k, q = len(cd.reps), select_prime(cd.exponent, group.order()).q
         mats = [class_matrix(cd, i) for i in _matrix_order(cd)]
-        # the shortest prefix of the matrix order that splits every space
+        # the shortest prefix of the matrix order that splits off every character
         applied = next(n for n in range(len(mats) + 1)
-                       if all(s.shape[0] == 1 for s in _split_spaces(mats[:n], k, q)))
+                       if len(_split_spaces(mats[:n], k, q)) == k)
         pulls = 0
 
         def stream():
@@ -109,60 +109,41 @@ def test_split_spaces_builds_only_applied_matrices():
                 pulls += 1
                 yield mat
 
-        assert all(s.shape[0] == 1 for s in _split_spaces(stream(), k, q))
+        assert len(_split_spaces(stream(), k, q)) == k
         assert pulls == applied, expr
         early += applied < len(mats)
     assert early        # some split finishes before the last matrix
 
 
-def test_split_spaces_reduces_each_new_space_once(monkeypatch):
-    # every space is kept in reduced echelon form with its pivots, so the
-    # split calls rref once per new subspace and never on a space it holds
-    calls = {"rref": 0, "spaces": 0}
-    rref, eig_split_rows = chartable.rref, chartable.eig_split_rows
+def test_split_spaces_splits_only_mixed_pieces(monkeypatch):
+    # a piece a class matrix maps to a multiple of itself is kept, so every
+    # piece handed to eig_split_rows has at least two eigen-components
+    parts = []
+    split = chartable.eig_split_rows
 
-    def counted_rref(a, q):
-        calls["rref"] += 1
-        return rref(a, q)
+    def counted_split(w, at, q):
+        out = split(w, at, q)
+        parts.append(len(out))
+        return out
 
-    def counted_split(coords, q):
-        pieces = eig_split_rows(coords, q)
-        calls["spaces"] += len(pieces)
-        return pieces
-
-    monkeypatch.setattr(chartable, "rref", counted_rref)
     monkeypatch.setattr(chartable, "eig_split_rows", counted_split)
     for expr in ("S(4)", "A(5)", "D(10)", "SL(2,5)", "C(2) x C(2) x C(2)"):
         group = construct(expr)
         cd = group.conjugacy_classes()
         k, q = len(cd.reps), select_prime(cd.exponent, group.order()).q
-        spaces = _split_spaces((class_matrix(cd, i) for i in _matrix_order(cd)), k, q)
+        mats = [class_matrix(cd, i) for i in range(k)]
+        spaces = _split_spaces((mats[i] for i in _matrix_order(cd)), k, q)
         assert len(spaces) == k, expr
-    assert calls["spaces"] > 0 and calls["rref"] == calls["spaces"]
+        # each piece is a common eigenvector: u M_i^T = omega(K_i) u = u[i] u
+        for w in spaces:
+            u = w * pow(int(w[0]), -1, q) % q
+            for i, mat in enumerate(mats):
+                assert np.array_equal(u @ mat.T % q, u[i] * u % q), (expr, i)
+    assert parts and min(parts) >= 2
 
 
-def test_split_spaces_never_splits_a_scalar_action(monkeypatch):
-    # a space a class matrix acts on as a scalar is one of its eigenspaces
-    # already, so only a non-scalar restricted action reaches eig_split_rows
-    scalar = []
-    split = chartable.eig_split_rows
-
-    def checked_split(coords, q):
-        scalar.append(np.array_equal(coords, coords[0, 0] * np.eye(len(coords), dtype=np.int64)))
-        return split(coords, q)
-
-    monkeypatch.setattr(chartable, "eig_split_rows", checked_split)
-    for expr in ("S(4)", "A(5)", "D(10)", "SL(2,5)", "C(2) x C(2) x C(2)"):
-        group = construct(expr)
-        cd = group.conjugacy_classes()
-        k, q = len(cd.reps), select_prime(cd.exponent, group.order()).q
-        spaces = _split_spaces((class_matrix(cd, i) for i in _matrix_order(cd)), k, q)
-        assert len(spaces) == k, expr
-    assert scalar and not any(scalar)
-
-
-def _similar_to_diagonal(diag: list[int], seed: int, q: int) -> np.ndarray:
-    """P^-1 D P for a seeded invertible P: row i of P is a left eigenvector."""
+def _similar_to_diagonal(diag: list[int], seed: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """P^-1 D P for a seeded invertible P, and P: row i of P is a left eigenvector."""
     n = len(diag)
     rng = np.random.default_rng(seed)
     det = 0
@@ -174,34 +155,39 @@ def _similar_to_diagonal(diag: list[int], seed: int, q: int) -> np.ndarray:
                      for j in range(n)] for i in range(n)])
     p_inv = adj * pow(det, -1, q) % q
     assert np.array_equal(p_inv @ p % q, np.eye(n, dtype=np.int64))
-    return p_inv @ np.diag(diag) @ p % q
+    return p_inv @ np.diag(diag) @ p % q, p
 
 
-@pytest.mark.parametrize("diag, route", [([4, 0, 11, 2, 7, 9], "_eig_unreduced"),
-                                         ([8, 3, 3, 1, 8, 3], "nullspace")],
+@pytest.mark.parametrize("diag", [[4, 0, 11, 2, 7, 9], [8, 3, 3, 1, 8, 3]],
                          ids=["distinct", "repeated"])
-def test_eig_split_rows_eigenspaces(monkeypatch, diag, route):
+def test_eig_split_rows_eigenspaces(diag):
     q = 13
-    a = _similar_to_diagonal(diag, seed=3, q=q)
-    calls = []
-    solve = getattr(fplinalg, route)
-
-    def counted(*args):
-        calls.append(args)
-        return solve(*args)
-
-    monkeypatch.setattr(fplinalg, route, counted)
-    bases = fplinalg.eig_split_rows(a, q)
-    assert calls, route
+    a, p = _similar_to_diagonal(diag, seed=3, q=q)
+    coeffs = np.random.default_rng(5).integers(1, q, size=len(diag))
+    w = coeffs @ p % q          # a nonzero multiple of every left eigenvector
+    parts = fplinalg.eig_split_rows(w, a, q)
     lams = []
-    for basis in bases:
-        c = int(np.flatnonzero(basis[0])[0])
-        lam = int(basis[0] @ a[:, c]) * pow(int(basis[0, c]), -1, q) % q
-        assert not np.any((basis @ a - lam * basis) % q)
-        assert len(fplinalg.rref(basis, q)[1]) == len(basis) == diag.count(lam)
+    for part in parts:
+        c = int(np.flatnonzero(part)[0])
+        lam = int(part @ a[:, c]) * pow(int(part[c]), -1, q) % q
+        assert not np.any((part @ a - lam * part) % q)
         lams.append(lam)
     assert lams == sorted(set(diag))
-    assert sum(len(b) for b in bases) == len(diag)
+    # w lies in the span of the parts
+    assert len(fplinalg.rref(np.vstack([parts, w]), q)[1]) == len(parts)
+    # a w inside one eigenspace comes back as a single multiple of itself
+    lam = diag[1]
+    v = sum(c * row for c, row, d in zip(coeffs, p, diag) if d == lam) % q
+    (part,) = fplinalg.eig_split_rows(v, a, q)
+    c = int(np.flatnonzero(v)[0])
+    assert not np.any((part[c] * v - v[c] * part) % q) and part[c]
+
+
+def test_eig_split_rows_rejects_a_non_diagonalizable_action():
+    # w = e_0 under a Jordan block: minimal polynomial (x - 1)^2, one root
+    at = np.array([[1, 1], [0, 1]], dtype=np.int64)
+    with pytest.raises(InconsistentTable, match="diagonalizable"):
+        fplinalg.eig_split_rows(np.array([1, 0], dtype=np.int64), at, 13)
 
 
 # -- tables --------------------------------------------------------------------------

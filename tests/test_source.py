@@ -1,7 +1,9 @@
 import ast
+import importlib.util
 from pathlib import Path
 
 import chartab
+from chartab.permgroup import PermGroup
 
 
 def test_library_has_no_assert_statements():
@@ -66,3 +68,18 @@ def test_image_tuples_are_composed_only_in_perm():
                        for src in sources for n in ast.walk(src)):
                     found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
     assert not found, found
+
+
+def test_benchmark_tracer_targets_exist():
+    # perfbench/spans.py wraps library functions and PermGroup methods by
+    # name; loading it (without instrumenting) checks every name still resolves
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [f"{module}.{attr}" for _, module, attr in spans.FUNCTIONS
+               if not callable(getattr(importlib.import_module(module), attr, None))]
+    missing += [f"PermGroup.{attr}" for _, attr in spans.METHODS
+                if not hasattr(PermGroup, attr)]
+    assert spans.FUNCTIONS and spans.METHODS
+    assert not missing, missing
