@@ -115,18 +115,53 @@ def test_split_spaces_builds_only_applied_matrices():
     assert early        # some split finishes before the last matrix
 
 
-def test_split_spaces_splits_only_mixed_pieces(monkeypatch):
-    # a piece a class matrix maps to a multiple of itself is kept, so every
-    # piece handed to eig_split_rows has at least two eigen-components
-    parts = []
-    split = chartable.eig_split_rows
+def test_split_spaces_reduces_each_new_space_once(monkeypatch):
+    # pieces are single vectors, so the split runs no rref of its own: only
+    # eig_split_rows reduces, once per mixed piece, and each call adds its
+    # new pieces once, so the calls add exactly k - 1 pieces to e_0
+    calls = {"rref": 0, "inside": 0, "added": 0}
+    rref, split = fplinalg.rref, chartable.eig_split_rows
+
+    def counted_rref(a, q):
+        calls["rref"] += 1
+        return rref(a, q)
 
     def counted_split(w, at, q):
+        before = calls["rref"]
+        out = split(w, at, q)
+        calls["inside"] += calls["rref"] - before
+        calls["added"] += len(out) - 1
+        return out
+
+    monkeypatch.setattr(fplinalg, "rref", counted_rref)
+    monkeypatch.setattr(chartable, "eig_split_rows", counted_split)
+    for expr in ("S(4)", "A(5)", "D(10)", "SL(2,5)", "C(2) x C(2) x C(2)"):
+        group = construct(expr)
+        cd = group.conjugacy_classes()
+        k, q = len(cd.reps), select_prime(cd.exponent, group.order()).q
+        calls["added"] = 0
+        spaces = _split_spaces((class_matrix(cd, i) for i in _matrix_order(cd)), k, q)
+        assert len(spaces) == k, expr
+        assert calls["added"] == k - 1, expr
+    assert calls["inside"] > 0 and calls["rref"] == calls["inside"]
+
+
+def test_split_spaces_never_splits_a_scalar_action(monkeypatch):
+    # a piece a class matrix maps to a multiple of itself is kept, so every
+    # piece handed to eig_split_rows is mixed and has at least two
+    # eigen-components; each returned piece is a common eigenvector
+    scalar, parts = [], []
+    split = chartable.eig_split_rows
+
+    def checked_split(w, at, q):
+        image = w @ at % q
+        lead = int(np.argmax(w != 0))
+        scalar.append(np.array_equal(image * int(w[lead]) % q, w * int(image[lead]) % q))
         out = split(w, at, q)
         parts.append(len(out))
         return out
 
-    monkeypatch.setattr(chartable, "eig_split_rows", counted_split)
+    monkeypatch.setattr(chartable, "eig_split_rows", checked_split)
     for expr in ("S(4)", "A(5)", "D(10)", "SL(2,5)", "C(2) x C(2) x C(2)"):
         group = construct(expr)
         cd = group.conjugacy_classes()
@@ -139,7 +174,8 @@ def test_split_spaces_splits_only_mixed_pieces(monkeypatch):
             u = w * pow(int(w[0]), -1, q) % q
             for i, mat in enumerate(mats):
                 assert np.array_equal(u @ mat.T % q, u[i] * u % q), (expr, i)
-    assert parts and min(parts) >= 2
+    assert scalar and not any(scalar)
+    assert min(parts) >= 2
 
 
 def _similar_to_diagonal(diag: list[int], seed: int, q: int) -> tuple[np.ndarray, np.ndarray]:
