@@ -8,7 +8,7 @@ prime of a few digits.
 
 from __future__ import annotations
 
-from math import isqrt
+from math import gcd, isqrt
 
 
 def is_prime(n: int) -> bool:
@@ -53,3 +53,17 @@ def element_of_order(q: int, e: int) -> int:
             if all(pow(w, e // f, q) != 1 for f in factors):
                 return w
     raise ValueError(f"F_{q} has no element of order {e}")
+
+
+def unit_generators(e: int) -> list[int]:
+    """A small generating set of the unit group (Z/e)^x: greedily, each
+    unit not yet generated joins the set, and the generated subgroup is
+    multiplied by it until it stops growing."""
+    gens: list[int] = []
+    generated = {1 % e}
+    for a in range(2, e):
+        if gcd(a, e) == 1 and a not in generated:
+            gens.append(a)
+            while (grown := generated | {h * a % e for h in generated}) != generated:
+                generated = grown
+    return gens

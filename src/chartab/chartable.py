@@ -5,20 +5,22 @@ classes, q a prime with q = 1 mod exponent(G) and q > 2*floor(sqrt|G|)).
 Their simultaneous eigenvectors, one per irreducible character, carry the
 values omega(K_j) = |C_j| chi(g_j) / chi(1) mod q.  They are split off the
 unit vector e_0 of the identity class, a sum of nonzero multiples of all
-of them: each class matrix in turn splits every piece it does not map to
-a multiple of itself into its eigen-components.  Degrees are recovered
-from the first orthogonality relation (the q > 2*sqrt|G| bound makes the
-square root unique), mod-q values follow, and exact cyclotomic values are
-lifted by one inverse DFT mod q per rational class (Galois orbit of
-classes), all the rational classes of one element order in one product.
+of them: the class matrix of one class per rational class in turn splits
+every piece it does not map to a multiple of itself into its
+eigen-components.  Degrees are recovered from the first orthogonality
+relation (the q > 2*sqrt|G| bound makes the square root unique), mod-q
+values follow, and exact cyclotomic values are lifted by one inverse DFT
+mod q per rational class (Galois orbit of classes), all the rational
+classes of one element order in one product.
 The other classes of an orbit are filled in by sigma_a, chi(g^a) =
 sigma_a(chi(g)), and every class's lifted value is checked against its
 value mod q.
 
-verify_orthogonality checks both orthogonality relations mod q and then
-the first one exactly in Z[zeta_e], in one pass per row r: the sums
-sum_j |C_j| chi_r(g_j) conj(chi_s(g_j)) for all rows s >= r are bucketed
-by exponent of zeta_e and reduced modulo the e-th cyclotomic polynomial.
+verify_orthogonality checks both orthogonality relations mod q, then the
+first one exactly: one Gram product modulo each of a few primes
+p = 1 (mod e) whose product bounds every entry, and Galois equivariance
+of the lifted values on generators of (Z/e)^x, which makes those Gram
+products decide the entries exactly in Z[zeta_e].
 
 Everything in this module is exact: F_q arithmetic on int64 numpy arrays
 and integer multiplicity vectors.  No floating point.
@@ -31,11 +33,14 @@ from math import gcd, isqrt
 
 import numpy as np
 
-from . import cyclotomic
-from .arith import element_of_order, is_prime, prime_factors
-from .cyclotomic import RootSum
+from .arith import element_of_order, is_prime, prime_factors, unit_generators
 from .fplinalg import InconsistentTable, eig_split_rows, inv_mod, mat_mul, require
 from .permgroup import ClassData, PermGroup
+
+# a value in Z[zeta_e]: (exponent, multiplicity) pairs sorted by exponent,
+# the eigenvalue multiplicities of a representation matrix, so equal values
+# are equal tuples
+RootSum = tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -79,7 +84,9 @@ class CharTable:
     degrees: tuple[int, ...]
     values_mod_q: np.ndarray
     lifted: tuple[tuple[RootSum, ...], ...]
-    _galois_fixed: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
+    # init=False: dataclasses.replace builds a fresh memo for the new values
+    _galois_fixed: dict[int, np.ndarray] = field(default_factory=dict, init=False,
+                                                 repr=False)
 
     @property
     def n_classes(self) -> int:
@@ -148,9 +155,13 @@ def _split_spaces(matrices, k: int, q: int) -> list[np.ndarray]:
 
 
 def _matrix_order(cd: ClassData) -> list[int]:
-    # increasing class size, identity class (never splits anything) skipped
-    order = sorted(range(1, len(cd.reps)), key=lambda i: (cd.sizes[i], i))
-    return order
+    """One class per rational class, then the rest, each by (size, index);
+    the identity class (never splits anything) is skipped.
+
+    omega(K_{j^a}) = sigma_a(omega(K_j)), so over C the first part
+    separates every character; the rest runs only if it does not mod q."""
+    first = {j for reps in _galois_orbits(cd).values() for j, _ in reps}
+    return sorted(range(1, len(cd.reps)), key=lambda i: (i not in first, cd.sizes[i], i))
 
 
 def compute_table(group: PermGroup, prime_offset: int = 0) -> CharTable:
@@ -257,7 +268,8 @@ def _lift_all(values: np.ndarray, degrees: list[int], cd: ClassData,
         for start in range(0, len(reps), chunk):
             batch = reps[start:start + chunk]
             powers = np.array([cd.power_map[j] for j, _ in batch])
-            mults = mat_mul(values[:, powers], idft, q)       # (row, rep, t)
+            block = np.ascontiguousarray(values[:, powers])  # (row, rep, t)
+            mults = mat_mul(block, idft, q)
             _check_multiplicities(mults, deg, [j for j, _ in batch])
             for i, (_, orbit) in enumerate(batch):
                 columns.update(_orbit_columns(np.ascontiguousarray(mults[:, i]), orbit,
@@ -312,21 +324,32 @@ def _orbit_columns(mults: np.ndarray, orbit: dict[int, int], values: np.ndarray,
 
 
 def verify_orthogonality(table: CharTable) -> bool:
-    """First and second orthogonality mod q, plus exact first orthogonality
-    over the lifted cyclotomic values.
+    """Both orthogonality relations mod q, then the first one exactly.
 
-    The exact check runs once the mod-q checks pass.  For each row r it
-    gathers |C_j| m1 m2 for every class j, every term pair (l1, m1) of
-    chi_r(g_j) and (l2, m2) of chi_s(g_j), and every row s >= r into
-    integer buckets (s, l1 - l2 mod e); each bucket row is reduced modulo
-    Phi_e and must equal |G| for s = r and 0 otherwise.  On False,
+    alpha_rs = sum_j |C_j| chi_r(g_j) conj(chi_s(g_j)) - delta_rs |G| lies
+    in Z[zeta_e] (conj negates exponents); it is evaluated at zeta -> w, w of
+    order e mod p, by one Gram product mod p for each p = select_prime(e,
+    |G|, offset=i), i = 0, 1, ..., until the product N of the primes exceeds
+    B = max_rs sum_j |C_j| mu_r(j) mu_s(j) + delta_rs |G| (mu: the sum of
+    the |multiplicities|), a bound on every conjugate of alpha_rs.  If
+    chi(g_j^a) = sigma_a(chi(g_j)) for all a prime to e (checked on
+    generators of (Z/e)^x), alpha_rs has the same value at every prime
+    above p, so zero at w for every p puts it in N Z[zeta_e], where only 0
+    has all conjugates below N.  For such equivariant tables the failing
+    row pairs are exactly those with alpha_rs != 0.  On False,
     orthogonality_failures() locates the failures."""
     return not orthogonality_failures(table)
 
 
 def orthogonality_failures(table: CharTable) -> list[str]:
-    # two functions, so the k x k mod-q arrays are freed before the exact pass
-    return _mod_q_failures(table) or _exact_failures(table)
+    # the k x k mod-q arrays are freed before the exact pass
+    failures = _mod_q_failures(table)
+    if failures:
+        return failures
+    flat = [val for row in table.lifted for val in row]
+    index = {val: i for i, val in enumerate(dict.fromkeys(flat))}
+    cells = np.array(list(map(index.__getitem__, flat))).reshape(len(table.lifted), -1)
+    return _gram_failures(table, cells, index) or _equivariance_failures(table, cells, index)
 
 
 def _mod_q_failures(table: CharTable) -> list[str]:
@@ -354,35 +377,43 @@ def _mod_q_failures(table: CharTable) -> list[str]:
     return failures
 
 
-def _exact_failures(table: CharTable) -> list[str]:
+def _gram_failures(table: CharTable, cells: np.ndarray, index: dict[RootSum, int]) -> list[str]:
+    """Row pairs r <= s whose Gram entry differs from delta_rs |G| modulo
+    some prime; cells[r, j] = index[table.lifted[r][j]]."""
     e = table.q_field.exponent
     order = table.group.order()
     k = table.n_classes
     sizes = np.array(table.class_data.sizes, dtype=np.int64)
-    # the lifted values as (row, class, term) arrays: each distinct value is
-    # padded once with multiplicity-0 terms (numpy converts k*k nested tuples
-    # slowly and with a large transient)
-    index: dict[RootSum, int] = {}
-    cells = np.array([[index.setdefault(val, len(index)) for val in row]
-                      for row in table.lifted])
-    width = max(map(len, index))
-    padded = np.array([val + ((0, 0),) * (width - len(val)) for val in index],
-                      dtype=np.int64)
-    exps, mults = padded[cells, :, 0], padded[cells, :, 1]
-    red_table = cyclotomic.reduction_table(e)
+    mu = np.array([sum(abs(m) for _, m in val) for val in index], dtype=np.int64)[cells]
+    bound = int(((mu * mu) @ sizes).max()) + order     # max B_rs = max B_rr, by Cauchy-Schwarz
+    bad = np.zeros((k, k), dtype=bool)
+    product, offset = 1, 0
+    while product <= bound:
+        wf = select_prime(e, order, offset=offset)
+        p, wpow = wf.q, [pow(wf.w, l, wf.q) for l in range(e)]
+        at_w = np.array([sum(m * wpow[l % e] for l, m in val) % p for val in index])
+        at_w_inv = np.array([sum(m * wpow[-l % e] for l, m in val) % p for val in index])
+        gram = mat_mul(at_w[cells] * (sizes % p) % p, at_w_inv[cells].T, p)
+        bad |= gram != np.eye(k, dtype=np.int64) * (order % p)
+        product, offset = product * p, offset + 1
+    return [f"exact first orthogonality fails at rows ({r},{s})"
+            for r, s in zip(*np.nonzero(np.triu(bad)))]
+
+
+def _equivariance_failures(table: CharTable, cells: np.ndarray,
+                           index: dict[RootSum, int]) -> list[str]:
+    """Cells where chi(g_j^a) != sigma_a(chi(g_j)), for a in generators of
+    (Z/e)^x; sigma_a sends exponent l to a*l mod e."""
+    e = table.q_field.exponent
     failures: list[str] = []
-    for r in range(k):
-        # row r against all rows s >= r: buckets (s - r, l1 - l2 mod e); one
-        # row at a time keeps the working set at (k - r) * k * width**2
-        buckets = ((exps[r, :, :, None] - exps[r:, :, None, :]) % e
-                   + e * np.arange(k - r)[:, None, None, None])
-        weights = sizes[:, None, None] * mults[r, :, :, None] * mults[r:, :, None, :]
-        acc = np.zeros((k - r) * e, dtype=np.int64)
-        np.add.at(acc, buckets.ravel(), weights.ravel())
-        reduced = acc.reshape(k - r, e) @ red_table
-        reduced[0, 0] -= order
-        for s in np.flatnonzero(reduced.any(axis=1)):
-            failures.append(f"exact first orthogonality fails at rows ({r},{r + s})")
+    for a in unit_generators(e):
+        # the index of sigma_a(value) for each distinct value, -1 if none
+        image = np.array([index.get(tuple(sorted((a * l % e, m) for l, m in val)), -1)
+                          for val in index])
+        wrong = cells[:, table.power_classes(a)] != image[cells]
+        for r, j in zip(*np.nonzero(wrong)):
+            failures.append(f"lifted values not Galois-equivariant at row {r}, "
+                            f"class {j} under sigma_{a}")
     return failures
 
 
@@ -410,8 +441,23 @@ def table_document(table: CharTable) -> dict:
         "degrees": list(table.degrees),
         "row_fields": field_labels(table, prime_factors(table.q_field.exponent)),
         "values_mod_q": table.values_mod_q.tolist(),
-        "lifted": [[cyclotomic.render(vv) for vv in row] for row in table.lifted],
+        "lifted": [[_render(vv) for vv in row] for row in table.lifted],
     }
+
+
+def _render(v: RootSum) -> str:
+    """Human form "m*z^l + ...", with z a primitive e-th root of unity."""
+    if not v:
+        return "0"
+    terms = []
+    for l, m in v:
+        if l == 0:
+            terms.append(str(m))
+        elif m == 1:
+            terms.append(f"z^{l}")
+        else:
+            terms.append(f"{m}*z^{l}")
+    return " + ".join(terms)
 
 
 def format_table(table: CharTable) -> str:

@@ -1,6 +1,7 @@
 import dataclasses
 import random
 import re
+from math import gcd
 
 import numpy as np
 import pytest
@@ -89,6 +90,33 @@ def test_class_matrix_corrupted_key_raises():
     with pytest.raises(InconsistentTable):
         for i in range(len(cd.reps)):
             class_matrix(bad, i)
+
+
+def test_matrix_order_starts_with_one_class_per_rational_class(monkeypatch):
+    # K_j and K_{j^a} (gcd(a, e) = 1) separate the same characters, so the
+    # order lists one class of each rational class first; D(200)'s 99
+    # rotation classes fall into 11 rational classes, one per order
+    pulled = []
+
+    def counted(cd, i):
+        pulled.append(i)
+        return class_matrix(cd, i)
+
+    monkeypatch.setattr(chartable, "class_matrix", counted)
+    for expr, n_first, n_pulled in (("D(200)", 13, 12), ("Aff(7,3)", 2, 2),
+                                    ("C(12)", 5, 1), ("S(4)", 4, 2)):
+        cd = construct(expr).conjugacy_classes()
+        order = _matrix_order(cd)
+        assert sorted(order) == list(range(1, len(cd.reps))), expr
+        first, rest = order[:n_first], order[n_first:]
+        assert first == sorted(first, key=lambda j: (cd.sizes[j], j)), expr
+        rational = [{cd.class_power(j, a) for a in range(cd.exponent) if gcd(a, cd.exponent) == 1}
+                    for j in first]
+        assert all(j not in r for i, r in enumerate(rational) for j in first[i + 1:]), expr
+        assert all(any(j in r for r in rational) for j in rest), expr
+        pulled.clear()
+        compute_table(construct(expr))
+        assert len(pulled) == n_pulled and set(pulled) <= set(first), expr
 
 
 def test_split_spaces_builds_only_applied_matrices():
@@ -486,6 +514,45 @@ def test_exact_orthogonality_matches_complex_gram():
             want = [f"exact first orthogonality fails at rows ({a},{b})"
                     for a in range(k) for b in range(a, k) if abs(gram[a, b]) > 1e-6]
             assert orthogonality_failures(mutated) == want, expr
+
+
+def test_exact_orthogonality_needs_more_than_the_working_prime():
+    # 1 + q at the identity of row 1 leaves every entry right mod q, so one
+    # Gram product mod q misses it; the primes must multiply past the bound
+    t = table_of("C(3)")
+    bad_lifted = [list(row) for row in t.lifted]
+    bad_lifted[1][0] = ((0, 1 + t.q_field.q),)
+    assert orthogonality_failures(_with_lifted(t, bad_lifted)) == [
+        f"exact first orthogonality fails at rows ({r},{s})" for r, s in ((0, 1), (1, 1), (1, 2))]
+
+
+def _swap_columns_1_2(t):
+    # C(5): every row's values at classes 1 and 2 swapped; the Gram matrix
+    # is unchanged, as all classes have size 1
+    lifted = [list(row) for row in t.lifted]
+    for row in lifted:
+        row[1], row[2] = row[2], row[1]
+    return lifted
+
+
+def _swap_row_1_classes_1_10(t):
+    # SL(2,9): row 1 is 1 on both classes, stored as 2 + z^40 + z^80 on the
+    # order-3 class and as the four primitive 10th roots on the order-10 one
+    lifted = [list(row) for row in t.lifted]
+    lifted[1][1], lifted[1][10] = lifted[1][10], lifted[1][1]
+    return lifted
+
+
+@pytest.mark.parametrize("expr, mutate", [("C(5)", _swap_columns_1_2),
+                                          ("SL(2,9)", _swap_row_1_classes_1_10)])
+def test_exact_orthogonality_rejects_non_equivariant_lift(expr, mutate):
+    # every Gram entry is right, but sigma_a does not map the column of g to
+    # the column of g^a, so a zero Gram product would prove nothing
+    failures = orthogonality_failures(_with_lifted(table_of(expr), mutate(table_of(expr))))
+    assert failures
+    for f in failures:
+        assert re.fullmatch(r"lifted values not Galois-equivariant at row \d+, "
+                            r"class \d+ under sigma_\d+", f), f
 
 
 # -- determinism and prime independence ----------------------------------------------

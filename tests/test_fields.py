@@ -1,3 +1,6 @@
+import dataclasses
+
+import numpy as np
 import pytest
 
 from chartab import FieldSpec, field_rows, galois_image_row, in_field
@@ -68,6 +71,13 @@ def test_aff73_q7_rows():
     linear_nonprincipal = [r for r in range(5)
                            if t.degrees[r] == 1 and r != 0]
     assert all(not in_field(t, r, q7) for r in linear_nonprincipal)
+
+
+def test_replaced_values_get_a_fresh_galois_memo():
+    t = table_of("C(3)")
+    assert field_rows(t, FieldSpec.rational()) == (0,)
+    trivial = dataclasses.replace(t, values_mod_q=np.ones_like(t.values_mod_q))
+    assert field_rows(trivial, FieldSpec.rational()) == (0, 1, 2)
 
 
 def test_field_rows_all():

@@ -83,3 +83,20 @@ def test_benchmark_tracer_targets_exist():
                 if not hasattr(PermGroup, attr)]
     assert spans.FUNCTIONS and spans.METHODS
     assert not missing, missing
+
+
+def test_no_unbounded_memo_outside_groupspec():
+    # a functools memo holds every argument it ever saw; groupspec keeps
+    # construct_cached, which only tests and the benchmark call
+    found = []
+    for path in sorted(Path(chartab.__file__).parent.glob("*.py")):
+        if path.name == "groupspec.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                found += [f"{path.name}:{node.lineno} imports {a.name}" for a in node.names
+                          if a.name in ("lru_cache", "cache")]
+            elif isinstance(node, ast.Attribute) and node.attr in ("lru_cache", "cache"):
+                found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    assert not found, found
