@@ -20,8 +20,9 @@ t = compute_table(a5)
 print(format_table(t))
 print()
 
-# Orthogonality is checked three ways: both relations mod q, and the first
-# relation once more over the exact lifted values.
+# Orthogonality is checked exactly: the first relation over the lifted
+# values, then their agreement with the values mod q, which gives both
+# relations mod q as well.
 print("orthogonality holds:", verify_orthogonality(t))
 print("sum of squared degrees:", sum(d * d for d in t.degrees), "= |G| =", a5.order())
 print()

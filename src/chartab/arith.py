@@ -55,13 +55,14 @@ def element_of_order(q: int, e: int) -> int:
     raise ValueError(f"F_{q} has no element of order {e}")
 
 
-def unit_generators(e: int) -> list[int]:
-    """A small generating set of the unit group (Z/e)^x: greedily, each
-    unit not yet generated joins the set, and the generated subgroup is
-    multiplied by it until it stops growing."""
+def unit_generators(e: int, p: int = 1) -> list[int]:
+    """A small generating set of the units a = 1 (mod p) of Z/e, for p
+    dividing e (all of (Z/e)^x for p = 1): greedily, each such unit not yet
+    generated joins the set, and the generated subgroup is multiplied by it
+    until it stops growing."""
     gens: list[int] = []
     generated = {1 % e}
-    for a in range(2, e):
+    for a in range(1 + p, e, p):
         if gcd(a, e) == 1 and a not in generated:
             gens.append(a)
             while (grown := generated | {h * a % e for h in generated}) != generated:

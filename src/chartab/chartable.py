@@ -16,11 +16,12 @@ The other classes of an orbit are filled in by sigma_a, chi(g^a) =
 sigma_a(chi(g)), and every class's lifted value is checked against its
 value mod q.
 
-verify_orthogonality checks both orthogonality relations mod q, then the
-first one exactly: one Gram product modulo each of a few primes
-p = 1 (mod e) whose product bounds every entry, and Galois equivariance
-of the lifted values on generators of (Z/e)^x, which makes those Gram
-products decide the entries exactly in Z[zeta_e].
+verify_orthogonality checks the first orthogonality relation exactly: one
+Gram product modulo each of a few primes p = 1 (mod e) whose product
+bounds every entry, and Galois equivariance of the lifted values on
+generators of (Z/e)^x, which makes those Gram products decide the entries
+exactly in Z[zeta_e].  It then checks that the lifted values evaluate to
+the values mod q, which carries both relations over to the mod-q table.
 
 Everything in this module is exact: F_q arithmetic on int64 numpy arrays
 and integer multiplicity vectors.  No floating point.
@@ -28,7 +29,7 @@ and integer multiplicity vectors.  No floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd, isqrt
 
 import numpy as np
@@ -84,9 +85,6 @@ class CharTable:
     degrees: tuple[int, ...]
     values_mod_q: np.ndarray
     lifted: tuple[tuple[RootSum, ...], ...]
-    # init=False: dataclasses.replace builds a fresh memo for the new values
-    _galois_fixed: dict[int, np.ndarray] = field(default_factory=dict, init=False,
-                                                 repr=False)
 
     @property
     def n_classes(self) -> int:
@@ -97,22 +95,10 @@ class CharTable:
         cd = self.class_data
         return [cd.class_power(j, k) for j in range(len(cd.reps))]
 
-    def inverse_classes(self) -> list[int]:
-        return self.power_classes(-1)
-
     def galois_fixed(self, k: int) -> np.ndarray:
-        """Boolean mask of the rows sigma_k fixes: chi(g^k) = chi(g) for all g.
-
-        Memoised per k mod the exponent; field membership asks for the same
-        few k over and over.
-        """
-        k %= self.q_field.exponent
-        mask = self._galois_fixed.get(k)
-        if mask is None:
-            v = self.values_mod_q
-            mask = np.all(v[:, self.power_classes(k)] == v, axis=1)
-            self._galois_fixed[k] = mask
-        return mask
+        """Boolean mask of the rows sigma_k fixes: chi(g^k) = chi(g) for all g."""
+        v = self.values_mod_q
+        return np.all(v[:, self.power_classes(k)] == v, axis=1)
 
 
 def class_matrix(cd: ClassData, i: int) -> np.ndarray:
@@ -324,7 +310,7 @@ def _orbit_columns(mults: np.ndarray, orbit: dict[int, int], values: np.ndarray,
 
 
 def verify_orthogonality(table: CharTable) -> bool:
-    """Both orthogonality relations mod q, then the first one exactly.
+    """The first orthogonality relation exactly, then both relations mod q.
 
     alpha_rs = sum_j |C_j| chi_r(g_j) conj(chi_s(g_j)) - delta_rs |G| lies
     in Z[zeta_e] (conj negates exponents); it is evaluated at zeta -> w, w of
@@ -336,45 +322,32 @@ def verify_orthogonality(table: CharTable) -> bool:
     generators of (Z/e)^x), alpha_rs has the same value at every prime
     above p, so zero at w for every p puts it in N Z[zeta_e], where only 0
     has all conjugates below N.  For such equivariant tables the failing
-    row pairs are exactly those with alpha_rs != 0.  On False,
-    orthogonality_failures() locates the failures."""
+    row pairs are exactly those with alpha_rs != 0.
+
+    Both relations then hold mod q once every lifted value, evaluated at
+    the working root w, equals its value mod q (checked last, so corrupted
+    lifted values are reported as exact failures).  For the square table X
+    and D = diag(|C_j|), X D X* = |G| I gives X* X = |G| D^-1, which is
+    second orthogonality; zeta -> w is a ring homomorphism Z[zeta_e] -> F_q,
+    and by equivariance it sends conj(chi(g)) = sigma_-1(chi(g)) to the
+    value mod q on the class of g^-1.  On False, orthogonality_failures()
+    locates the failures."""
     return not orthogonality_failures(table)
 
 
 def orthogonality_failures(table: CharTable) -> list[str]:
-    # the k x k mod-q arrays are freed before the exact pass
-    failures = _mod_q_failures(table)
-    if failures:
-        return failures
     flat = [val for row in table.lifted for val in row]
     index = {val: i for i, val in enumerate(dict.fromkeys(flat))}
     cells = np.array(list(map(index.__getitem__, flat))).reshape(len(table.lifted), -1)
-    return _gram_failures(table, cells, index) or _equivariance_failures(table, cells, index)
+    return (_gram_failures(table, cells, index) or _equivariance_failures(table, cells, index)
+            or _value_failures(table, cells, index))
 
 
-def _mod_q_failures(table: CharTable) -> list[str]:
-    cd = table.class_data
-    q = table.q_field.q
-    order = table.group.order()
-    k = table.n_classes
-    v = table.values_mod_q
-    inv_classes = table.inverse_classes()
-    sizes = np.array(cd.sizes, dtype=np.int64) % q
-    failures: list[str] = []
-
-    w = v[:, inv_classes]
-    gram = mat_mul(v * sizes[None, :] % q, w.T, q)
-    want = (np.eye(k, dtype=np.int64) * (order % q)) % q
-    for r, s in zip(*np.nonzero(gram != want)):
-        failures.append(f"first orthogonality mod q fails at rows ({r},{s})")
-
-    col = mat_mul(w.T, v, q)
-    cent = np.zeros((k, k), dtype=np.int64)
-    for j in range(k):
-        cent[j, j] = (order // cd.sizes[j]) % q
-    for j, kk in zip(*np.nonzero(col != cent)):
-        failures.append(f"second orthogonality mod q fails at classes ({j},{kk})")
-    return failures
+def _at_root(index: dict[RootSum, int], p: int, w: int, e: int) -> np.ndarray:
+    """Each distinct value of index at zeta -> w, mod p (w of order e)."""
+    wpow = [pow(w, l, p) for l in range(e)]
+    return np.array([sum(m * wpow[l % e] for l, m in val) % p for val in index],
+                    dtype=np.int64)
 
 
 def _gram_failures(table: CharTable, cells: np.ndarray, index: dict[RootSum, int]) -> list[str]:
@@ -390,9 +363,9 @@ def _gram_failures(table: CharTable, cells: np.ndarray, index: dict[RootSum, int
     product, offset = 1, 0
     while product <= bound:
         wf = select_prime(e, order, offset=offset)
-        p, wpow = wf.q, [pow(wf.w, l, wf.q) for l in range(e)]
-        at_w = np.array([sum(m * wpow[l % e] for l, m in val) % p for val in index])
-        at_w_inv = np.array([sum(m * wpow[-l % e] for l, m in val) % p for val in index])
+        p = wf.q
+        at_w = _at_root(index, p, wf.w, e)
+        at_w_inv = _at_root(index, p, inv_mod(wf.w, p), e)
         gram = mat_mul(at_w[cells] * (sizes % p) % p, at_w_inv[cells].T, p)
         bad |= gram != np.eye(k, dtype=np.int64) * (order % p)
         product, offset = product * p, offset + 1
@@ -415,6 +388,14 @@ def _equivariance_failures(table: CharTable, cells: np.ndarray,
             failures.append(f"lifted values not Galois-equivariant at row {r}, "
                             f"class {j} under sigma_{a}")
     return failures
+
+
+def _value_failures(table: CharTable, cells: np.ndarray, index: dict[RootSum, int]) -> list[str]:
+    """Cells whose lifted value at zeta -> w differs from its value mod q."""
+    wf = table.q_field
+    wrong = _at_root(index, wf.q, wf.w, wf.exponent)[cells] != table.values_mod_q
+    return [f"lifted value does not match its value mod q at row {r}, class {j}"
+            for r, j in zip(*np.nonzero(wrong))]
 
 
 # -- export ---------------------------------------------------------------

@@ -5,6 +5,8 @@ g -> chi(g^k); a row has values in Q iff it is fixed by every sigma_k, in
 R iff fixed by sigma_{e-1}, and in Q_p = Q(zeta_p) iff fixed by every
 sigma_k with k = 1 (mod p) when p | e (when p does not divide e this
 degenerates to the rational test, since Q(zeta_p) meets Q(zeta_e) in Q).
+A row fixed by generators of such a group of k is fixed by all of it, so
+only the generators (arith.unit_generators) are tested.
 
 Row comparisons happen mod q, which is sound because the mod-q table is
 nonsingular, so distinct rows stay distinct.
@@ -17,7 +19,7 @@ from math import gcd
 
 import numpy as np
 
-from .arith import check_prime
+from .arith import check_prime, unit_generators
 from .chartable import CharTable
 from .fplinalg import require
 
@@ -84,10 +86,6 @@ def galois_image_row(table: CharTable, row: int, k: int) -> int:
     return int(matches[0])
 
 
-def _coprime_residues(e: int) -> list[int]:
-    return [k for k in range(1, e + 1) if gcd(k, e) == 1]
-
-
 def field_rows(table: CharTable, spec: FieldSpec) -> tuple[int, ...]:
     """Row indices whose values lie in the field; always contains row 0."""
     kind = spec.kind
@@ -96,13 +94,13 @@ def field_rows(table: CharTable, spec: FieldSpec) -> tuple[int, ...]:
         return tuple(range(k))
     e = table.q_field.exponent
     if kind == "rational":
-        ks = _coprime_residues(e)
+        ks = unit_generators(e)
     elif kind == "real":
         ks = [e - 1]
     else:
         if e % spec.p != 0:
             return field_rows(table, FieldSpec.rational())
-        ks = [kk for kk in _coprime_residues(e) if kk % spec.p == 1]
+        ks = unit_generators(e, spec.p)
     mask = np.ones(k, dtype=bool)
     for kk in ks:
         mask &= table.galois_fixed(kk)

@@ -48,7 +48,7 @@ def test_criterion_2_orthogonality(corpus_entries):
         assert verify_orthogonality(t), expr
         assert sum(d * d for d in t.degrees) == t.group.order(), expr
         checked += 1
-    ok("2", f"orthogonality (mod q and exact) and sum d^2 = |G| on "
+    ok("2", f"orthogonality (exact, and mod q through the lift) and sum d^2 = |G| on "
             f"{checked} corpus groups")
 
 

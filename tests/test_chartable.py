@@ -432,10 +432,33 @@ def test_c4_column_norms():
     t = table_of("C(4)")
     q = t.q_field.q
     v = t.values_mod_q
-    inv = t.inverse_classes()
+    inv = t.power_classes(-1)
     for j in range(4):
         norm = sum(int(v[r][j]) * int(v[r][inv[j]]) for r in range(4)) % q
         assert norm == 4 % q
+
+
+@pytest.mark.parametrize("expr", ["C(4)", "S(4)", "A(5)", "SL(2,5)", "D(10)", "Aff(7,3)",
+                                  "C(2) x C(8)"])
+@pytest.mark.parametrize("seed", [None, 7])
+def test_orthogonality_relations_mod_q(expr, seed):
+    # verify_orthogonality no longer checks the mod-q table directly; both
+    # relations must follow from the exact check, here in Python ints
+    g = construct(expr) if seed is None else relabel(construct(expr), seed)
+    t = compute_table(g)
+    assert verify_orthogonality(t)
+    q, order, k = t.q_field.q, g.order(), t.n_classes
+    sizes = t.class_data.sizes
+    v = t.values_mod_q.tolist()
+    inv = t.power_classes(-1)
+    for r in range(k):
+        for s in range(k):
+            first = sum(sizes[j] * v[r][j] * v[s][inv[j]] for j in range(k)) % q
+            assert first == (order if r == s else 0) % q, (r, s)
+    for j in range(k):
+        for jj in range(k):
+            second = sum(v[r][inv[j]] * v[r][jj] for r in range(k)) % q
+            assert second == (order // sizes[j] if j == jj else 0) % q, (j, jj)
 
 
 def test_mutated_table_fails_orthogonality():
@@ -450,7 +473,8 @@ def test_mutated_table_fails_orthogonality():
     )
     mutated.values_mod_q[1][1] = (mutated.values_mod_q[1][1] + 1) % t.q_field.q
     assert not verify_orthogonality(mutated)
-    assert orthogonality_failures(mutated)
+    assert orthogonality_failures(mutated) == [
+        "lifted value does not match its value mod q at row 1, class 1"]
 
 
 def _with_lifted(t, lifted):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -99,24 +100,37 @@ def test_galois_action_permutes_rows_preserving_degrees():
                        for r, i in enumerate(images))
 
 
+def _fixed_by_all(t, ks):
+    # rows fixed by every sigma_k, straight from the mod-q values
+    v = t.values_mod_q.tolist()
+    return {r for r, row in enumerate(v)
+            if all(row[c] == row[j] for k in ks for j, c in enumerate(t.power_classes(k)))}
+
+
 def test_field_containments():
-    for expr in ("S(4)", "SL(2,5)", "Aff(7,3)", "C(12)", "PSL(2,7)"):
+    for expr in ("S(4)", "SL(2,5)", "Aff(7,3)", "C(12)", "PSL(2,7)", "C(1)", "C(2)",
+                 "C(60)"):
         t = table_of(expr)
+        e = t.q_field.exponent
+        units = [k for k in range(1, e + 1) if math.gcd(k, e) == 1]
         rational = set(field_rows(t, FieldSpec.rational()))
         real = set(field_rows(t, FieldSpec.real()))
         everything = set(field_rows(t, FieldSpec.all()))
         assert rational <= real <= everything
+        assert rational == _fixed_by_all(t, units), expr
         for p in (2, 3, 5, 7):
             qp = set(field_rows(t, FieldSpec.cyclotomic(p)))
             assert rational <= qp <= everything
-            if t.q_field.exponent % p != 0:
+            if e % p != 0:
                 assert qp == rational
+            else:
+                assert qp == _fixed_by_all(t, [k for k in units if k % p == 1]), (expr, p)
 
 
 def test_real_agrees_with_inverse_class_columns():
     for expr in ("SL(2,5)", "D(7)", "Aff(5,4)", "C(8)"):
         t = table_of(expr)
-        inv = t.inverse_classes()
+        inv = t.power_classes(-1)
         for r in range(t.n_classes):
             direct = all(int(t.values_mod_q[r][j]) == int(t.values_mod_q[r][inv[j]])
                          for j in range(t.n_classes))

@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from chartab import (DenseCapExceeded, NotNormal, Permutation, construct,
                      parse_cycles)
 from chartab.arith import (check_prime, element_of_order, is_prime,
-                           pprime_part, prime_factors)
+                           pprime_part, prime_factors, unit_generators)
 from chartab.chartable import compute_table
 from chartab.groupspec import construct_cached
 
@@ -399,6 +400,17 @@ def test_prime_validation():
                 assert min(t for t in range(1, e + 1) if pow(w, t, q) == 1) == e, (q, e)
     with pytest.raises(ValueError):
         element_of_order(7, 4)
+
+
+def test_unit_generators_generate_the_units_one_mod_p():
+    for e in range(1, 121):
+        for p in [1] + prime_factors(e):
+            gens = unit_generators(e, p)
+            closure = {1 % e}
+            while (grown := closure | {h * a % e for h in closure for a in gens}) != closure:
+                closure = grown
+            assert closure == {a % e for a in range(1, e + 1)
+                               if gcd(a, e) == 1 and a % p == 1 % p}, (e, p)
 
 
 # -- quotients ---------------------------------------------------------------------

@@ -100,3 +100,19 @@ def test_no_unbounded_memo_outside_groupspec():
             elif isinstance(node, ast.Attribute) and node.attr in ("lru_cache", "cache"):
                 found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
     assert not found, found
+
+
+def test_dataclasses_have_no_memo_fields():
+    # a memo stuck onto a dataclass as field(..., init=False) is shared by
+    # dataclasses.replace copies; objects hold only what they are built from
+    found = []
+    for path in sorted(Path(chartab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and ast.unparse(node.func) in
+                    ("field", "dataclasses.field")):
+                continue
+            if any(kw.arg == "init" and isinstance(kw.value, ast.Constant)
+                   and kw.value.value is False for kw in node.keywords):
+                found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    assert not found, found
