@@ -218,7 +218,7 @@ def _galois_orbits(cd: ClassData) -> dict[int, list[tuple[int, dict[int, int]]]]
         orbit: dict[int, int] = {}
         for a in range(m):
             if gcd(a, m) == 1:
-                orbit.setdefault(cd.power_map[j][a], a)
+                orbit.setdefault(int(cd.power_map[j][a]), a)
         done.update(orbit)
         by_order.setdefault(m, []).append((j, orbit))
     return by_order

@@ -66,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the harness over a corpus file")
     p_verify.add_argument("--corpus", required=True,
                           help="corpus file path, or 'default' for the bundled corpus")
-    p_verify.add_argument("--max-order", type=int, default=None)
+    p_verify.add_argument("--max-order", type=_positive_int, default=None)
     p_verify.add_argument("--out", default=None)
     p_verify.add_argument("--jobs", type=_positive_int, default=1)
     p_verify.add_argument("--seed", type=int, default=0)

@@ -508,7 +508,7 @@ def construct(spec: GroupSpec | str) -> PermGroup:
 def construct_cached(expr: str) -> PermGroup:
     """Memoized construct() (groups are immutable).
 
-    Entries, with the chains, elements and classes each group memoises,
+    Entries, with the chains, element rows and classes each group memoises,
     live as long as the process; the library's own paths call construct().
     """
     return construct(expr)

@@ -22,11 +22,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
-from .arith import is_prime, prime_factors
+from .arith import check_prime, is_prime, prime_factors
 from .chartable import compute_table
 from .fields import FieldSpec
 from .groupspec import GroupExprError, construct, parse_group_expr
 from .invariants import average_degree, degree_counts
+from .perm import Permutation
 from .permgroup import PermGroup
 
 _REPORT_ENCODER = json.JSONEncoder(sort_keys=True, indent=1, separators=(",", ": "))
@@ -316,13 +317,8 @@ def verify_corpus(entries: list[str], max_order: int | None = None,
             results = list(pool.map(run, entries))
     else:
         results = [run(e) for e in entries]
-    reports = []
-    for res in results:
-        if isinstance(res, str):
-            if res:
-                warnings.append(res)
-        else:
-            reports.append(res)
+    warnings += [res for res in results if isinstance(res, str) and res]
+    reports = [res for res in results if not isinstance(res, str)]
     return CorpusSummary(reports=reports, warnings=warnings, seed=seed,
                          max_order=max_order)
 
@@ -350,7 +346,11 @@ class LemmaReport:
 
 
 def _subgroup_fingerprint(sub: PermGroup) -> tuple:
-    orders = Counter(x.order() for x in sub.elements())
+    """|T| and the count of elements of each order, read off T's classes."""
+    cd = sub.conjugacy_classes()
+    orders = Counter()
+    for size, m in zip(cd.sizes, cd.element_orders):
+        orders[m] += size
     return (sub.order(), tuple(sorted(orders.items())))
 
 
@@ -362,7 +362,7 @@ def fuzz_lemmas(group: PermGroup, trials: int, seed: int,
         raise ValueError("trials must be >= 1")
     rng = random.Random(seed)
     table = compute_table(group)
-    elements = group.elements()
+    rows = group.element_rows()
     order = group.order()
     nd_g = degree_counts(table)
     prime_divisors = default_primes(group)[:-1]
@@ -374,7 +374,7 @@ def fuzz_lemmas(group: PermGroup, trials: int, seed: int,
     tested = 0
     for _ in range(trials):
         k = rng.choice((1, 2, 3))
-        gens = [elements[rng.randrange(len(elements))] for _ in range(k)]
+        gens = [Permutation(rows[rng.randrange(len(rows))].tolist()) for _ in range(k)]
         sub = group.subgroup(gens)
         fp = _subgroup_fingerprint(sub)
         if fp in seen:
@@ -382,7 +382,7 @@ def fuzz_lemmas(group: PermGroup, trials: int, seed: int,
         seen.add(fp)
         tested += 1
         index = order // sub.order()
-        sub_table = compute_table(sub)
+        sub_table = compute_table(sub)     # reuses the classes of the fingerprint
         nd_t = degree_counts(sub_table)
         witness = ", ".join(g.cycle_string() for g in gens) or "()"
 
@@ -417,10 +417,7 @@ class CentralProductReport:
 
     @property
     def violations(self) -> list[str]:
-        out = []
-        for inst in self.instances:
-            out.extend(inst["violations"])
-        return out
+        return [v for inst in self.instances for v in inst["violations"]]
 
     def to_doc(self) -> dict:
         return {"instances": self.instances, "violations": len(self.violations)}
@@ -469,17 +466,15 @@ def sharpness_scan(entries: list[str], p: int, mode: str):
     groups without a normal p-complement.  Returns (min acd or None,
     witness list).
     """
+    check_prime(p)
     if mode not in ("solvability", "pnilpotency"):
         raise ValueError("mode must be 'solvability' or 'pnilpotency'")
     best: Fraction | None = None
     witnesses: list[str] = []
     for expr in entries:
         group = construct(expr)
-        if mode == "solvability":
-            fails = not group.is_solvable()
-        else:
-            fails = not group.has_normal_p_complement(p)
-        if not fails:
+        holds = group.is_solvable() if mode == "solvability" else group.has_normal_p_complement(p)
+        if holds:
             continue
         acd = average_degree(compute_table(group), p, FieldSpec.all())
         if best is None or acd < best:

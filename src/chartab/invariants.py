@@ -56,8 +56,7 @@ def acd_pprime(table: CharTable, p: int, spec: FieldSpec = FieldSpec.all()) -> F
 
 def _classes_meeting(table: CharTable, n: PermGroup) -> list[int]:
     cd = table.class_data
-    rows = np.array([x.images for x in n.elements()], dtype=np.int32)
-    return np.unique(cd.lookup(rows[:, cd.base])).tolist()
+    return np.unique(cd.lookup(n.element_rows()[:, cd.base])).tolist()
 
 
 def kernel_contains(table: CharTable, row: int, n: PermGroup) -> bool:
@@ -106,13 +105,6 @@ def central_linear_characters(table: CharTable, z: PermGroup) -> list[dict]:
     return out
 
 
-def _check_homomorphism(lam: dict, z_elems, e: int) -> None:
-    for a in z_elems:
-        for b in z_elems:
-            if (lam[a] + lam[b]) % e != lam[a * b] % e:
-                raise ValueError("value pattern is not a homomorphism")
-
-
 def acd_pprime_over_central(table: CharTable, z: PermGroup, lam: dict,
                             p: int) -> Fraction:
     """Average p'-degree over rows restricting to Z as degree * lambda.
@@ -127,20 +119,17 @@ def acd_pprime_over_central(table: CharTable, z: PermGroup, lam: dict,
     e = table.q_field.exponent
     if set(lam) != set(elems):
         raise ValueError("value pattern must cover exactly the elements of Z")
-    _check_homomorphism(lam, elems, e)
+    if any((lam[a] + lam[b] - lam[a * b]) % e for a in elems for b in elems):
+        raise ValueError("value pattern is not a homomorphism")
     cd = table.class_data
+    classes = cd.lookup(z.element_rows()[:, cd.base]).tolist()   # in the order of elems
+    require(all(cd.sizes[j] == 1 for j in classes),
+            "central elements must sit in singleton classes")
+    wanted = [(j, lam[x] % e) for x, j in zip(elems, classes)]
     matching = []
     for r in range(table.n_classes):
         deg = table.degrees[r]
-        ok = True
-        for x in elems:
-            j = cd.class_of(x)
-            require(cd.sizes[j] == 1, "central elements must sit in singleton classes")
-            want = ((lam[x] % e, deg),) if lam[x] % e else ((0, deg),)
-            if table.lifted[r][j] != want:
-                ok = False
-                break
-        if ok and deg % p != 0:
+        if deg % p and all(table.lifted[r][j] == ((t, deg),) for j, t in wanted):
             matching.append(deg)
     if not matching:
         raise ValueError("no p'-degree rows lie over the given central character")

@@ -12,15 +12,20 @@ Two representations coexist:
   StabilizerChain.extend grows a chain in place, and a normal closure
   keeps the chain it grew;
 * a dense element store (capped at 200000 elements, checked against the
-  chain's order before enumeration), which is the substrate for conjugacy
-  classes and all character-table work.
+  chain's order before enumeration): one read-only (order, degree) int32
+  array of image rows in tuple order, built a chain level at a time by
+  numpy gathers.  It is the substrate for conjugacy classes, quotients
+  and all character-table work; Permutations are built from it only at
+  the API edge (elements(), ClassData.reps).
 
 Classes are identified by base images, the images of the chain's base
 points, which determine an element.  ClassData holds them as exact sorted
 keys with their class ids, its one class index: class orbits, power maps,
 class matrices and ClassData.class_of(x) are numpy gathers plus one
 np.searchsorted lookup rather than a Permutation built and hashed per
-product; a row that matches no element raises InconsistentTable.
+product; a row that matches no element raises InconsistentTable.  Element
+orders are read off the power iteration: each representative's powers on
+the base points are taken until it is back at the base.
 
 Groups and their class data are immutable after construction (ClassData's
 arrays are read-only), and so is a group's chain: only extend changes a
@@ -32,7 +37,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from math import lcm
+from itertools import combinations
+from math import lcm, prod
 
 import numpy as np
 
@@ -163,10 +169,7 @@ class StabilizerChain:
         return None
 
     def order(self) -> int:
-        n = 1
-        for lvl in self.levels:
-            n *= len(lvl.transversal)
-        return n
+        return prod(len(lvl.transversal) for lvl in self.levels)
 
     def contains(self, g: Permutation) -> bool:
         if g.degree != self.degree:
@@ -181,12 +184,14 @@ class ClassData:
 
     power_map[j][k] is the class of rep_j**k for 0 <= k < element_orders[j];
     class_power extends to arbitrary k by reduction mod the element order.
+    Each power_map[j] is a read-only int view of length element_orders[j]
+    into one (k, max element order) array.
 
     The array fields identify classes by base images (the images of the
     chain's base points, which determine an element): base holds the base
     points, keys the base-image rows of all elements in sorted key order and
     key_class the class of each; rep_images the full image rows of the reps;
-    inv_base the base images of x**-1 for each element x of elements();
+    inv_base the base images of x**-1 for each row x of element_rows();
     member_index the element indices of class i at
     member_offsets[i]:member_offsets[i+1].  All of them are read-only, and
     they are the only class index: class_of(x) looks x up through them.
@@ -195,7 +200,7 @@ class ClassData:
     reps: tuple[Permutation, ...]
     sizes: tuple[int, ...]
     element_orders: tuple[int, ...]
-    power_map: tuple[tuple[int, ...], ...]
+    power_map: tuple[np.ndarray, ...] = field(compare=False)
     exponent: int
     base: np.ndarray = field(repr=False, compare=False)
     keys: np.ndarray = field(repr=False, compare=False)
@@ -209,14 +214,14 @@ class ClassData:
         return len(self.reps)
 
     def class_power(self, j: int, k: int) -> int:
-        return self.power_map[j][k % self.element_orders[j]]
+        return int(self.power_map[j][k % self.element_orders[j]])
 
     def inverse_class(self, j: int) -> int:
         return self.class_power(j, self.element_orders[j] - 1)
 
     def lookup(self, rows: np.ndarray) -> np.ndarray:
         """Class ids of the elements with the given base-image rows."""
-        return self.key_class[_search(self.keys, rows)]
+        return self.key_class[_search(self.keys, _as_keys(rows))]
 
     def class_of(self, x: Permutation) -> int:
         """Class id of an element x of the group."""
@@ -231,23 +236,35 @@ def _as_keys(rows: np.ndarray) -> np.ndarray:
     return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[-1])))[..., 0]
 
 
-def _search(keys: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Positions of base-image rows (..., b) among the sorted keys.
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """Full image rows (..., degree) as keys that sort in tuple order: the
+    big-endian bytes of non-negative ints compare as the ints do."""
+    return _as_keys(np.ascontiguousarray(rows, dtype=">i4").view(np.int32))
 
-    A row that matches no key raises InconsistentTable, so a lookup is
-    never silently wrong.
+
+def _search(keys: np.ndarray, wanted: np.ndarray) -> np.ndarray:
+    """Positions of the wanted keys among the sorted keys.
+
+    A key that matches none raises InconsistentTable, so a lookup is never
+    silently wrong.
     """
-    wanted = _as_keys(rows)
     pos = np.searchsorted(keys, wanted)
     np.minimum(pos, len(keys) - 1, out=pos)
     require(bool(np.all(keys[pos] == wanted)),
-            "base images of a product match no element of the group")
+            "a product matches no element of the group")
     return pos
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+def _permutations(rows: np.ndarray) -> tuple[Permutation, ...]:
+    """The image rows as Permutations, built a row at a time; their image
+    tuples share one tuple of point ints instead of an int object per entry."""
+    points = tuple(range(rows.shape[1]))
+    return tuple(Permutation(compose(row.tolist(), points), _checked=True) for row in rows)
 
 
 class PermGroup:
@@ -261,7 +278,7 @@ class PermGroup:
         self.degree = degree
         self.generators = tuple(g for g in generators if not g.is_identity())
         self._chain: StabilizerChain | None = None
-        self._elements: tuple[Permutation, ...] | None = None
+        self._rows: np.ndarray | None = None
         self._classes: ClassData | None = None
 
     # -- structure ---------------------------------------------------------
@@ -284,20 +301,26 @@ class PermGroup:
     def is_trivial(self) -> bool:
         return not self.generators
 
-    def elements(self) -> tuple[Permutation, ...]:
-        """All elements in a stable sorted order (dense mode), read off the
-        chain as the products v_0 * v_1 * ... of one coset-table entry per
-        level."""
-        if self._elements is None:
+    def element_rows(self) -> np.ndarray:
+        """All elements as a read-only (order, degree) int32 array of image
+        rows in tuple order (dense mode), read off the chain as the products
+        v_0 * v_1 * ... of one coset-table entry per level."""
+        if self._rows is None:
             if self.order() > DEFAULT_ENUM_CAP:
                 raise DenseCapExceeded(
                     f"group has more than {DEFAULT_ENUM_CAP} elements: "
                     "too large for dense mode")
-            elems = [self.identity()]
+            rows = np.arange(self.degree, dtype=np.int32)[None, :]
             for lvl in reversed(self.chain.levels):
-                elems = [v * x for x in elems for v in lvl.transversal.values()]
-            self._elements = tuple(sorted(elems))
-        return self._elements
+                v = np.array([t.images for t in lvl.transversal.values()], dtype=np.intp)
+                # (v * x)[b] = x[v[b]], for every row x and every entry v
+                rows = rows[:, v].reshape(len(rows) * len(v), self.degree)
+            self._rows = _readonly(rows[np.argsort(_row_keys(rows))])
+        return self._rows
+
+    def elements(self) -> tuple[Permutation, ...]:
+        """All elements as Permutations, in the order of element_rows()."""
+        return _permutations(self.element_rows())
 
     def subgroup(self, generators) -> "PermGroup":
         return PermGroup(generators, self.degree)
@@ -310,10 +333,9 @@ class PermGroup:
         return self._classes
 
     def _compute_classes(self) -> ClassData:
-        elems = self.elements()
-        n = len(elems)
+        images = self.element_rows()
+        n = len(images)
         base = np.array([lvl.point for lvl in self.chain.levels], dtype=np.intp)
-        images = np.array([x.images for x in elems], dtype=np.int32)
         inverses = np.empty_like(images)
         inverses[np.arange(n)[:, None], images] = np.arange(self.degree, dtype=np.int32)
         unsorted_keys = _as_keys(images[:, base])
@@ -321,13 +343,13 @@ class PermGroup:
         keys = unsorted_keys[key_order]
         require(bool(np.all(keys[1:] != keys[:-1])), "base images must determine the element")
 
-        # conjugation by each generator as an index map on elements():
+        # conjugation by each generator as an index map on element_rows():
         # (g^-1 x g)[b] = g[x[g^-1[b]]] under left-to-right composition
         conj = []
         for g in self.generators:
             g_arr = np.array(g.images, dtype=np.int32)
             g_inv = np.array(g.inverse().images, dtype=np.intp)
-            conj.append(key_order[_search(keys, g_arr[images[:, g_inv[base]]])].tolist())
+            conj.append(key_order[_search(keys, _as_keys(g_arr[images[:, g_inv[base]]]))].tolist())
 
         assigned = [-1] * n
         rep_index: list[int] = []
@@ -349,24 +371,28 @@ class PermGroup:
                         orbit.append(z)
             rep_index.append(x)
             orbits.append(orbit)
-        reps = tuple(elems[x] for x in rep_index)
         sizes = tuple(len(m) for m in orbits)
-        orders = tuple(r.order() for r in reps)
         key_class = np.array(assigned, dtype=np.intp)[key_order]
 
-        # power maps on the base columns only: rep^t[b] = rep[rep^(t-1)[b]]
-        k = len(reps)
+        # power maps on the base columns only, rep^t[b] = rep[rep^(t-1)[b]],
+        # until every rep is back at the base: rep^t is then the identity,
+        # so the step count is the element order
+        k = len(rep_index)
         rep_images = images[rep_index]
-        powers = np.empty((max(orders), k, len(base)), dtype=np.int32)
-        powers[0] = base
-        for t in range(1, len(powers)):
-            powers[t] = rep_images[np.arange(k)[:, None], powers[t - 1]]
-        classes = key_class[_search(keys, powers)]
+        power = np.broadcast_to(base.astype(np.int32), (k, len(base)))
+        powers, orders = [], np.zeros(k, dtype=np.intp)
+        while not orders.all():
+            powers.append(power)
+            power = rep_images[np.arange(k)[:, None], power]
+            orders[(orders == 0) & np.all(power == base, axis=1)] = len(powers)
+        # (k, max order): the class of rep_j^t at [j, t]
+        power_table = _readonly(key_class[_search(keys, _as_keys(np.stack(powers, axis=1)))])
+        orders = tuple(orders.tolist())
         return ClassData(
-            reps=reps,
+            reps=_permutations(rep_images),
             sizes=sizes,
             element_orders=orders,
-            power_map=tuple(tuple(classes[:orders[j], j].tolist()) for j in range(k)),
+            power_map=tuple(power_table[j, :m] for j, m in enumerate(orders)),
             exponent=lcm(*orders),
             base=_readonly(base),
             keys=_readonly(keys),
@@ -398,12 +424,8 @@ class PermGroup:
         return closure
 
     def derived_subgroup(self) -> "PermGroup":
-        comms = []
-        gens = self.generators
-        for i, a in enumerate(gens):
-            for b in gens[i + 1:]:
-                comms.append(a.inverse() * b.inverse() * a * b)
-        return self.normal_closure(comms)
+        return self.normal_closure(a.inverse() * b.inverse() * a * b
+                                   for a, b in combinations(self.generators, 2))
 
     def derived_series(self) -> list["PermGroup"]:
         series = [self]
@@ -438,41 +460,35 @@ class PermGroup:
     # -- quotients -----------------------------------------------------------
 
     def is_central_subgroup(self, z: "PermGroup") -> bool:
-        for x in z.generators:
-            if x not in self:
-                return False
-            for g in self.generators:
-                if x * g != g * x:
-                    return False
-        return True
+        return all(x in self and all(x * g == g * x for g in self.generators)
+                   for x in z.generators)
 
     def check_normal(self, n: "PermGroup") -> None:
-        for x in n.generators:
-            if x not in self:
-                raise NotNormal("subgroup is not contained in the group")
-        for x in n.generators:
-            for g in self.generators:
-                if x.conjugate(g) not in n:
-                    raise NotNormal("subgroup is not normal")
+        if not all(x in self for x in n.generators):
+            raise NotNormal("subgroup is not contained in the group")
+        if not all(x.conjugate(g) in n for x in n.generators for g in self.generators):
+            raise NotNormal("subgroup is not normal")
 
     def quotient_by(self, n: "PermGroup") -> "PermGroup":
-        """Faithful action of G/N on the cosets of N."""
+        """Faithful action of G/N on the cosets of N, numbered in the order
+        of their first rows in element_rows()."""
         self.check_normal(n)
-        n_elems = n.elements()
-        coset_rep: dict[Permutation, Permutation] = {}
-        reps: list[Permutation] = []
-        for x in self.elements():
-            if x in coset_rep:
-                continue
-            reps.append(x)
-            for h in n_elems:
-                coset_rep[h * x] = x
-        index = {rep: i for i, rep in enumerate(reps)}
+        rows, n_rows = self.element_rows(), n.element_rows()
+        keys = _row_keys(rows)
+        coset = np.full(len(rows), -1, dtype=np.intp)
+        reps: list[int] = []
+        for x in range(len(rows)):
+            if coset[x] < 0:
+                # the coset N x: (h * x)[b] = x[h[b]]
+                coset[_search(keys, _row_keys(rows[x][n_rows]))] = len(reps)
+                reps.append(x)
         require(len(reps) * n.order() == self.order(), "cosets of N must partition G")
         quot_gens = []
         for g in self.generators:
-            images = tuple(index[coset_rep[rep * g]] for rep in reps)
-            quot_gens.append(Permutation(images, _checked=True))
+            # (rep * g)[b] = g[rep[b]]
+            products = np.array(g.images, dtype=np.int32)[rows[reps]]
+            images = coset[_search(keys, _row_keys(products))]
+            quot_gens.append(Permutation(images.tolist(), _checked=True))
         return PermGroup(quot_gens, len(reps))
 
     def __repr__(self) -> str:
@@ -482,10 +498,8 @@ class PermGroup:
 def direct_product(a: PermGroup, b: PermGroup) -> PermGroup:
     """A x B acting on the disjoint union of their point sets."""
     deg = a.degree + b.degree
-    gens = []
-    for g in a.generators:
-        gens.append(Permutation(g.images + tuple(range(a.degree, deg)), _checked=True))
-    for g in b.generators:
-        gens.append(Permutation(tuple(range(a.degree)) + tuple(i + a.degree for i in g.images),
-                                _checked=True))
+    fixed_a, fixed_b = tuple(range(a.degree)), tuple(range(a.degree, deg))
+    gens = [Permutation(g.images + fixed_b, _checked=True) for g in a.generators]
+    gens += [Permutation(fixed_a + tuple(i + a.degree for i in g.images), _checked=True)
+             for g in b.generators]
     return PermGroup(gens, deg)

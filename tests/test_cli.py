@@ -121,6 +121,17 @@ def test_sharpness(capsys, tmp_path):
     assert "  A(5)" in out
 
 
+@pytest.mark.parametrize("mode", ["solvability", "pnilpotency"])
+def test_sharpness_rejects_a_non_prime(capsys, tmp_path, mode):
+    # no group here is nonsolvable, so only an up-front check sees the 4
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("C(4)\nS(3)\n")
+    code, out, err = run(capsys, "sharpness", "--corpus", str(corpus),
+                         "--prime", "4", "--mode", mode)
+    assert (code, out) == (2, "")
+    assert "error: 4 is not prime" in err
+
+
 def test_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "acd", "B(5)", "--prime", "2")
     assert code == 2 and "error" in err
@@ -138,6 +149,14 @@ def test_verify_rejects_jobs_below_one(capsys, jobs):
         main(["verify", "--corpus", "default", "--jobs", jobs])
     assert exc.value.code == 2
     assert "--jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("max_order", ["0", "-1"])
+def test_verify_rejects_max_order_below_one(capsys, max_order):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--corpus", "default", "--max-order", max_order])
+    assert exc.value.code == 2
+    assert "--max-order" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("doc", [

@@ -62,6 +62,26 @@ def test_enumerate_elements():
         assert set(elems) == brute_mulclose(g.generators or (g.identity(),)), expr
 
 
+# C(300) has points above 255, where little-endian row bytes would not
+# sort in tuple order
+@pytest.mark.parametrize("expr", ["C(1)", "C(6)", "A(5)", "D(10)", "Aff(7,3)", "S(3) x C(4)",
+                                  "CentralProd(SL(2,5), C(4))", "C(300)"])
+@pytest.mark.parametrize("relabelled", [False, True])
+def test_element_rows_match_elements(expr, relabelled):
+    g = construct(expr)
+    if relabelled:
+        g = relabel(g, 7)
+    rows = g.element_rows()
+    assert rows.dtype == np.int32 and rows.shape == (g.order(), g.degree)
+    assert not rows.flags.writeable
+    with pytest.raises(ValueError):
+        rows[0, 0] = rows[0, 0]
+    assert rows.tolist() == [list(p.images) for p in g.elements()]
+    as_tuples = [tuple(r) for r in rows.tolist()]
+    assert as_tuples == sorted(as_tuples) and len(set(as_tuples)) == len(as_tuples)
+    assert g.element_rows() is rows
+
+
 def test_enumeration_cap(monkeypatch):
     g = construct("S(9)")
     # order is still available through the stabilizer chain
@@ -280,9 +300,10 @@ def test_power_map_matches_permutation_powers():
 
 
 def test_class_arrays_read_only():
-    cd = construct("A(5)").conjugacy_classes()
+    g = construct("A(5)")
+    cd = g.conjugacy_classes()
     arrays = [cd.base, cd.keys, cd.key_class, cd.rep_images, cd.inv_base,
-              cd.member_index, cd.member_offsets]
+              cd.member_index, cd.member_offsets, *cd.power_map, g.element_rows()]
     for arr in arrays:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):

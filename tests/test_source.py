@@ -1,9 +1,18 @@
 import ast
 import importlib.util
+import inspect
+import json
+import shutil
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import chartab
+import chartab.permgroup
 from chartab.permgroup import PermGroup
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def test_library_has_no_assert_statements():
@@ -72,17 +81,40 @@ def test_image_tuples_are_composed_only_in_perm():
 
 def test_benchmark_tracer_targets_exist():
     # perfbench/spans.py wraps library functions and PermGroup methods by
-    # name; loading it (without instrumenting) checks every name still resolves
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    # name; loading it (without instrumenting) checks every name still
+    # resolves, each method as a plain function on the class (a property
+    # would pass hasattr) and StabilizerChain as a class
+    path = REPO / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
     missing = [f"{module}.{attr}" for _, module, attr in spans.FUNCTIONS
                if not callable(getattr(importlib.import_module(module), attr, None))]
     missing += [f"PermGroup.{attr}" for _, attr in spans.METHODS
-                if not hasattr(PermGroup, attr)]
+                if not inspect.isfunction(vars(PermGroup).get(attr))]
+    if not inspect.isclass(getattr(chartab.permgroup, "StabilizerChain", None)):
+        missing.append("chartab.permgroup.StabilizerChain")
     assert spans.FUNCTIONS and spans.METHODS
     assert not missing, missing
+
+
+def test_traced_corpus_child_is_correct(tmp_path):
+    # one traced benchmark iteration of the corpus workload, in a copy of
+    # perfbench/ whose src/ links to this checkout's, so nothing is written
+    # under the checkout's perfbench/
+    shutil.copytree(REPO / "perfbench", tmp_path / "perfbench",
+                    ignore=shutil.ignore_patterns("results", "__pycache__"))
+    (tmp_path / "src").symlink_to(REPO / "src", target_is_directory=True)
+    proc = subprocess.run(
+        [sys.executable, str(tmp_path / "perfbench" / "child.py"),
+         "--spawned-at", repr(time.monotonic()), "--workload", "corpus",
+         "--seed", "7", "--trace", "1"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["fresh"]
+    assert result["failed"] == 0 and result["errors"] == []
+    assert result["layers"]["harness.check_group_s"] > 0
 
 
 def test_no_unbounded_memo_outside_groupspec():
