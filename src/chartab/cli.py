@@ -11,6 +11,7 @@ import argparse
 import sys
 from importlib import resources
 
+from .arith import check_prime
 from .chartable import compute_table, format_table, table_document
 from .fields import field_from_label
 from .fplinalg import InconsistentTable
@@ -110,9 +111,9 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "acd":
-        table = compute_table(construct(args.expr))
+        check_prime(args.prime)
         spec = field_from_label(args.field, args.prime)
-        value = average_degree(table, args.prime, spec)
+        value = average_degree(compute_table(construct(args.expr)), args.prime, spec)
         print(f"{value.numerator}/{value.denominator}")
         return 0
 

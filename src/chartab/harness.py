@@ -24,9 +24,10 @@ from itertools import islice
 
 from .arith import check_prime, is_prime, prime_factors
 from .chartable import compute_table
-from .fields import FieldSpec
+from .fields import FieldSpec, field_rows
 from .groupspec import GroupExprError, construct, parse_group_expr
-from .invariants import average_degree, degree_counts
+from .invariants import (average_degree, degree_counts, irr_pprime, mean_degree,
+                         pprime_rows)
 from .perm import Permutation
 from .permgroup import PermGroup
 
@@ -188,60 +189,44 @@ def default_primes(group: PermGroup) -> list[int]:
 
 def check_group(group: PermGroup, primes: list[int] | None = None,
                 name: str = "") -> VerdictReport:
-    """Evaluate every applicable catalog entry for each prime."""
-    table = compute_table(group)
+    """Evaluate every applicable catalog entry for each prime, checked
+    before the table is built.  Each field's rows are selected once (Qp's
+    once per prime) and give both the p'-filtered and the plain average."""
     if primes is None:
         primes = default_primes(group)
+    for p in primes:
+        check_prime(p)
+    table = compute_table(group)
     solvable = group.is_solvable()
     n_d = degree_counts(table)
-    # only the Qp field depends on p once the p'-filter is off
-    unfiltered_any_p = {
-        "C": average_degree(table, None, FieldSpec.all()),
-        "Q": average_degree(table, None, FieldSpec.rational()),
-        "R": average_degree(table, None, FieldSpec.real()),
-    }
+    fixed_fields = {label: field_rows(table, spec) for label, spec in
+                    (("C", FieldSpec.all()), ("Q", FieldSpec.rational()),
+                     ("R", FieldSpec.real()))}
     records = []
     for p in primes:
-        acds = {
-            "C": average_degree(table, p, FieldSpec.all()),
-            "Q": average_degree(table, p, FieldSpec.rational()),
-            "Qp": average_degree(table, p, FieldSpec.cyclotomic(p)),
-            "R": average_degree(table, p, FieldSpec.real()),
-        }
-        unfiltered = dict(unfiltered_any_p,
-                          Qp=average_degree(table, None, FieldSpec.cyclotomic(p)))
+        fields = dict(fixed_fields, Qp=field_rows(table, FieldSpec.cyclotomic(p)))
+        acds = {label: mean_degree(table, pprime_rows(table, rows, p))
+                for label, rows in fields.items()}
+        unfiltered = {label: mean_degree(table, rows) for label, rows in fields.items()}
         complement = group.has_normal_p_complement(p)
         verdicts = []
         for entry in THEOREM_CATALOG:
             if not entry.applicable(p):
                 continue
             acd = acds[entry.field_label] if entry.pprime_filter else unfiltered[entry.field_label]
-            holds = entry.hypothesis(acd)
-            if holds:
-                concl = complement if entry.conclusion == "p_complement" else solvable
-                verdict = "consistent" if concl else "VIOLATION"
-            else:
-                verdict = "vacuous"
+            concl = complement if entry.conclusion == "p_complement" else solvable
+            verdict = ("vacuous" if not entry.hypothesis(acd)
+                       else "consistent" if concl else "VIOLATION")
             sharp = entry.relation == "<" and acd == entry.threshold
             verdicts.append(TheoremVerdict(entry.id, p, acd, verdict, sharp))
-        bound = Fraction(2 * p + 2, p + 3) if p % 2 == 1 else None
-        rel = None
-        if bound is not None:
-            a = acds["C"]
+        bound = rel = None
+        if p % 2 == 1:
+            bound, a = Fraction(2 * p + 2, p + 3), acds["C"]
             rel = "<" if a < bound else ("=" if a == bound else ">")
         records.append(PrimeRecord(
-            p=p,
-            acd_all=acds["C"],
-            acd_Q=acds["Q"],
-            acd_Qp=acds["Qp"],
-            acd_R=acds["R"],
-            n_d=n_d,
-            has_normal_p_complement=complement,
-            is_solvable=solvable,
-            verdicts=verdicts,
-            conjecture_bound=bound,
-            conjecture_relation=rel,
-        ))
+            p=p, acd_all=acds["C"], acd_Q=acds["Q"], acd_Qp=acds["Qp"], acd_R=acds["R"],
+            n_d=n_d, has_normal_p_complement=complement, is_solvable=solvable,
+            verdicts=verdicts, conjecture_bound=bound, conjecture_relation=rel))
     return VerdictReport(group=name or f"<degree {group.degree}>",
                          order=group.order(), primes=records)
 
@@ -366,7 +351,7 @@ def fuzz_lemmas(group: PermGroup, trials: int, seed: int,
     order = group.order()
     nd_g = degree_counts(table)
     prime_divisors = default_primes(group)[:-1]
-    irr_p_g = {p: sum(1 for d in table.degrees if d % p) for p in prime_divisors}
+    irr_p_g = {p: len(irr_pprime(table, p)) for p in prime_divisors}
 
     seen: set[tuple] = set()
     violations: list[str] = []
@@ -399,7 +384,7 @@ def fuzz_lemmas(group: PermGroup, trials: int, seed: int,
                     f"for T = <{witness}> of index {index}")
         for p in prime_divisors:
             checks += 1
-            irr_p_t = sum(1 for d in sub_table.degrees if d % p)
+            irr_p_t = len(irr_pprime(sub_table, p))
             if irr_p_g[p] > index * irr_p_t:
                 violations.append(
                     f"|Irr_{p}'| bound fails: {irr_p_g[p]} > {index}*{irr_p_t} "

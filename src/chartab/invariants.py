@@ -19,14 +19,21 @@ from .fplinalg import require
 from .permgroup import PermGroup
 
 
+def pprime_rows(table: CharTable, rows, p: int) -> tuple[int, ...]:
+    """The given rows of degree not divisible by the prime p."""
+    check_prime(p)
+    return tuple(r for r in rows if table.degrees[r] % p != 0)
+
+
+def mean_degree(table: CharTable, rows) -> Fraction:
+    """The exact average degree of the given rows."""
+    return Fraction(sum(table.degrees[r] for r in rows), len(rows))
+
+
 def selected_rows(table: CharTable, p: int | None, spec: FieldSpec) -> tuple[int, ...]:
     """Rows with p'-degree (no filter when p is None) and values in the field."""
-    if p is not None:
-        check_prime(p)
     rows = field_rows(table, spec)
-    if p is None:
-        return rows
-    return tuple(r for r in rows if table.degrees[r] % p != 0)
+    return rows if p is None else pprime_rows(table, rows, p)
 
 
 def irr_pprime(table: CharTable, p: int, spec: FieldSpec = FieldSpec.all()) -> tuple[int, ...]:
@@ -43,8 +50,7 @@ def degree_counts(table: CharTable, rows=None) -> dict[int, int]:
 
 
 def average_degree(table: CharTable, p: int | None, spec: FieldSpec) -> Fraction:
-    rows = selected_rows(table, p, spec)
-    return Fraction(sum(table.degrees[r] for r in rows), len(rows))
+    return mean_degree(table, selected_rows(table, p, spec))
 
 
 def acd_pprime(table: CharTable, p: int, spec: FieldSpec = FieldSpec.all()) -> Fraction:
@@ -126,11 +132,8 @@ def acd_pprime_over_central(table: CharTable, z: PermGroup, lam: dict,
     require(all(cd.sizes[j] == 1 for j in classes),
             "central elements must sit in singleton classes")
     wanted = [(j, lam[x] % e) for x, j in zip(elems, classes)]
-    matching = []
-    for r in range(table.n_classes):
-        deg = table.degrees[r]
-        if deg % p and all(table.lifted[r][j] == ((t, deg),) for j, t in wanted):
-            matching.append(deg)
+    matching = [r for r in pprime_rows(table, range(table.n_classes), p)
+                if all(table.lifted[r][j] == ((t, table.degrees[r]),) for j, t in wanted)]
     if not matching:
         raise ValueError("no p'-degree rows lie over the given central character")
-    return Fraction(sum(matching), len(matching))
+    return mean_degree(table, matching)

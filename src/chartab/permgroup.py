@@ -25,7 +25,8 @@ class matrices and ClassData.class_of(x) are numpy gathers plus one
 np.searchsorted lookup rather than a Permutation built and hashed per
 product; a row that matches no element raises InconsistentTable.  Element
 orders are read off the power iteration: each representative's powers on
-the base points are taken until it is back at the base.
+the base points are taken until it is back at the base.  A normal
+p-complement is decided on the p'-classes by the same lookups.
 
 Groups and their class data are immutable after construction (ClassData's
 arrays are read-only), and so is a group's chain: only extend changes a
@@ -441,21 +442,29 @@ class PermGroup:
     def is_solvable(self) -> bool:
         return self.derived_series()[-1].order() == 1
 
-    def p_residual(self, p: int) -> "PermGroup":
-        """O^p(G): normal closure of all elements of order coprime to p."""
-        check_prime(p)
-        cd = self.conjugacy_classes()
-        seeds = [rep for rep, o in zip(cd.reps, cd.element_orders) if o % p != 0]
-        return self.normal_closure(seeds)
-
     def has_normal_p_complement(self, p: int) -> bool:
+        """Does G have a normal p-complement?  Let S be the members of the
+        classes of element order prime to p.  A normal p-complement K holds
+        every p'-element g (gK has p-power order in G/K and order prime to
+        p), so K = S.  Conversely, let |S| = |G|_{p'} and S*r lie in S for
+        each p'-class representative r.  S is a union of classes, so each
+        x = r^g in S gives S*x = (S*r)^g in S: S is closed, a normal
+        subgroup of p'-order and p-power index."""
         check_prime(p)
-        residual = self.p_residual(p)
-        if residual.order() % p != 0:
-            require(residual.order() == pprime_part(self.order(), p),
-                    "normal p-complement must have the p'-order of the group")
-            return True
-        return False
+        order = self.order()
+        if order % p:
+            return True     # G is its own p-complement
+        cd = self.conjugacy_classes()
+        inside = np.array([m % p != 0 for m in cd.element_orders])
+        members = cd.member_index[np.repeat(inside, cd.sizes)]
+        if len(members) != pprime_part(order, p):
+            return False
+        # (x * r)[b] = r[x[b]]; at most |G| products per lookup
+        bases = self.element_rows()[np.ix_(members, cd.base)]
+        reps = cd.rep_images[inside]
+        chunk = order // len(members)
+        return all(inside[cd.lookup(reps[i:i + chunk][:, bases])].all()
+                   for i in range(0, len(reps), chunk))
 
     # -- quotients -----------------------------------------------------------
 

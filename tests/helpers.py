@@ -114,6 +114,14 @@ def brute_has_normal_p_complement(group: PermGroup, p: int) -> bool:
     return len(p_prime) == target and all(x * y in p_prime for x in p_prime for y in p_prime)
 
 
+def closure_has_normal_p_complement(group: PermGroup, p: int) -> bool:
+    """G has a normal p-complement iff O^p(G), the normal closure of its
+    p'-class representatives, has order prime to p."""
+    cd = group.conjugacy_classes()
+    seeds = [rep for rep, m in zip(cd.reps, cd.element_orders) if m % p]
+    return group.normal_closure(seeds).order() % p != 0
+
+
 def brute_class_map(group: PermGroup, reps) -> dict[Permutation, int]:
     """Class index of every element: each rep conjugated by every element."""
     elems = group.elements()

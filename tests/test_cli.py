@@ -183,6 +183,14 @@ def test_dense_cap_error(capsys):
     assert code == 2 and "too large" in err
 
 
+@pytest.mark.parametrize("command", ["check", "acd"])
+def test_non_prime_is_refused_before_the_table(capsys, command):
+    # S(9) is past the dense cap, so only a check made first sees the 4
+    code, out, err = run(capsys, command, "S(9)", "--prime", "4")
+    assert (code, out) == (2, "")
+    assert err.strip() == "error: 4 is not prime"
+
+
 def _identity_class_matrix(cd, i):
     return np.eye(len(cd.reps), dtype=np.int64)
 

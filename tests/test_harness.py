@@ -5,8 +5,10 @@ import pytest
 from chartab import (check_central_product, check_group, construct,
                      default_primes, fuzz_lemmas, parse_corpus, sharpness_scan,
                      verify_corpus)
+from chartab.fields import FieldSpec
 from chartab.groupspec import construct_cached
 from chartab.harness import THEOREM_CATALOG, TheoremVerdict, VerdictReport
+from chartab.invariants import average_degree
 
 from helpers import table_of
 
@@ -82,6 +84,25 @@ def test_verdict_report_doc_has_no_timing():
     assert set(rec) >= {"p", "acd_all", "acd_Q", "acd_Qp", "acd_R", "n_d",
                         "has_normal_p_complement", "is_solvable", "theorems"}
     assert rec["acd_Q"].count("/") == 1
+
+
+def test_check_group_averages_match_average_degree(corpus_entries):
+    catalog = {e.id: e for e in THEOREM_CATALOG}
+    for expr in corpus_entries[::6][:30]:
+        report = check_group(construct_cached(expr), name=expr)
+        table = table_of(expr)
+        for rec in report.primes:
+            p = rec.p
+            specs = {"C": FieldSpec.all(), "Q": FieldSpec.rational(),
+                     "Qp": FieldSpec.cyclotomic(p), "R": FieldSpec.real()}
+            got = {"C": rec.acd_all, "Q": rec.acd_Q, "Qp": rec.acd_Qp, "R": rec.acd_R}
+            assert got == {label: average_degree(table, p, spec)
+                           for label, spec in specs.items()}, (expr, p)
+            unfiltered = [v for v in rec.verdicts if not catalog[v.entry_id].pprime_filter]
+            assert {v.entry_id for v in unfiltered} <= {"C4i", "C4ii", "C4iv"}
+            for v in unfiltered:
+                spec = specs[catalog[v.entry_id].field_label]
+                assert v.acd == average_degree(table, None, spec), (expr, p, v.entry_id)
 
 
 def test_synthetic_violation_counted():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from chartab import (DenseCapExceeded, NotNormal, Permutation, construct,
-                     parse_cycles)
+                     default_primes, parse_cycles)
 from chartab.arith import (check_prime, element_of_order, is_prime,
                            pprime_part, prime_factors, unit_generators)
 from chartab.chartable import compute_table
@@ -16,7 +16,8 @@ from chartab.permgroup import PermGroup, StabilizerChain
 from helpers import (brute_class_map, brute_conjugacy_sizes,
                      brute_has_normal_p_complement, brute_mulclose,
                      brute_normal_closure, central_product_coset_count,
-                     product_sift, relabel, sl25_matrix_order)
+                     closure_has_normal_p_complement, product_sift, relabel,
+                     sl25_matrix_order)
 
 
 # -- construction and orders ---------------------------------------------------
@@ -347,15 +348,6 @@ def test_derived_series_and_solvability():
     assert len(series) == 2 and series[-1].order() == 1
 
 
-def test_p_residual_examples():
-    s3 = construct("S(3)")
-    res = s3.p_residual(2)
-    odd = brute_mulclose({x for x in s3.elements() if x.order() % 2 == 1})
-    assert res.order() == 3 and set(res.elements()) == set(odd)
-    assert construct_cached("A(5)").p_residual(2).order() == 60
-    assert construct("C(12)").p_residual(2).order() == 3
-
-
 def test_has_normal_p_complement_examples():
     s3 = construct("S(3)")
     assert s3.has_normal_p_complement(2)
@@ -372,6 +364,47 @@ def test_p_complement_agrees_with_brute_oracle_small():
             if g.order() % p == 0:
                 assert g.has_normal_p_complement(p) == \
                     brute_has_normal_p_complement(g, p), (expr, p)
+
+
+TABLES_GROUPS = ("A(5)", "S(7)", "A(8)", "SL(2,9)", "D(200)",
+                 "C(2) x C(2) x C(2) x C(2) x C(2) x C(2) x C(2)", "C(200)")
+
+
+@pytest.mark.parametrize("relabelled", [False, True])
+def test_p_complement_matches_normal_closure_oracle(corpus_entries, relabelled):
+    cases = [(expr, default_primes(construct_cached(expr))) for expr in corpus_entries]
+    cases += [(expr, (2, 3, 5, 7, 11)) for expr in TABLES_GROUPS]
+    for expr, primes in cases:
+        g = relabel(construct_cached(expr), 7) if relabelled else construct(expr)
+        for p in primes:
+            assert g.has_normal_p_complement(p) == \
+                closure_has_normal_p_complement(g, p), (expr, p)
+
+
+def test_p_complement_builds_no_chain(monkeypatch):
+    built, closures = [], []
+    init, closure = StabilizerChain.__init__, PermGroup.normal_closure
+
+    def counted_init(self, generators, degree):
+        built.append(list(generators))
+        init(self, generators, degree)
+
+    def counted_closure(self, seeds):
+        closures.append(self)
+        return closure(self, seeds)
+
+    answers = {}
+    for expr in ("S(3)", "S(4)", "A(5)", "SL(2,5)", "Aff(7,3)", "D(10)", "C(12)"):
+        g = construct(expr)
+        compute_table(g)
+        with monkeypatch.context() as m:
+            m.setattr(StabilizerChain, "__init__", counted_init)
+            m.setattr(PermGroup, "normal_closure", counted_closure)
+            answers[expr] = [g.has_normal_p_complement(p)
+                             for p in prime_factors(g.order())]
+    assert not built and not closures
+    assert answers["S(3)"] == [True, False] and answers["Aff(7,3)"] == [True, False]
+    assert answers["A(5)"] == [False, False, False]
 
 
 def test_normal_closures_keep_their_chain(monkeypatch):
@@ -402,7 +435,7 @@ def test_normal_closures_keep_their_chain(monkeypatch):
 
 def test_prime_validation():
     with pytest.raises(ValueError):
-        construct("S(4)").p_residual(4)
+        construct("S(4)").has_normal_p_complement(4)
     with pytest.raises(ValueError, match="4 is not prime"):
         check_prime(4)
     primes = [n for n in range(2000)
