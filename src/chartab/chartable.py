@@ -140,13 +140,14 @@ def _split_spaces(matrices, k: int, q: int) -> list[np.ndarray]:
     return list(pieces)
 
 
-def _matrix_order(cd: ClassData) -> list[int]:
-    """One class per rational class, then the rest, each by (size, index);
-    the identity class (never splits anything) is skipped.
+def _matrix_order(cd: ClassData, orbits: dict) -> list[int]:
+    """One class per rational class (the reps of _galois_orbits), then the
+    rest, each by (size, index); the identity class (never splits anything)
+    is skipped.
 
     omega(K_{j^a}) = sigma_a(omega(K_j)), so over C the first part
     separates every character; the rest runs only if it does not mod q."""
-    first = {j for reps in _galois_orbits(cd).values() for j, _ in reps}
+    first = {j for reps in orbits.values() for j, _ in reps}
     return sorted(range(1, len(cd.reps)), key=lambda i: (i not in first, cd.sizes[i], i))
 
 
@@ -157,8 +158,9 @@ def compute_table(group: PermGroup, prime_offset: int = 0) -> CharTable:
     k = len(cd.reps)
     wf = select_prime(cd.exponent, order, offset=prime_offset)
     q = wf.q
+    orbits = _galois_orbits(cd)
 
-    spaces = _split_spaces((class_matrix(cd, i) for i in _matrix_order(cd)), k, q)
+    spaces = _split_spaces((class_matrix(cd, i) for i in _matrix_order(cd, orbits)), k, q)
     require(len(spaces) == k, "eigenspace splitting incomplete")
 
     inv_classes = [cd.inverse_class(j) for j in range(k)]
@@ -182,7 +184,7 @@ def compute_table(group: PermGroup, prime_offset: int = 0) -> CharTable:
     require(sum(d * d for d in degrees) == order, "sum of squared degrees must be |G|")
     values = np.stack(rows) % q
 
-    lifted_rows = _lift_all(values, degrees, cd, wf)
+    lifted_rows = _lift_all(values, degrees, cd, wf, orbits)
 
     # deterministic row order: by degree, then by the exact lifted values
     perm = sorted(range(k), key=lambda r: (degrees[r], lifted_rows[r]))
@@ -225,15 +227,16 @@ def _galois_orbits(cd: ClassData) -> dict[int, list[tuple[int, dict[int, int]]]]
 
 
 def _lift_all(values: np.ndarray, degrees: list[int], cd: ClassData,
-              wf: WorkingField) -> list[tuple[RootSum, ...]]:
+              wf: WorkingField, orbits: dict) -> list[tuple[RootSum, ...]]:
     """Exact character values for every row and class.
 
-    One inverse DFT mod q per rational class: the representatives of one
-    element order m are lifted together, chi(g^t) for t < m gathered through
-    the power maps as a (row, rep, t) block and multiplied by the m x m
-    inverse-DFT matrix, in chunks of at most k*k entries.  The result is the
-    multiplicity of each m-th root z^t in chi(g); every multiplicity must be
-    at most chi(1) and they must sum to chi(1).  Each conjugate class g^a
+    One inverse DFT mod q per rational class, orbits being
+    _galois_orbits(cd): the representatives of one element order m are
+    lifted together, chi(g^t) for t < m gathered through the power maps as
+    a (row, rep, t) block and multiplied by the m x m inverse-DFT matrix,
+    in chunks of at most k*k entries.  The result is the multiplicity of
+    each m-th root z^t in chi(g); every multiplicity must be at most chi(1)
+    and they must sum to chi(1).  Each conjugate class g^a
     (gcd(a, m) = 1) is filled in by sigma_a, which sends exponent t to a*t
     mod m.  Every class's lifted value, evaluated at z = w^(e/m), must equal
     its value mod q.
@@ -243,7 +246,7 @@ def _lift_all(values: np.ndarray, degrees: list[int], cd: ClassData,
     deg = np.asarray(degrees, dtype=np.int64)
     seen: dict[RootSum, RootSum] = {}     # one object per distinct value
     columns: dict[int, list[RootSum]] = {}
-    for m, reps in _galois_orbits(cd).items():
+    for m, reps in orbits.items():
         step = e // m
         z = pow(w, step, q)
         zpow = np.array([pow(z, t, q) for t in range(m)], dtype=np.int64)

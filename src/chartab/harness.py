@@ -191,7 +191,8 @@ def check_group(group: PermGroup, primes: list[int] | None = None,
                 name: str = "") -> VerdictReport:
     """Evaluate every applicable catalog entry for each prime, checked
     before the table is built.  Each field's rows are selected once (Qp's
-    once per prime) and give both the p'-filtered and the plain average."""
+    once per prime p dividing the exponent; otherwise they are Q's) and give
+    both the p'-filtered and the plain average."""
     if primes is None:
         primes = default_primes(group)
     for p in primes:
@@ -204,7 +205,10 @@ def check_group(group: PermGroup, primes: list[int] | None = None,
                      ("R", FieldSpec.real()))}
     records = []
     for p in primes:
-        fields = dict(fixed_fields, Qp=field_rows(table, FieldSpec.cyclotomic(p)))
+        # Q_p meets Q(zeta_e) in Q when p does not divide e: its rows are Q's
+        qp = (fixed_fields["Q"] if table.q_field.exponent % p
+              else field_rows(table, FieldSpec.cyclotomic(p)))
+        fields = dict(fixed_fields, Qp=qp)
         acds = {label: mean_degree(table, pprime_rows(table, rows, p))
                 for label, rows in fields.items()}
         unfiltered = {label: mean_degree(table, rows) for label, rows in fields.items()}

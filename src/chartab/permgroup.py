@@ -6,11 +6,13 @@ Two representations coexist:
   membership with no size limit.  Each level keeps one coset table, of
   inverse coset representatives, which sifting multiplies by directly,
   and the orbit-tree edges that built it, whose Schreier generators are
-  the identity and are skipped when closing.  Sifting composes image
-  tuples and builds one Permutation, the residue, per call; closing never
-  sifts a Schreier generator that is already the identity;
-  StabilizerChain.extend grows a chain in place, and a normal closure
-  keeps the chain it grew;
+  the identity and are skipped when closing.  Sifting and membership
+  compose image tuples and build no Permutation.  Closing tests every
+  off-tree Schreier generator v_pt^-1 * s * v_s(pt) on the coset table
+  (it is the identity exactly when s * v_s(pt) == v_pt) and forms and
+  sifts only those that fail; a residue becomes a Permutation only when it is
+  registered as a strong generator.  StabilizerChain.extend grows a chain
+  in place, and a normal closure keeps the chain it grew;
 * a dense element store (capped at 200000 elements, checked against the
   chain's order before enumeration): one read-only (order, degree) int32
   array of image rows in tuple order, built a chain level at a time by
@@ -83,9 +85,10 @@ class StabilizerChain:
 
     def __init__(self, generators: list[Permutation], degree: int):
         self.degree = degree
+        self.identity = tuple(range(degree))
         self.levels: list[_Level] = []
         for g in generators:
-            self._add(g)
+            self._add(g.images)
         self._close()
 
     def _rebuild_orbit(self, i: int) -> None:
@@ -104,36 +107,35 @@ class StabilizerChain:
                     lvl.tree_edges.add((pt, gi))
                     queue.append(img)
 
-    def sift(self, g: Permutation, start: int = 0) -> tuple[Permutation, int]:
-        """Reduce g through the chain; returns (residue, stuck level).
-
-        Works on the image tuple and builds one Permutation, the residue."""
-        images = g.images
+    def sift(self, images: tuple[int, ...], start: int = 0) -> tuple[tuple[int, ...], int]:
+        """Reduce the image tuple of an element through the chain; returns
+        the image tuple of the residue and the level where it stopped."""
         for i in range(start, len(self.levels)):
             lvl = self.levels[i]
             v = lvl.transversal.get(images[lvl.point])
             if v is None:
-                return Permutation(images, _checked=True), i
+                return images, i
             images = compose(images, v.images)
-        return Permutation(images, _checked=True), len(self.levels)
+        return images, len(self.levels)
 
     def extend(self, g: Permutation) -> bool:
         """Add g to the group unless it is already a member, then restore the
         strong generating set; returns whether the group grew."""
-        if self._add(g) < 0:
+        if self._add(g.images) < 0:
             return False
         self._close()
         return True
 
-    def _add(self, g: Permutation) -> int:
-        """Register the residue of g; returns the level where it stopped,
-        or -1 if g is already a member."""
-        h, i = self.sift(g)
-        if h.is_identity():
+    def _add(self, images: tuple[int, ...]) -> int:
+        """Register the residue of the element with these images; returns the
+        level where it stopped, or -1 if the element is already a member."""
+        images, i = self.sift(images)
+        if images == self.identity:
             return -1
         if i == len(self.levels):
-            base_pt = min(p for p in range(self.degree) if h.images[p] != p)
+            base_pt = min(p for p in range(self.degree) if images[p] != p)
             self.levels.append(_Level(base_pt, self.degree))
+        h = Permutation(images, _checked=True)
         # register at every level whose preceding base points h fixes
         for j in range(i + 1):
             self.levels[j].gens.append(h)
@@ -149,23 +151,26 @@ class StabilizerChain:
             residue = self._schreier_residue(i)
             i = i - 1 if residue is None else self._add(residue)
 
-    def _schreier_residue(self, i: int) -> Permutation | None:
-        """The residue of the first Schreier generator of level i that does
-        not sift to the identity through the levels below, or None."""
+    def _schreier_residue(self, i: int) -> tuple[int, ...] | None:
+        """The residue images of the first Schreier generator of level i that
+        does not sift to the identity through the levels below, or None."""
         lvl = self.levels[i]
-        for pt in sorted(lvl.transversal):
+        table = lvl.transversal
+        for pt in sorted(table):
+            v = table[pt].images
             u = None
             for gi, s in enumerate(lvl.gens):
                 # a tree edge's, v_pt^-1 * s * (s^-1 * v_pt), is the identity as built
                 if (pt, gi) in lvl.tree_edges:
                     continue
-                if u is None:
-                    u = lvl.transversal[pt].inverse()
-                schreier = u * s * lvl.transversal[s.images[pt]]
-                if schreier.is_identity():
+                # v_pt^-1 * s * w is the identity exactly when s * w == v_pt
+                sw = compose(s.images, table[s.images[pt]].images)
+                if sw == v:
                     continue
-                residue, _ = self.sift(schreier, i + 1)
-                if not residue.is_identity():
+                if u is None:
+                    u = table[pt].inverse().images
+                residue, _ = self.sift(compose(u, sw), i + 1)
+                if residue != self.identity:
                     return residue
         return None
 
@@ -175,8 +180,7 @@ class StabilizerChain:
     def contains(self, g: Permutation) -> bool:
         if g.degree != self.degree:
             return False
-        residue, _ = self.sift(g)
-        return residue.is_identity()
+        return self.sift(g.images)[0] == self.identity
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ word-tracking construction of abelian duals.
 from __future__ import annotations
 
 import cmath
+import hashlib
 import random
 from functools import lru_cache
 from itertools import product
@@ -84,6 +85,17 @@ def product_sift(chain, g: Permutation, start: int = 0) -> tuple[Permutation, in
         q = lvl.transversal[img].images
         g = Permutation(tuple(q[x] for x in g.images))
     return g, len(chain.levels)
+
+
+def chain_hash(chain) -> str:
+    """sha256 over each level's base point, strong generators, sorted coset
+    table images and sorted tree edges: equal hashes mean equal chains."""
+    digest = hashlib.sha256()
+    for lvl in chain.levels:
+        digest.update(repr((lvl.point, [s.images for s in lvl.gens],
+                            sorted(v.images for v in lvl.transversal.values()),
+                            sorted(lvl.tree_edges))).encode())
+    return digest.hexdigest()[:16]
 
 
 def brute_normal_closure(group: PermGroup, seeds) -> frozenset:

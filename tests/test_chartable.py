@@ -8,8 +8,8 @@ import pytest
 
 from chartab import (InconsistentTable, chartable, construct, fplinalg,
                      select_prime, verify_orthogonality)
-from chartab.chartable import (CharTable, _matrix_order, _split_spaces,
-                               class_matrix, compute_table,
+from chartab.chartable import (CharTable, _galois_orbits, _matrix_order,
+                               _split_spaces, class_matrix, compute_table,
                                orthogonality_failures, table_document)
 
 from helpers import (brute_class_map, det_mod, lifted_complex_rows,
@@ -92,6 +92,24 @@ def test_class_matrix_corrupted_key_raises():
             class_matrix(bad, i)
 
 
+def order_of(cd):
+    return _matrix_order(cd, _galois_orbits(cd))
+
+
+def test_compute_table_finds_the_galois_orbits_once(monkeypatch):
+    calls = []
+
+    def counted(cd):
+        calls.append(cd)
+        return _galois_orbits(cd)
+
+    monkeypatch.setattr(chartable, "_galois_orbits", counted)
+    for expr in ("A(5)", "D(10)", "C(12)"):
+        calls.clear()
+        compute_table(construct(expr))
+        assert len(calls) == 1, expr
+
+
 def test_matrix_order_starts_with_one_class_per_rational_class(monkeypatch):
     # K_j and K_{j^a} (gcd(a, e) = 1) separate the same characters, so the
     # order lists one class of each rational class first; D(200)'s 99
@@ -106,7 +124,7 @@ def test_matrix_order_starts_with_one_class_per_rational_class(monkeypatch):
     for expr, n_first, n_pulled in (("D(200)", 13, 12), ("Aff(7,3)", 2, 2),
                                     ("C(12)", 5, 1), ("S(4)", 4, 2)):
         cd = construct(expr).conjugacy_classes()
-        order = _matrix_order(cd)
+        order = order_of(cd)
         assert sorted(order) == list(range(1, len(cd.reps))), expr
         first, rest = order[:n_first], order[n_first:]
         assert first == sorted(first, key=lambda j: (cd.sizes[j], j)), expr
@@ -125,7 +143,7 @@ def test_split_spaces_builds_only_applied_matrices():
         group = construct(expr)
         cd = group.conjugacy_classes()
         k, q = len(cd.reps), select_prime(cd.exponent, group.order()).q
-        mats = [class_matrix(cd, i) for i in _matrix_order(cd)]
+        mats = [class_matrix(cd, i) for i in order_of(cd)]
         # the shortest prefix of the matrix order that splits off every character
         applied = next(n for n in range(len(mats) + 1)
                        if len(_split_spaces(mats[:n], k, q)) == k)
@@ -168,7 +186,7 @@ def test_split_spaces_reduces_each_new_space_once(monkeypatch):
         cd = group.conjugacy_classes()
         k, q = len(cd.reps), select_prime(cd.exponent, group.order()).q
         calls["added"] = 0
-        spaces = _split_spaces((class_matrix(cd, i) for i in _matrix_order(cd)), k, q)
+        spaces = _split_spaces((class_matrix(cd, i) for i in order_of(cd)), k, q)
         assert len(spaces) == k, expr
         assert calls["added"] == k - 1, expr
     assert calls["inside"] > 0 and calls["rref"] == calls["inside"]
@@ -195,7 +213,7 @@ def test_split_spaces_never_splits_a_scalar_action(monkeypatch):
         cd = group.conjugacy_classes()
         k, q = len(cd.reps), select_prime(cd.exponent, group.order()).q
         mats = [class_matrix(cd, i) for i in range(k)]
-        spaces = _split_spaces((mats[i] for i in _matrix_order(cd)), k, q)
+        spaces = _split_spaces((mats[i] for i in order_of(cd)), k, q)
         assert len(spaces) == k, expr
         # each piece is a common eigenvector: u M_i^T = omega(K_i) u = u[i] u
         for w in spaces:
@@ -375,20 +393,19 @@ def test_lift_catches_wrong_galois_fill():
     power_map = cd.power_map[:j] + (tuple(row),) + cd.power_map[j + 1:]
     bad = dataclasses.replace(cd, power_map=power_map)
     with pytest.raises(InconsistentTable, match=r"lifted (multiplicit|value)"):
-        chartable._lift_all(t.values_mod_q, list(t.degrees), bad, t.q_field)
+        chartable._lift_all(t.values_mod_q, list(t.degrees), bad, t.q_field, _galois_orbits(bad))
 
 
-def test_lift_catches_wrong_galois_exponent(monkeypatch):
+def test_lift_catches_wrong_galois_exponent():
     # fill the classes of g^2 and g^3 with each other's exponent: only the
     # check of every class mod q can see it, the DFT block is unchanged
     t = table_of("C(5)")
-    orbits = chartable._galois_orbits(t.class_data)
+    orbits = _galois_orbits(t.class_data)
     (_, orbit), = orbits[5]
     by_exponent = {a: c for c, a in orbit.items()}
     orbit[by_exponent[2]], orbit[by_exponent[3]] = 3, 2
-    monkeypatch.setattr(chartable, "_galois_orbits", lambda cd: orbits)
     with pytest.raises(InconsistentTable, match="does not match its value mod q"):
-        chartable._lift_all(t.values_mod_q, list(t.degrees), t.class_data, t.q_field)
+        chartable._lift_all(t.values_mod_q, list(t.degrees), t.class_data, t.q_field, orbits)
 
 
 def test_lift_catches_any_corrupted_value():
@@ -399,7 +416,8 @@ def test_lift_catches_any_corrupted_value():
             values = t.values_mod_q.copy()
             values[r, j] = (values[r, j] + 1) % q
             with pytest.raises(InconsistentTable, match=r"lifted (multiplicit|value)"):
-                chartable._lift_all(values, list(t.degrees), t.class_data, t.q_field)
+                chartable._lift_all(values, list(t.degrees), t.class_data, t.q_field,
+                                    _galois_orbits(t.class_data))
 
 
 @pytest.mark.parametrize("expr, rational_classes",
@@ -416,7 +434,8 @@ def test_lift_one_dft_per_rational_class(monkeypatch, expr, rational_classes):
         return fplinalg.mat_mul(a, b, q)
 
     monkeypatch.setattr(chartable, "mat_mul", counted)
-    lifted = chartable._lift_all(t.values_mod_q, list(t.degrees), t.class_data, t.q_field)
+    lifted = chartable._lift_all(t.values_mod_q, list(t.degrees), t.class_data, t.q_field,
+                                 _galois_orbits(t.class_data))
     assert tuple(lifted) == t.lifted
     assert sum(dft_classes) == rational_classes
 

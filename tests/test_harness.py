@@ -5,7 +5,8 @@ import pytest
 from chartab import (check_central_product, check_group, construct,
                      default_primes, fuzz_lemmas, parse_corpus, sharpness_scan,
                      verify_corpus)
-from chartab.fields import FieldSpec
+from chartab import harness
+from chartab.fields import FieldSpec, field_rows
 from chartab.groupspec import construct_cached
 from chartab.harness import THEOREM_CATALOG, TheoremVerdict, VerdictReport
 from chartab.invariants import average_degree
@@ -66,6 +67,23 @@ def test_check_group_coprime_prime_equals_plain_average():
     rep = check_group(construct_cached("S(4)"))
     rec7 = [r for r in rep.primes if r.p == 7][0]
     assert rec7.acd_all == Fraction(2)  # average of all degrees of S4
+
+
+def test_check_group_selects_qp_rows_only_for_primes_dividing_the_exponent(monkeypatch):
+    # Q_p meets Q(zeta_e) in Q for p not dividing e, and Q's rows are held
+    labels = []
+
+    def counted(table, spec):
+        labels.append(spec.label())
+        return field_rows(table, spec)
+
+    monkeypatch.setattr(harness, "field_rows", counted)
+    for expr, want in (("S(4)", ["C", "Q", "R", "Q2", "Q3"]),
+                       ("A(5)", ["C", "Q", "R", "Q2", "Q3", "Q5"]),
+                       ("D(7)", ["C", "Q", "R", "Q2", "Q7"])):
+        labels.clear()
+        check_group(construct_cached(expr), name=expr)
+        assert labels == want, expr
 
 
 def test_conjecture_probe():

@@ -11,13 +11,14 @@ from chartab.arith import (check_prime, element_of_order, is_prime,
 from chartab.chartable import compute_table
 from chartab.groupspec import construct_cached
 
+from chartab.perm import compose
 from chartab.permgroup import PermGroup, StabilizerChain
 
 from helpers import (brute_class_map, brute_conjugacy_sizes,
                      brute_has_normal_p_complement, brute_mulclose,
                      brute_normal_closure, central_product_coset_count,
-                     closure_has_normal_p_complement, product_sift, relabel,
-                     sl25_matrix_order)
+                     chain_hash, closure_has_normal_p_complement, product_sift,
+                     relabel, sl25_matrix_order)
 
 
 # -- construction and orders ---------------------------------------------------
@@ -178,10 +179,10 @@ def test_chain_close_skips_tree_edges(monkeypatch):
     sifted = []
     original = StabilizerChain.sift
 
-    def counted(self, g, start=0):
+    def counted(self, images, start=0):
         if start > 0:
-            sifted.append(g)
-        return original(self, g, start)
+            sifted.append(images)
+        return original(self, images, start)
 
     monkeypatch.setattr(StabilizerChain, "sift", counted)
     g = construct("C(50)")
@@ -194,10 +195,10 @@ def test_chain_close_sifts_no_identity_schreier_generator(monkeypatch):
     sifted = []
     original = StabilizerChain.sift
 
-    def recorded(self, g, start=0):
+    def recorded(self, images, start=0):
         if start > 0:
-            sifted.append(g)
-        return original(self, g, start)
+            sifted.append(images)
+        return original(self, images, start)
 
     monkeypatch.setattr(StabilizerChain, "sift", recorded)
     for expr in ("D(10)", "S(6)", "SL(2,5)"):
@@ -205,7 +206,83 @@ def test_chain_close_sifts_no_identity_schreier_generator(monkeypatch):
         sifted.clear()
         chain = StabilizerChain(list(g.generators), g.degree)
         assert chain.order() == g.order(), expr
-        assert sifted and not any(x.is_identity() for x in sifted), expr
+        identity = tuple(range(g.degree))
+        assert sifted and not any(x == identity for x in sifted), expr
+
+
+def test_schreier_identity_test_matches_the_product():
+    # v_pt^-1 * s * v_s(pt) is the identity exactly when s * v_s(pt) == v_pt
+    outcomes = set()
+    for expr in ("S(6)", "A(7)", "D(10)", "SL(2,5)"):
+        for lvl in construct(expr).chain.levels:
+            table = lvl.transversal
+            for pt in table:
+                for gi, s in enumerate(lvl.gens):
+                    if (pt, gi) in lvl.tree_edges:
+                        continue
+                    w = table[s.images[pt]]
+                    trivial = compose(s.images, w.images) == table[pt].images
+                    assert trivial == (table[pt].inverse() * s * w).is_identity(), expr
+                    outcomes.add(trivial)
+    assert outcomes == {False, True}
+
+
+# chain_hash at the commit before the Schreier generators' identity test
+# moved onto the coset table: (plain, relabelled with seed 7)
+CHAIN_HASHES = {
+    "C(200)": ("91d6a2a312114788", "262de9ddcbf92ecf"),
+    "D(100)": ("15b80632107e1663", "e22974a4319eac2a"),
+    "S(8)": ("e0ade1fea689bbd4", "ede77983dec16eaf"),
+    "A(8)": ("3934b1d783fc2196", "288a212c89e3a198"),
+    "SL(2,9)": ("e7d9e6774708e09e", "5fe4d1af72f05635"),
+    "PSL(2,9)": ("a2dd17b3587f8c3b", "f6ed43836177b482"),
+}
+
+
+@pytest.mark.parametrize("expr", sorted(CHAIN_HASHES))
+def test_chain_hashes_pinned(expr):
+    g = construct(expr)
+    assert (chain_hash(g.chain), chain_hash(relabel(g, 7).chain)) == CHAIN_HASHES[expr]
+
+
+def test_chain_closure_inverts_few_coset_representatives(monkeypatch):
+    # nearly all of D(50)'s Schreier generators are the identity, which the
+    # coset table shows with no inverse
+    calls = []
+    inverse = Permutation.inverse
+
+    def counted(self):
+        calls.append(self)
+        return inverse(self)
+
+    g = construct("D(50)")
+    monkeypatch.setattr(Permutation, "inverse", counted)
+    chain = StabilizerChain(list(g.generators), g.degree)
+    assert chain.order() == 100 and len(calls) <= 7
+
+
+def test_membership_builds_no_permutation(monkeypatch):
+    g = construct("A(7)")
+    rng = random.Random(5)
+    queries = []
+    for _ in range(100):
+        images = list(range(7))
+        rng.shuffle(images)
+        queries.append(Permutation(images))
+    # the even permutations: a k-cycle is a product of k - 1 transpositions
+    expected = [sum(len(c) - 1 for c in x.cycles()) % 2 == 0 for x in queries]
+    g.order()
+    built = []
+    init = Permutation.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Permutation, "__init__", counted)
+    assert [x in g for x in queries] == expected
+    assert not built
+    assert True in expected and False in expected
 
 
 @pytest.mark.parametrize("expr", ["S(6)", "A(7)", "D(10)", "SL(2,5)", "PSL(2,7)",
@@ -230,9 +307,9 @@ def test_sift_matches_product_oracle(expr, relabelled):
         queries.append(Permutation(images))
     for x in queries:
         for start in (0, 1):
-            residue, level = chain.sift(x, start)
+            residue, level = chain.sift(x.images, start)
             expected, expected_level = product_sift(chain, x, start)
-            assert (residue.images, level) == (expected.images, expected_level), expr
+            assert (residue, level) == (expected.images, expected_level), expr
 
 
 # -- conjugacy classes -----------------------------------------------------------
