@@ -24,12 +24,14 @@ exactly in Z[zeta_e].  It then checks that the lifted values evaluate to
 the values mod q, which carries both relations over to the mod-q table.
 
 Everything in this module is exact: F_q arithmetic on int64 numpy arrays
-and integer multiplicity vectors.  No floating point.
+and integer multiplicity vectors.  Floats appear only inside mat_mul, and
+only as exact integers below 2**53.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import gcd, isqrt
 
 import numpy as np
@@ -111,9 +113,9 @@ def class_matrix(cd: ClassData, i: int) -> np.ndarray:
     return counts.reshape(k, k).astype(np.int64, copy=False)
 
 
-def _split_spaces(matrices, k: int, q: int) -> list[np.ndarray]:
-    """Split e_0 into one common eigenvector per character; matrices are
-    yielded lazily in fixed order.
+def _split_spaces(matrices, k: int, q: int) -> np.ndarray:
+    """Split e_0 into one common eigenvector per character, one per row;
+    matrices are yielded lazily in fixed order.
 
     e_0, the unit vector of the identity class, is sum_chi chi(1)^2/|G| u_chi
     over the common eigenvectors u_chi of the actions x -> x M^T, and no
@@ -126,18 +128,21 @@ def _split_spaces(matrices, k: int, q: int) -> list[np.ndarray]:
     """
     pieces = np.eye(1, k, dtype=np.int64)
     for mat in matrices:
-        at = mat.T % q
+        at = np.fmod(mat.T, q, dtype=np.float64)    # once, for every product with it
         image = mat_mul(pieces, at, q)
         rows = np.arange(len(pieces))
         lead = np.argmax(pieces != 0, axis=1)
-        cross = (image[rows, lead, None] * pieces - pieces[rows, lead, None] * image) % q
+        cross = image[rows, lead, None] * pieces
+        image *= pieces[rows, lead, None]
+        cross -= image
+        cross %= q
         mixed = cross.any(axis=1)
         if mixed.any():
             pieces = np.vstack([eig_split_rows(w, at, q) if split else w[None, :]
                                 for w, split in zip(pieces, mixed)])
         if len(pieces) == k:
             break
-    return list(pieces)
+    return pieces
 
 
 def _matrix_order(cd: ClassData, orbits: dict) -> list[int]:
@@ -165,24 +170,24 @@ def compute_table(group: PermGroup, prime_offset: int = 0) -> CharTable:
 
     inv_classes = [cd.inverse_class(j) for j in range(k)]
     size_invs = np.array([inv_mod(s % q, q) for s in cd.sizes], dtype=np.int64)
-    sqrt_lookup = {(d * d) % q: d for d in range(1, isqrt(order) + 1)}
+    # sqrt_of[d*d mod q] = d: q > 2*floor(sqrt|G|) keeps these squares distinct
+    sqrt_of = np.zeros(q, dtype=np.int64)
+    ds = np.arange(1, isqrt(order) + 1, dtype=np.int64)
+    sqrt_of[ds * ds % q] = ds
 
-    degrees: list[int] = []
-    rows: list[np.ndarray] = []
-    for w in spaces:
-        require(w[0] != 0, "identity-class coordinate must be nonzero")
-        u = w * inv_mod(w[0], q) % q
-        s = int(np.sum(u * u[inv_classes] % q * size_invs % q) % q)
-        require(s != 0, "row norm must be nonzero")
-        d_sq = (order % q) * inv_mod(s, q) % q
-        d = sqrt_lookup.get(d_sq)
-        require(d is not None, "degree square root not found")
-        row = (d * u % q) * size_invs % q
-        degrees.append(d)
-        rows.append(row)
+    # each row normalised at the identity class, its norm through the
+    # inverse classes, then chi(1)^2 = |G| / norm and values d * u / |C_j|
+    require(bool(spaces[:, 0].all()), "identity-class coordinate must be nonzero")
+    u = spaces * np.array([[inv_mod(x, q)] for x in spaces[:, 0]], dtype=np.int64) % q
+    norms = (u * u[:, inv_classes] % q * size_invs % q).sum(axis=1) % q
+    require(bool(norms.all()), "row norm must be nonzero")
+    d_sq = np.array([(order % q) * inv_mod(s, q) % q for s in norms], dtype=np.int64)
+    deg = sqrt_of[d_sq]
+    require(bool(deg.all()), "degree square root not found")
+    degrees = deg.tolist()
 
     require(sum(d * d for d in degrees) == order, "sum of squared degrees must be |G|")
-    values = np.stack(rows) % q
+    values = deg[:, None] * u % q * size_invs % q
 
     lifted_rows = _lift_all(values, degrees, cd, wf, orbits)
 
@@ -407,6 +412,7 @@ def table_document(table: CharTable) -> dict:
     """Machine-readable table export (JSON-serializable, deterministic)."""
     from .fields import field_labels
     cd = table.class_data
+    text = {v: _render(v) for v in dict.fromkeys(chain.from_iterable(table.lifted))}
     return {
         "order": table.group.order(),
         "degree": table.group.degree,
@@ -425,7 +431,7 @@ def table_document(table: CharTable) -> dict:
         "degrees": list(table.degrees),
         "row_fields": field_labels(table, prime_factors(table.q_field.exponent)),
         "values_mod_q": table.values_mod_q.tolist(),
-        "lifted": [[_render(vv) for vv in row] for row in table.lifted],
+        "lifted": [[text[v] for v in row] for row in table.lifted],
     }
 
 

@@ -1,8 +1,10 @@
 """Exact linear algebra over the prime field F_q on numpy int64 arrays.
 
-All arrays hold canonical representatives in [0, q).  q*q times the inner
-dimension must stay below 2**63 for the fast matmul path; a Python-int
-fallback covers the (never hit in practice) overflow case.
+All arrays hold canonical representatives in [0, q).  mat_mul is the one
+place floats appear: when (q-1)**2 times the inner dimension is below
+2**53, every partial sum of a product is an integer that a float64 holds
+exactly, so it multiplies on BLAS doubles and reduces with an exact fmod
+(the FFLAS-FFPACK method).  Larger products take an exact Python-int path.
 
 Eigenvectors are found one vector at a time: eig_split_rows splits a row
 into its eigen-components under a matrix from the minimal polynomial of
@@ -28,12 +30,13 @@ def require(ok: bool, message: str) -> None:
 
 
 def mat_mul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-    inner = a.shape[-1]
-    if (q - 1) * (q - 1) * inner < 2 ** 63:
-        return (a @ b) % q
-    ao = a.astype(object)
-    bo = b.astype(object)
-    return np.asarray((ao @ bo) % q, dtype=np.int64)
+    """a @ b mod q as int64, for integer or float64 operands with entries
+    in [0, q); a may be stacked (1-D, 2-D or 3-D)."""
+    if (q - 1) * (q - 1) * a.shape[-1] < 2 ** 53:
+        prod = np.asarray(a, dtype=np.float64) @ np.asarray(b, dtype=np.float64)
+        return np.fmod(prod, q, out=prod).astype(np.int64)
+    prod = a.astype(np.int64).astype(object) @ b.astype(np.int64).astype(object)
+    return np.asarray(prod % q, dtype=np.int64)
 
 
 def inv_mod(x: int, q: int) -> int:

@@ -265,6 +265,35 @@ def test_eig_split_rows_eigenspaces(diag):
     assert not np.any((part[c] * v - v[c] * part) % q) and part[c]
 
 
+def _int_product(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
+    """a @ b mod q in Python ints, a stacked along its leading axes."""
+    cols = [[int(x) for x in col] for col in b.T.tolist()]
+    out = [[sum(x * y for x, y in zip(row, col)) % q for col in cols]
+           for row in a.reshape(-1, a.shape[-1]).tolist()]
+    return np.array(out, dtype=np.int64).reshape(a.shape[:-1] + b.shape[1:])
+
+
+@pytest.mark.parametrize("q", [2097143, 2097169], ids=["below", "above"])
+@pytest.mark.parametrize("shape", [(2048,), (3, 2048), (2, 3, 2048)], ids=["1d", "2d", "3d"])
+@pytest.mark.parametrize("b_dtype", [np.int64, np.float64], ids=["int", "float"])
+def test_mat_mul_is_exact_at_the_float_bound(q, shape, b_dtype):
+    # (q - 1)^2 * 2048 is just below 2^53 for the first prime (float64
+    # products) and just above it for the second (exact fallback), where
+    # entries this close to q - 1 give sums past 2^53 that float64 would
+    # round; b as float64 is a class matrix converted once, as
+    # _split_spaces hands it on
+    n = shape[-1]
+    assert ((q - 1) ** 2 * n < 2 ** 53) == (q < 2 ** 21)
+    rng = np.random.default_rng(q)
+    a = rng.integers(q - 4, q, size=shape, dtype=np.int64)
+    b = rng.integers(q - 4, q, size=(n, 4), dtype=np.int64)
+    a.reshape(-1, n)[0] = q - 1             # one full sum of (q - 1)^2 terms
+    b[:, 0] = q - 1
+    got = fplinalg.mat_mul(a, b.astype(b_dtype), q)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, _int_product(a, b, q))
+
+
 def test_eig_split_rows_rejects_a_non_diagonalizable_action():
     # w = e_0 under a Jordan block: minimal polynomial (x - 1)^2, one root
     at = np.array([[1, 1], [0, 1]], dtype=np.int64)

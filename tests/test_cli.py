@@ -44,6 +44,24 @@ def test_table_json_bytes_at_degree_one(capsys, expr, sha256):
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
+@pytest.mark.parametrize("expr, sha256", [
+    ("A(5)", "9c89f1a2edced90e0c88805e6a5eb8fb9f073193634143aab78811c3c440c166"),
+    ("S(7)", "0199b1e9e40286f0bfcafbf812408c62ca259025efa3521f94d2bc32046aad3a"),
+    ("A(8)", "833b428163e26ba302bf22c84320d4152b62294796cee36e6af244959b03daf2"),
+    ("SL(2,9)", "fefa0f5643b2064a9606246f2affb4ff7172690f1ebd4caab9d4c745c47f00d2"),
+    ("D(200)", "74e191ea3a11ff97440964106498fe5d7f6e5c4f4c52d0a41ba574bbc29178be"),
+    (" x ".join(["C(2)"] * 7),
+     "f507781140bfb13ab678e8131f323ef96c5a31c57a7cf42d1be5ff4f862fd242"),
+    ("C(200)", "b57385a0a0dba3bb25acd7d51b781ec1555e9cc0afd951744f1b36d9fb0484ba"),
+])
+def test_table_json_bytes_of_large_tables(capsys, expr, sha256):
+    # the benchmark's table groups: bytes pinned across changes of the
+    # F_q product kernel and of the rendering
+    code, out, _ = run(capsys, "table", expr, "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
 def test_acd(capsys):
     code, out, _ = run(capsys, "acd", "A(5)", "--prime", "5")
     assert code == 0 and out.strip() == "11/4"
