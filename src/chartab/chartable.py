@@ -13,8 +13,12 @@ values follow, and exact cyclotomic values are lifted by one inverse DFT
 mod q per rational class (Galois orbit of classes), all the rational
 classes of one element order in one product.
 The other classes of an orbit are filled in by sigma_a, chi(g^a) =
-sigma_a(chi(g)), and every class's lifted value is checked against its
-value mod q.
+sigma_a(chi(g)), for the whole table at once in numpy.  A table keeps its
+exact values as one (k, n) array of indices into the tuple of its
+distinct values, each built once, and every distinct value is checked
+against the values mod q of its cells.  The exact check, the export and
+the invariants read that array; the per-cell tuples of CharTable.lifted
+are built only where the API hands them out.
 
 verify_orthogonality checks the first orthogonality relation exactly: one
 Gram product modulo each of a few primes p = 1 (mod e) whose product
@@ -30,8 +34,8 @@ only as exact integers below 2**53.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain
 from math import gcd, isqrt
 
 import numpy as np
@@ -77,8 +81,10 @@ def select_prime(exponent: int, order: int, offset: int = 0) -> WorkingField:
 class CharTable:
     """Rows are irreducible characters, columns are conjugacy classes.
 
-    lifted[r][j] is the multiplicity vector of chi_r(g_j) over e-th roots
-    of unity, stored sparsely as ((exponent, multiplicity), ...).
+    The exact value chi_r(g_j) is distinct[cells[r, j]]: a multiplicity
+    vector over e-th roots of unity, stored sparsely as ((exponent,
+    multiplicity), ...).  distinct holds each value once, ascending, and
+    cells is a (k, n) int array of indices into it.
     """
 
     group: PermGroup
@@ -86,11 +92,22 @@ class CharTable:
     q_field: WorkingField
     degrees: tuple[int, ...]
     values_mod_q: np.ndarray
-    lifted: tuple[tuple[RootSum, ...], ...]
+    cells: np.ndarray
+    distinct: tuple[RootSum, ...]
 
     @property
     def n_classes(self) -> int:
         return len(self.class_data.reps)
+
+    @property
+    def lifted(self) -> tuple[tuple[RootSum, ...], ...]:
+        """lifted[r][j] = chi_r(g_j) as a RootSum, built on every call."""
+        return tuple(tuple(map(self.distinct.__getitem__, row)) for row in self.cells.tolist())
+
+    def value_index(self, value: RootSum) -> int:
+        """The index of value in distinct, -1 if the table never takes it."""
+        i = bisect_left(self.distinct, value)
+        return i if i < len(self.distinct) and self.distinct[i] == value else -1
 
     def power_classes(self, k: int) -> list[int]:
         """Class of g^k for each class representative g."""
@@ -189,13 +206,14 @@ def compute_table(group: PermGroup, prime_offset: int = 0) -> CharTable:
     require(sum(d * d for d in degrees) == order, "sum of squared degrees must be |G|")
     values = deg[:, None] * u % q * size_invs % q
 
-    lifted_rows = _lift_all(values, degrees, cd, wf, orbits)
+    cells, distinct = _lift_all(values, degrees, cd, wf, orbits)
 
-    # deterministic row order: by degree, then by the exact lifted values
-    perm = sorted(range(k), key=lambda r: (degrees[r], lifted_rows[r]))
+    # deterministic row order: by degree, then by the exact lifted values,
+    # which compare as their indices do since distinct is ascending
+    perm = np.lexsort([*cells.T[::-1], deg])
     degrees = [degrees[r] for r in perm]
     values = values[perm]
-    lifted_rows = [lifted_rows[r] for r in perm]
+    cells = cells[perm]
 
     require(degrees[0] == 1 and all(v == 1 for v in values[0]), "row 0 must be trivial")
     require([int(v) for v in values[:, 0]] == degrees, "identity column must list degrees")
@@ -207,7 +225,8 @@ def compute_table(group: PermGroup, prime_offset: int = 0) -> CharTable:
         q_field=wf,
         degrees=tuple(degrees),
         values_mod_q=values,
-        lifted=tuple(tuple(r) for r in lifted_rows),
+        cells=cells,
+        distinct=distinct,
     )
 
 
@@ -232,25 +251,38 @@ def _galois_orbits(cd: ClassData) -> dict[int, list[tuple[int, dict[int, int]]]]
 
 
 def _lift_all(values: np.ndarray, degrees: list[int], cd: ClassData,
-              wf: WorkingField, orbits: dict) -> list[tuple[RootSum, ...]]:
-    """Exact character values for every row and class.
+              wf: WorkingField, orbits: dict) -> tuple[np.ndarray, tuple[RootSum, ...]]:
+    """Exact character values for every row and class, as (cells, distinct).
 
     One inverse DFT mod q per rational class, orbits being
     _galois_orbits(cd): the representatives of one element order m are
     lifted together, chi(g^t) for t < m gathered through the power maps as
     a (row, rep, t) block and multiplied by the m x m inverse-DFT matrix,
     in chunks of at most k*k entries.  The result is the multiplicity of
-    each m-th root z^t in chi(g); every multiplicity must be at most chi(1)
-    and they must sum to chi(1).  Each conjugate class g^a
-    (gcd(a, m) = 1) is filled in by sigma_a, which sends exponent t to a*t
-    mod m.  Every class's lifted value, evaluated at z = w^(e/m), must equal
+    each m-th root z^t = w^(t*e/m) in chi(g); every multiplicity must be at
+    most chi(1) and they must sum to chi(1).
+
+    The nonzero terms of each (row, rep) then go to every class g^a of its
+    orbit (gcd(a, m) = 1) by sigma_a, which sends the exponent l of w to
+    a*l mod e, on the whole table at once: one (row, class, term) array,
+    padded to the widest support.  Each cell's terms are sorted, so equal
+    values have equal keys, and one np.unique over the k*n keys finds the
+    distinct values.  They are returned ascending, cells[r, j] being the
+    index of chi_r(g_j).  Every lifted value, evaluated at w, must equal
     its value mod q.
     """
     q, w, e = wf.q, wf.w, wf.exponent
     k, n = values.shape
     deg = np.asarray(degrees, dtype=np.int64)
-    seen: dict[RootSum, RootSum] = {}     # one object per distinct value
-    columns: dict[int, list[RootSum]] = {}
+    b = int(deg.max()) + 1      # above every multiplicity
+    # by_rep[r, i] holds the terms of chi_r at the i-th rep lifted, each as
+    # one int l*b + multiplicity (z^t = w^l), then a 0 for each empty slot;
+    # no rep has more terms than the largest degree or element order
+    bound = min(b - 1, max(orbits))
+    by_rep = np.zeros((k, sum(map(len, orbits.values())), bound), dtype=np.int64)
+    rep_of = [-1] * n           # class -> index of its rep
+    power = [0] * n             # class -> a with class = rep^a
+    n_reps = 0
     for m, reps in orbits.items():
         step = e // m
         z = pow(w, step, q)
@@ -258,6 +290,7 @@ def _lift_all(values: np.ndarray, degrees: list[int], cd: ClassData,
         t = np.arange(m)
         # idft[s, t] = z^(-s*t) / m
         idft = zpow[-np.outer(t, t) % m] * inv_mod(m % q, q) % q
+        lb = t * (step * b)
         chunk = max(1, k // m)
         for start in range(0, len(reps), chunk):
             batch = reps[start:start + chunk]
@@ -265,11 +298,43 @@ def _lift_all(values: np.ndarray, degrees: list[int], cd: ClassData,
             block = np.ascontiguousarray(values[:, powers])  # (row, rep, t)
             mults = mat_mul(block, idft, q)
             _check_multiplicities(mults, deg, [j for j, _ in batch])
-            for i, (_, orbit) in enumerate(batch):
-                columns.update(_orbit_columns(np.ascontiguousarray(mults[:, i]), orbit,
-                                              values, zpow, step, q, seen))
-    require(len(columns) == n, "every class must be lifted")
-    return list(zip(*(columns[j] for j in range(n))))
+            r, i, t = np.nonzero(mults)                      # by (row, rep, t)
+            slot = np.cumsum(mults > 0, axis=2)[r, i, t] - 1
+            by_rep[r, n_reps + i, slot] = mults[r, i, t] + lb[t]
+            for _, orbit in batch:
+                for j, a in orbit.items():
+                    rep_of[j], power[j] = n_reps, a
+                n_reps += 1
+    require(min(rep_of) >= 0, "every class must be lifted")
+
+    width = int(by_rep.any(axis=(0, 1)).sum())       # the slots any term uses
+    # class rep^a: each term's exponent l goes to a*l mod e, that is l*b to
+    # a*l*b mod e*b; an empty slot stays 0, below every term
+    keys = by_rep[:, rep_of, :width]                    # (row, class, slot)
+    del by_rep
+    mults = keys % b
+    keys -= mults
+    keys *= np.array(power)[:, None]
+    keys %= e * b
+    keys += mults
+    del mults
+    # every key is below e*b: narrowed to the smallest int type that holds it
+    keys = keys.astype(np.min_scalar_type(e * b)).reshape(k * n, width)
+    keys.sort(axis=1, kind="stable")
+    # a one-term key is compared as an int, much faster than as bytes
+    whole = keys if width == 1 else keys.view(np.dtype((np.void, keys.itemsize * width)))
+    uniq, inverse = np.unique(whole.ravel(), return_inverse=True)
+    found = [tuple(divmod(c, b) for c in key if c)
+             for key in uniq.view(keys.dtype).reshape(-1, width).tolist()]
+    ranked = sorted(range(len(found)), key=found.__getitem__)
+    rank = np.empty(len(found), dtype=np.intp)
+    rank[ranked] = np.arange(len(found))
+    cells = rank[inverse].reshape(k, n)
+    distinct = tuple(found[u] for u in ranked)
+    failures = _value_failures(cells, distinct, values, wf)
+    if failures:
+        raise InconsistentTable(failures[0])
+    return cells, distinct
 
 
 def _check_multiplicities(mults: np.ndarray, deg: np.ndarray, classes: list[int]) -> None:
@@ -286,35 +351,6 @@ def _check_multiplicities(mults: np.ndarray, deg: np.ndarray, classes: list[int]
         raise InconsistentTable(
             f"lifted multiplicities sum to {int(sums[r, i])} != degree "
             f"{int(deg[r])} (row {r}, class {classes[i]})")
-
-
-def _orbit_columns(mults: np.ndarray, orbit: dict[int, int], values: np.ndarray,
-                   zpow: np.ndarray, step: int, q: int,
-                   seen: dict[RootSum, RootSum]) -> dict[int, list[RootSum]]:
-    """The lifted values of every class in one rational class, by class.
-
-    mults[r, t] is the multiplicity of z^t in chi_r(rep); class g^a gets
-    exponent a*t mod m for each term, times step to become a power of w."""
-    m = mults.shape[1]
-    classes = list(orbit)
-    exps = np.outer(np.arange(m), list(orbit.values())) % m     # (t, class)
-    got = mat_mul(mults, zpow[exps], q)
-    wrong = got != values[:, classes]
-    if wrong.any():
-        i, r = np.argwhere(wrong.T)[0]
-        raise InconsistentTable(
-            f"lifted value does not match its value mod q (row {r}, class {classes[i]})")
-    keys = mults.view(np.dtype((np.void, mults.itemsize * m))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    built: list[list[RootSum]] = [[] for _ in classes]
-    for row in mults[first]:
-        ts = np.flatnonzero(row)
-        ms = row[ts].tolist()
-        for vals, ex in zip(built, (exps[ts] * step).T.tolist()):
-            val = tuple(sorted(zip(ex, ms)))
-            vals.append(seen.setdefault(val, val))
-    inverse = inverse.tolist()
-    return {j: [vals[u] for u in inverse] for j, vals in zip(classes, built)}
 
 
 def verify_orthogonality(table: CharTable) -> bool:
@@ -344,36 +380,34 @@ def verify_orthogonality(table: CharTable) -> bool:
 
 
 def orthogonality_failures(table: CharTable) -> list[str]:
-    flat = [val for row in table.lifted for val in row]
-    index = {val: i for i, val in enumerate(dict.fromkeys(flat))}
-    cells = np.array(list(map(index.__getitem__, flat))).reshape(len(table.lifted), -1)
-    return (_gram_failures(table, cells, index) or _equivariance_failures(table, cells, index)
-            or _value_failures(table, cells, index))
+    return (_gram_failures(table) or _equivariance_failures(table)
+            or _value_failures(table.cells, table.distinct, table.values_mod_q, table.q_field))
 
 
-def _at_root(index: dict[RootSum, int], p: int, w: int, e: int) -> np.ndarray:
-    """Each distinct value of index at zeta -> w, mod p (w of order e)."""
+def _at_root(distinct: tuple[RootSum, ...], p: int, w: int, e: int) -> np.ndarray:
+    """Each distinct value at zeta -> w, mod p (w of order e)."""
     wpow = [pow(w, l, p) for l in range(e)]
-    return np.array([sum(m * wpow[l % e] for l, m in val) % p for val in index],
+    return np.array([sum(m * wpow[l % e] for l, m in val) % p for val in distinct],
                     dtype=np.int64)
 
 
-def _gram_failures(table: CharTable, cells: np.ndarray, index: dict[RootSum, int]) -> list[str]:
+def _gram_failures(table: CharTable) -> list[str]:
     """Row pairs r <= s whose Gram entry differs from delta_rs |G| modulo
-    some prime; cells[r, j] = index[table.lifted[r][j]]."""
+    some prime."""
     e = table.q_field.exponent
     order = table.group.order()
     k = table.n_classes
+    cells = table.cells
     sizes = np.array(table.class_data.sizes, dtype=np.int64)
-    mu = np.array([sum(abs(m) for _, m in val) for val in index], dtype=np.int64)[cells]
+    mu = np.array([sum(abs(m) for _, m in val) for val in table.distinct], dtype=np.int64)[cells]
     bound = int(((mu * mu) @ sizes).max()) + order     # max B_rs = max B_rr, by Cauchy-Schwarz
     bad = np.zeros((k, k), dtype=bool)
     product, offset = 1, 0
     while product <= bound:
         wf = select_prime(e, order, offset=offset)
         p = wf.q
-        at_w = _at_root(index, p, wf.w, e)
-        at_w_inv = _at_root(index, p, inv_mod(wf.w, p), e)
+        at_w = _at_root(table.distinct, p, wf.w, e)
+        at_w_inv = _at_root(table.distinct, p, inv_mod(wf.w, p), e)
         gram = mat_mul(at_w[cells] * (sizes % p) % p, at_w_inv[cells].T, p)
         bad |= gram != np.eye(k, dtype=np.int64) * (order % p)
         product, offset = product * p, offset + 1
@@ -381,27 +415,26 @@ def _gram_failures(table: CharTable, cells: np.ndarray, index: dict[RootSum, int
             for r, s in zip(*np.nonzero(np.triu(bad)))]
 
 
-def _equivariance_failures(table: CharTable, cells: np.ndarray,
-                           index: dict[RootSum, int]) -> list[str]:
+def _equivariance_failures(table: CharTable) -> list[str]:
     """Cells where chi(g_j^a) != sigma_a(chi(g_j)), for a in generators of
     (Z/e)^x; sigma_a sends exponent l to a*l mod e."""
     e = table.q_field.exponent
     failures: list[str] = []
     for a in unit_generators(e):
         # the index of sigma_a(value) for each distinct value, -1 if none
-        image = np.array([index.get(tuple(sorted((a * l % e, m) for l, m in val)), -1)
-                          for val in index])
-        wrong = cells[:, table.power_classes(a)] != image[cells]
+        image = np.array([table.value_index(tuple(sorted((a * l % e, m) for l, m in val)))
+                          for val in table.distinct])
+        wrong = table.cells[:, table.power_classes(a)] != image[table.cells]
         for r, j in zip(*np.nonzero(wrong)):
             failures.append(f"lifted values not Galois-equivariant at row {r}, "
                             f"class {j} under sigma_{a}")
     return failures
 
 
-def _value_failures(table: CharTable, cells: np.ndarray, index: dict[RootSum, int]) -> list[str]:
+def _value_failures(cells: np.ndarray, distinct: tuple[RootSum, ...], values: np.ndarray,
+                    wf: WorkingField) -> list[str]:
     """Cells whose lifted value at zeta -> w differs from its value mod q."""
-    wf = table.q_field
-    wrong = _at_root(index, wf.q, wf.w, wf.exponent)[cells] != table.values_mod_q
+    wrong = _at_root(distinct, wf.q, wf.w, wf.exponent)[cells] != values
     return [f"lifted value does not match its value mod q at row {r}, class {j}"
             for r, j in zip(*np.nonzero(wrong))]
 
@@ -412,7 +445,7 @@ def table_document(table: CharTable) -> dict:
     """Machine-readable table export (JSON-serializable, deterministic)."""
     from .fields import field_labels
     cd = table.class_data
-    text = {v: _render(v) for v in dict.fromkeys(chain.from_iterable(table.lifted))}
+    text = [_render(v) for v in table.distinct]
     return {
         "order": table.group.order(),
         "degree": table.group.degree,
@@ -431,7 +464,7 @@ def table_document(table: CharTable) -> dict:
         "degrees": list(table.degrees),
         "row_fields": field_labels(table, prime_factors(table.q_field.exponent)),
         "values_mod_q": table.values_mod_q.tolist(),
-        "lifted": [[text[v] for v in row] for row in table.lifted],
+        "lifted": [[text[i] for i in row] for row in table.cells.tolist()],
     }
 
 

@@ -68,8 +68,8 @@ def _classes_meeting(table: CharTable, n: PermGroup) -> list[int]:
 def kernel_contains(table: CharTable, row: int, n: PermGroup) -> bool:
     """Is N inside Ker(chi_row)?  chi(x) = chi(1) iff x is in the kernel,
     that is, iff the exact lifted value is chi(1) times the root 1."""
-    deg = table.degrees[row]
-    return all(table.lifted[row][j] == ((0, deg),) for j in _classes_meeting(table, n))
+    one = table.value_index(((0, table.degrees[row]),))
+    return bool((table.cells[row, _classes_meeting(table, n)] == one).all())
 
 
 def relative_rows(table: CharTable, n: PermGroup) -> tuple[int, ...]:
@@ -131,9 +131,12 @@ def acd_pprime_over_central(table: CharTable, z: PermGroup, lam: dict,
     classes = cd.lookup(z.element_rows()[:, cd.base]).tolist()   # in the order of elems
     require(all(cd.sizes[j] == 1 for j in classes),
             "central elements must sit in singleton classes")
-    wanted = [(j, lam[x] % e) for x, j in zip(elems, classes)]
-    matching = [r for r in pprime_rows(table, range(table.n_classes), p)
-                if all(table.lifted[r][j] == ((t, table.degrees[r]),) for j, t in wanted)]
+    exps = [lam[x] % e for x in elems]
+    rows = pprime_rows(table, range(table.n_classes), p)
+    # per degree d, the index of each value d * lambda(x), -1 if no cell takes it
+    over = {d: [table.value_index(((t, d),)) for t in exps]
+            for d in {table.degrees[r] for r in rows}}
+    matching = [r for r in rows if (table.cells[r, classes] == over[table.degrees[r]]).all()]
     if not matching:
         raise ValueError("no p'-degree rows lie over the given central character")
     return mean_degree(table, matching)

@@ -8,6 +8,7 @@ word-tracking construction of abelian duals.
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import hashlib
 import random
 from functools import lru_cache
@@ -238,12 +239,14 @@ def per_class_lift(values: np.ndarray, degrees, cd, wf) -> list[tuple]:
     q, w, e = wf.q, wf.w, wf.exponent
     k, n = values.shape
     out = [[] for _ in range(k)]
+    dfts = {}
     for j in range(n):
         m = cd.element_orders[j]
-        z_inv = pow(pow(w, e // m, q), -1, q)
-        dft = np.array([[pow(z_inv, s * t, q) for t in range(m)] for s in range(m)],
-                       dtype=np.int64)
-        mults = values[:, list(cd.power_map[j])] @ dft % q * pow(m, -1, q) % q
+        if m not in dfts:
+            z_inv = pow(pow(w, e // m, q), -1, q)
+            dfts[m] = np.array([[pow(z_inv, s * t, q) for t in range(m)] for s in range(m)],
+                               dtype=np.int64)
+        mults = values[:, list(cd.power_map[j])] @ dfts[m] % q * pow(m, -1, q) % q
         for r in range(k):
             row = mults[r]
             if (row > degrees[r]).any() or int(row.sum()) != degrees[r]:
@@ -284,6 +287,17 @@ def eval_complex(v, e: int) -> complex:
 def lifted_complex_rows(table) -> list[list[complex]]:
     e = table.q_field.exponent
     return [[eval_complex(v, e) for v in row] for row in table.lifted]
+
+
+def with_lifted(table, rows):
+    """The table with its exact values replaced by the given rows of
+    RootSums, stored as the table stores them: cells indexing the distinct
+    values, ascending.  values_mod_q is left untouched, so only the exact
+    check can fail."""
+    distinct = tuple(sorted({v for row in rows for v in row}))
+    index = {v: i for i, v in enumerate(distinct)}
+    cells = np.array([[index[v] for v in row] for row in rows], dtype=np.intp)
+    return dataclasses.replace(table, cells=cells, distinct=distinct)
 
 
 def match_rows_numeric(rows_a, rows_b, tol: float = 1e-6) -> bool:

@@ -204,11 +204,12 @@ def test_criterion_8a_abelian_dual_oracle(corpus_entries):
         oracle = abelian_dual_rows(group, table.q_field.exponent)
         elems = sorted(group.elements())
         classes = brute_class_map(group, table.class_data.reps)
+        lifted = table.lifted
         got = set()
         for r in range(table.n_classes):
             row = []
             for x in elems:
-                vals = table.lifted[r][classes[x]]
+                vals = lifted[r][classes[x]]
                 assert len(vals) == 1 and vals[0][1] == 1
                 row.append(vals[0][0])
             got.add(tuple(row))

@@ -6,16 +6,19 @@ from math import gcd
 import numpy as np
 import pytest
 
-from chartab import (InconsistentTable, chartable, construct, fplinalg,
+from chartab import (InconsistentTable, acd_pprime_over_central,
+                     central_linear_characters, chartable, construct, fplinalg,
                      select_prime, verify_orthogonality)
 from chartab.chartable import (CharTable, _galois_orbits, _matrix_order,
                                _split_spaces, class_matrix, compute_table,
                                orthogonality_failures, table_document)
+from chartab.harness import check_group
+from chartab.invariants import kernel_contains
 
 from helpers import (brute_class_map, det_mod, lifted_complex_rows,
                      match_rows_numeric, numeric_character_rows,
                      per_class_lift, reference_class_matrix, relabel,
-                     search_working_prime, table_of)
+                     search_working_prime, table_of, with_lifted)
 
 
 # -- working prime ---------------------------------------------------------------
@@ -350,8 +353,7 @@ def test_table_shape_invariants():
 
 def test_lift_trivial_character():
     t = table_of("S(4)")
-    for j in range(t.n_classes):
-        assert t.lifted[0][j] == ((0, 1),)
+    assert t.lifted[0] == (((0, 1),),) * t.n_classes
 
 
 def test_lift_cyclic3_linear_values():
@@ -368,12 +370,13 @@ def test_lift_cyclic3_linear_values():
 def test_lift_sums_to_degree():
     for expr in ("A(5)", "SL(2,3)", "D(7)"):
         t = table_of(expr)
+        lifted = t.lifted
         for r in range(t.n_classes):
             for j in range(t.n_classes):
-                assert sum(m for _, m in t.lifted[r][j]) == t.degrees[r]
+                assert sum(m for _, m in lifted[r][j]) == t.degrees[r]
                 # lifted value reproduces the mod-q entry
                 q, w = t.q_field.q, t.q_field.w
-                val = sum(m * pow(w, l, q) for l, m in t.lifted[r][j]) % q
+                val = sum(m * pow(w, l, q) for l, m in lifted[r][j]) % q
                 assert val == int(t.values_mod_q[r][j])
 
 
@@ -404,10 +407,14 @@ LIFT_CASES = [(expr, seed, 0) for expr in ("C(12)", "C(60)", "C(2) x C(8)", "Aff
               for seed in (None, 7)] + [("C(60)", None, 1), ("Aff(7,3)", None, 1)]
 
 
-@pytest.mark.parametrize("expr, seed, offset", LIFT_CASES)
+@pytest.mark.parametrize("expr, seed, offset", LIFT_CASES + [("C(200)", 7, 0)])
 def test_lift_matches_per_class_oracle(expr, seed, offset):
     g = construct(expr) if seed is None else relabel(construct(expr), seed)
     t = compute_table(g, prime_offset=offset)
+    # each distinct value once, ascending, and every one of them in some cell
+    assert list(t.distinct) == sorted(set(t.distinct))
+    assert t.cells.shape == (t.n_classes, t.n_classes)
+    assert np.array_equal(np.unique(t.cells), np.arange(len(t.distinct)))
     oracle = per_class_lift(t.values_mod_q, t.degrees, t.class_data, t.q_field)
     assert tuple(oracle) == t.lifted
 
@@ -463,9 +470,10 @@ def test_lift_one_dft_per_rational_class(monkeypatch, expr, rational_classes):
         return fplinalg.mat_mul(a, b, q)
 
     monkeypatch.setattr(chartable, "mat_mul", counted)
-    lifted = chartable._lift_all(t.values_mod_q, list(t.degrees), t.class_data, t.q_field,
-                                 _galois_orbits(t.class_data))
-    assert tuple(lifted) == t.lifted
+    cells, distinct = chartable._lift_all(t.values_mod_q, list(t.degrees), t.class_data,
+                                          t.q_field, _galois_orbits(t.class_data))
+    assert distinct == t.distinct
+    assert np.array_equal(cells, t.cells)
     assert sum(dft_classes) == rational_classes
 
 
@@ -517,19 +525,13 @@ def test_mutated_table_fails_orthogonality():
         q_field=t.q_field,
         degrees=t.degrees,
         values_mod_q=t.values_mod_q.copy(),
-        lifted=t.lifted,
+        cells=t.cells,
+        distinct=t.distinct,
     )
     mutated.values_mod_q[1][1] = (mutated.values_mod_q[1][1] + 1) % t.q_field.q
     assert not verify_orthogonality(mutated)
     assert orthogonality_failures(mutated) == [
         "lifted value does not match its value mod q at row 1, class 1"]
-
-
-def _with_lifted(t, lifted):
-    # values_mod_q is left untouched, so only the exact check can fail
-    return CharTable(group=t.group, class_data=t.class_data, q_field=t.q_field,
-                     degrees=t.degrees, values_mod_q=t.values_mod_q,
-                     lifted=tuple(tuple(row) for row in lifted))
 
 
 def _swap_two_values(lifted):
@@ -555,7 +557,7 @@ def test_exact_orthogonality_catches_bad_lift(expr, mutate):
     t = table_of(expr)
     bad_lifted = [list(row) for row in t.lifted]
     r, s = mutate(bad_lifted)
-    failures = orthogonality_failures(_with_lifted(t, bad_lifted))
+    failures = orthogonality_failures(with_lifted(t, bad_lifted))
     assert f"exact first orthogonality fails at rows ({r},{s})" in failures
     for f in failures:
         pair = re.fullmatch(r"exact first orthogonality fails at rows \((\d+),(\d+)\)", f)
@@ -580,7 +582,7 @@ def test_exact_orthogonality_matches_complex_gram():
             else:
                 jj = rng.randrange(k)
                 bad_lifted[r][j], bad_lifted[r][jj] = bad_lifted[r][jj], bad_lifted[r][j]
-            mutated = _with_lifted(t, bad_lifted)
+            mutated = with_lifted(t, bad_lifted)
             x = np.array(lifted_complex_rows(mutated))
             gram = (x * sizes) @ x.conj().T - order * np.eye(k)
             want = [f"exact first orthogonality fails at rows ({a},{b})"
@@ -594,7 +596,7 @@ def test_exact_orthogonality_needs_more_than_the_working_prime():
     t = table_of("C(3)")
     bad_lifted = [list(row) for row in t.lifted]
     bad_lifted[1][0] = ((0, 1 + t.q_field.q),)
-    assert orthogonality_failures(_with_lifted(t, bad_lifted)) == [
+    assert orthogonality_failures(with_lifted(t, bad_lifted)) == [
         f"exact first orthogonality fails at rows ({r},{s})" for r, s in ((0, 1), (1, 1), (1, 2))]
 
 
@@ -620,11 +622,38 @@ def _swap_row_1_classes_1_10(t):
 def test_exact_orthogonality_rejects_non_equivariant_lift(expr, mutate):
     # every Gram entry is right, but sigma_a does not map the column of g to
     # the column of g^a, so a zero Gram product would prove nothing
-    failures = orthogonality_failures(_with_lifted(table_of(expr), mutate(table_of(expr))))
+    failures = orthogonality_failures(with_lifted(table_of(expr), mutate(table_of(expr))))
     assert failures
     for f in failures:
         assert re.fullmatch(r"lifted values not Galois-equivariant at row \d+, "
                             r"class \d+ under sigma_\d+", f), f
+
+
+# -- the lifted values as the library reads them ---------------------------------------
+
+@pytest.mark.parametrize("expr", ["S(4)", "A(5)", "SL(2,9)", "C(3) x S(3)"])
+def test_library_never_reads_lifted(monkeypatch, expr):
+    # the per-cell RootSum tuples are built for callers only; the check, the
+    # export, the harness and the invariants all read cells
+    def refuse(self):
+        raise AssertionError("CharTable.lifted read by the library")
+
+    monkeypatch.setattr(CharTable, "lifted", property(refuse))
+    g = construct(expr)
+    check_group(g, name=expr)
+    t = compute_table(g)
+    with pytest.raises(AssertionError):
+        t.lifted
+    assert verify_orthogonality(t)
+    table_document(t)
+    # G' lies in the kernel of exactly the linear characters
+    derived = g.derived_subgroup()
+    assert [kernel_contains(t, r, derived) for r in range(t.n_classes)] == [
+        d == 1 for d in t.degrees]
+    center = g.subgroup([x for x in g.elements() if not x.is_identity()
+                         and all(x * h == h * x for h in g.generators)])
+    for lam in central_linear_characters(t, center):
+        assert acd_pprime_over_central(t, center, lam, 7) >= 1
 
 
 # -- determinism and prime independence ----------------------------------------------
