@@ -101,7 +101,12 @@ class CharTable:
 
     @property
     def lifted(self) -> tuple[tuple[RootSum, ...], ...]:
-        """lifted[r][j] = chi_r(g_j) as a RootSum, built on every call."""
+        """lifted[r][j] = chi_r(g_j) as a RootSum.
+
+        Every access rebuilds all k * n tuples (nothing is cached), so read
+        it once, not once per cell; one value is
+        table.distinct[table.cells[r, j]].
+        """
         return tuple(tuple(map(self.distinct.__getitem__, row)) for row in self.cells.tolist())
 
     def value_index(self, value: RootSum) -> int:

@@ -3,6 +3,11 @@
 Composition is left-to-right: (p * q) sends x to q[p[x]], i.e. apply p
 first.  This matches the exponent convention x^(gh) = (x^g)^h used by the
 group-theoretic code throughout.
+
+This module is the one home of the image-tuple kernels: compose (the
+product), invert (the inverse) and sift (a stabilizer chain's reduction
+through its coset tables of image tuples).  Permutation wraps the first
+two; no other module composes image tuples itself.
 """
 
 from __future__ import annotations
@@ -37,10 +42,7 @@ class Permutation:
         return Permutation(compose(self.images, other.images), _checked=True)
 
     def inverse(self) -> "Permutation":
-        inv = [0] * len(self.images)
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Permutation(tuple(inv), _checked=True)
+        return Permutation(invert(self.images), _checked=True)
 
     def __pow__(self, n: int) -> "Permutation":
         if n < 0:
@@ -103,12 +105,40 @@ class Permutation:
 
 def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     """Image tuple of the product p * q, (q[p[0]], q[p[1]], ...), in one
-    C-level call; the one place where image tuples are composed."""
+    C-level call (sift makes the same call inline, once per level)."""
     if len(p) <= 1:
         # itemgetter needs two indices to return a tuple; degree <= 1 has
         # only the identity, so the product is q
         return q
     return itemgetter(*p)(q)
+
+
+def invert(p: tuple[int, ...]) -> tuple[int, ...]:
+    """Image tuple of the inverse of p."""
+    inv = [0] * len(p)
+    for i, j in enumerate(p):
+        inv[j] = i
+    return tuple(inv)
+
+
+def sift(images: tuple[int, ...], levels, start: int = 0) -> tuple[tuple[int, ...], int]:
+    """Reduce an image tuple through the levels of a stabilizer chain from
+    level start on; returns the residue's image tuple and the level where
+    it stopped (len(levels) if it passed them all).
+
+    Each level has a base point and a coset table, transversal, mapping
+    each orbit point x to the image tuple of a v_x with v_x[x] == point:
+    the residue is multiplied by it, images * v_x, composed inline as in
+    compose.  A level moves its base point, so a chain of degree <= 1 has
+    no levels and nothing is composed there.
+    """
+    for i in range(start, len(levels)):
+        lvl = levels[i]
+        v = lvl.transversal.get(images[lvl.point])
+        if v is None:
+            return images, i
+        images = itemgetter(*images)(v)
+    return images, len(levels)
 
 
 def parse_cycles(text: str, degree: int) -> Permutation:

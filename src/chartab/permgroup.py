@@ -3,15 +3,17 @@
 Two representations coexist:
 
 * a deterministic Schreier-Sims stabilizer chain, used for orders and
-  membership with no size limit.  Each level keeps one coset table, of
-  inverse coset representatives, which sifting multiplies by directly,
-  and the orbit-tree edges that built it, whose Schreier generators are
-  the identity and are skipped when closing.  Sifting and membership
-  compose image tuples and build no Permutation.  Closing tests every
-  off-tree Schreier generator v_pt^-1 * s * v_s(pt) on the coset table
-  (it is the identity exactly when s * v_s(pt) == v_pt) and forms and
-  sifts only those that fail; a residue becomes a Permutation only when it is
-  registered as a strong generator.  StabilizerChain.extend grows a chain
+  membership with no size limit.  Each level keeps one coset table, the
+  image tuples of the inverse coset representatives, which sifting
+  multiplies by directly, and the orbit-tree edges that built it, whose
+  Schreier generators are the identity and are skipped when closing.
+  Products, inverses and the sift loop itself are the image-tuple kernels
+  of perm.py (compose, invert, sift); sifting, membership and orbit
+  building build no Permutation.  Closing tests every off-tree Schreier
+  generator v_pt^-1 * s * v_s(pt) on the coset table (it is the identity
+  exactly when s * v_s(pt) == v_pt) and forms and sifts only those that
+  fail; a chain build creates a Permutation only for each residue it
+  registers as a strong generator.  StabilizerChain.extend grows a chain
   in place, and a normal closure keeps the chain it grew;
 * a dense element store (capped at 200000 elements, checked against the
   chain's order before enumeration): one read-only (order, degree) int32
@@ -47,7 +49,7 @@ import numpy as np
 
 from .arith import check_prime, pprime_part
 from .fplinalg import require
-from .perm import Permutation, compose
+from .perm import Permutation, compose, invert, sift
 
 DEFAULT_ENUM_CAP = 200_000
 
@@ -64,19 +66,19 @@ class _Level:
     """One level of the chain: a base point, the strong generators that fix
     the earlier base points, and one coset table over the orbit.
 
-    transversal maps each orbit point x to v_x, the inverse of a coset
-    representative carrying point to x, so v_x.images[x] == point: sifting
-    multiplies by it directly.  tree_edges holds the (point, generator
-    index) pairs that discovered an orbit point; their Schreier generators
-    are the identity by construction.
+    transversal maps each orbit point x to the image tuple of v_x, the
+    inverse of a coset representative carrying point to x, so
+    v_x[x] == point: sifting multiplies by it directly.  tree_edges holds
+    the (point, generator index) pairs that discovered an orbit point;
+    their Schreier generators are the identity by construction.
     """
 
     __slots__ = ("point", "gens", "transversal", "tree_edges")
 
-    def __init__(self, point: int, degree: int):
+    def __init__(self, point: int, identity: tuple[int, ...]):
         self.point = point
         self.gens: list[Permutation] = []
-        self.transversal: dict[int, Permutation] = {point: Permutation.identity(degree)}
+        self.transversal: dict[int, tuple[int, ...]] = {point: identity}
         self.tree_edges: set[tuple[int, int]] = set()
 
 
@@ -93,30 +95,24 @@ class StabilizerChain:
 
     def _rebuild_orbit(self, i: int) -> None:
         lvl = self.levels[i]
-        lvl.transversal = {lvl.point: Permutation.identity(self.degree)}
+        lvl.transversal = table = {lvl.point: self.identity}
         lvl.tree_edges = set()
-        gens = [(s, s.inverse()) for s in lvl.gens]
+        gens = [(s.images, invert(s.images)) for s in lvl.gens]
         queue = deque([lvl.point])
         while queue:
             pt = queue.popleft()
-            v = lvl.transversal[pt]
+            v = table[pt]
             for gi, (s, s_inv) in enumerate(gens):
-                img = s.images[pt]
-                if img not in lvl.transversal:
-                    lvl.transversal[img] = s_inv * v     # img -> pt -> point
+                img = s[pt]
+                if img not in table:
+                    table[img] = compose(s_inv, v)     # img -> pt -> point
                     lvl.tree_edges.add((pt, gi))
                     queue.append(img)
 
     def sift(self, images: tuple[int, ...], start: int = 0) -> tuple[tuple[int, ...], int]:
         """Reduce the image tuple of an element through the chain; returns
         the image tuple of the residue and the level where it stopped."""
-        for i in range(start, len(self.levels)):
-            lvl = self.levels[i]
-            v = lvl.transversal.get(images[lvl.point])
-            if v is None:
-                return images, i
-            images = compose(images, v.images)
-        return images, len(self.levels)
+        return sift(images, self.levels, start)
 
     def extend(self, g: Permutation) -> bool:
         """Add g to the group unless it is already a member, then restore the
@@ -134,7 +130,7 @@ class StabilizerChain:
             return -1
         if i == len(self.levels):
             base_pt = min(p for p in range(self.degree) if images[p] != p)
-            self.levels.append(_Level(base_pt, self.degree))
+            self.levels.append(_Level(base_pt, self.identity))
         h = Permutation(images, _checked=True)
         # register at every level whose preceding base points h fixes
         for j in range(i + 1):
@@ -156,19 +152,20 @@ class StabilizerChain:
         does not sift to the identity through the levels below, or None."""
         lvl = self.levels[i]
         table = lvl.transversal
+        gens = [s.images for s in lvl.gens]
         for pt in sorted(table):
-            v = table[pt].images
+            v = table[pt]
             u = None
-            for gi, s in enumerate(lvl.gens):
+            for gi, s in enumerate(gens):
                 # a tree edge's, v_pt^-1 * s * (s^-1 * v_pt), is the identity as built
                 if (pt, gi) in lvl.tree_edges:
                     continue
                 # v_pt^-1 * s * w is the identity exactly when s * w == v_pt
-                sw = compose(s.images, table[s.images[pt]].images)
+                sw = compose(s, table[s[pt]])
                 if sw == v:
                     continue
                 if u is None:
-                    u = table[pt].inverse().images
+                    u = invert(v)
                 residue, _ = self.sift(compose(u, sw), i + 1)
                 if residue != self.identity:
                     return residue
@@ -178,9 +175,8 @@ class StabilizerChain:
         return prod(len(lvl.transversal) for lvl in self.levels)
 
     def contains(self, g: Permutation) -> bool:
-        if g.degree != self.degree:
-            return False
-        return self.sift(g.images)[0] == self.identity
+        images = g.images
+        return len(images) == self.degree and sift(images, self.levels)[0] == self.identity
 
 
 @dataclass(frozen=True)
@@ -317,7 +313,7 @@ class PermGroup:
                     "too large for dense mode")
             rows = np.arange(self.degree, dtype=np.int32)[None, :]
             for lvl in reversed(self.chain.levels):
-                v = np.array([t.images for t in lvl.transversal.values()], dtype=np.intp)
+                v = np.array(list(lvl.transversal.values()), dtype=np.intp)
                 # (v * x)[b] = x[v[b]], for every row x and every entry v
                 rows = rows[:, v].reshape(len(rows) * len(v), self.degree)
             self._rows = _readonly(rows[np.argsort(_row_keys(rows))])

@@ -83,7 +83,7 @@ def product_sift(chain, g: Permutation, start: int = 0) -> tuple[Permutation, in
         img = g.images[lvl.point]
         if img not in lvl.transversal:
             return g, i
-        q = lvl.transversal[img].images
+        q = lvl.transversal[img]
         g = Permutation(tuple(q[x] for x in g.images))
     return g, len(chain.levels)
 
@@ -94,7 +94,7 @@ def chain_hash(chain) -> str:
     digest = hashlib.sha256()
     for lvl in chain.levels:
         digest.update(repr((lvl.point, [s.images for s in lvl.gens],
-                            sorted(v.images for v in lvl.transversal.values()),
+                            sorted(lvl.transversal.values()),
                             sorted(lvl.tree_edges))).encode())
     return digest.hexdigest()[:16]
 

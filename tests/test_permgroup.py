@@ -11,7 +11,7 @@ from chartab.arith import (check_prime, element_of_order, is_prime,
 from chartab.chartable import compute_table
 from chartab.groupspec import construct_cached
 
-from chartab.perm import compose
+from chartab.perm import compose, invert
 from chartab.permgroup import PermGroup, StabilizerChain
 
 from helpers import (brute_class_map, brute_conjugacy_sizes,
@@ -126,8 +126,8 @@ def test_chain_levels_keep_one_table_of_inverse_representatives():
         g = construct(expr)
         for lvl in g.chain.levels:
             assert not hasattr(lvl, "inverses")
-            assert all(v.images[x] == lvl.point for x, v in lvl.transversal.items()), expr
-            assert all(v in g for v in lvl.transversal.values()), expr
+            assert all(v[x] == lvl.point for x, v in lvl.transversal.items()), expr
+            assert all(Permutation(v) in g for v in lvl.transversal.values()), expr
 
 
 def test_chain_extend_reports_growth():
@@ -169,7 +169,8 @@ def test_chain_tree_edges_give_identity_schreier_generators():
             assert len(lvl.tree_edges) == len(lvl.transversal) - 1, expr
             for pt, gi in lvl.tree_edges:
                 s = lvl.gens[gi]
-                schreier = lvl.transversal[pt].inverse() * s * lvl.transversal[s.images[pt]]
+                schreier = (Permutation(lvl.transversal[pt]).inverse() * s
+                            * Permutation(lvl.transversal[s.images[pt]]))
                 assert schreier.is_identity(), expr
 
 
@@ -221,14 +222,17 @@ def test_schreier_identity_test_matches_the_product():
                     if (pt, gi) in lvl.tree_edges:
                         continue
                     w = table[s.images[pt]]
-                    trivial = compose(s.images, w.images) == table[pt].images
-                    assert trivial == (table[pt].inverse() * s * w).is_identity(), expr
+                    trivial = compose(s.images, w) == table[pt]
+                    product = Permutation(table[pt]).inverse() * s * Permutation(w)
+                    assert trivial == product.is_identity(), expr
                     outcomes.add(trivial)
     assert outcomes == {False, True}
 
 
 # chain_hash at the commit before the Schreier generators' identity test
-# moved onto the coset table: (plain, relabelled with seed 7)
+# moved onto the coset table: (plain, relabelled with seed 7); the
+# chain_query groups S(16), A(12) and S(10) at the commit before the coset
+# tables became image tuples
 CHAIN_HASHES = {
     "C(200)": ("91d6a2a312114788", "262de9ddcbf92ecf"),
     "D(100)": ("15b80632107e1663", "e22974a4319eac2a"),
@@ -236,6 +240,9 @@ CHAIN_HASHES = {
     "A(8)": ("3934b1d783fc2196", "288a212c89e3a198"),
     "SL(2,9)": ("e7d9e6774708e09e", "5fe4d1af72f05635"),
     "PSL(2,9)": ("a2dd17b3587f8c3b", "f6ed43836177b482"),
+    "S(16)": ("8ef14ace14e48154", "26eb45d3728c562f"),
+    "A(12)": ("fdd5eaf1319fddad", "b7182b6e0d39624b"),
+    "S(10)": ("57326100ef54cf97", "27cc2ff66e99cd28"),
 }
 
 
@@ -249,16 +256,46 @@ def test_chain_closure_inverts_few_coset_representatives(monkeypatch):
     # nearly all of D(50)'s Schreier generators are the identity, which the
     # coset table shows with no inverse
     calls = []
-    inverse = Permutation.inverse
 
-    def counted(self):
-        calls.append(self)
-        return inverse(self)
+    def counted(images):
+        calls.append(images)
+        return invert(images)
 
     g = construct("D(50)")
-    monkeypatch.setattr(Permutation, "inverse", counted)
+    monkeypatch.setattr("chartab.permgroup.invert", counted)
     chain = StabilizerChain(list(g.generators), g.degree)
     assert chain.order() == 100 and len(calls) <= 7
+
+
+def test_chain_build_makes_a_permutation_only_per_strong_generator(monkeypatch):
+    # orbits, coset tables and Schreier tests stay image tuples: S(8)'s
+    # chain has 35 orbit points and 10 strong generators
+    g = construct("S(8)")
+    built = []
+    init = Permutation.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Permutation, "__init__", counted)
+    chain = StabilizerChain(list(g.generators), 8)
+    strong = {id(s) for lvl in chain.levels for s in lvl.gens}
+    assert sum(len(lvl.transversal) for lvl in chain.levels) == 35
+    assert len(built) == len(strong) == 10
+
+
+@pytest.mark.parametrize("degree", [0, 1])
+def test_membership_at_degree_zero_and_one(degree):
+    # the only permutation of these degrees is the identity, and the chain
+    # has no levels, so sifting composes nothing
+    g = PermGroup([], degree)
+    assert g.chain.levels == []
+    assert Permutation.identity(degree) in g
+    assert Permutation.identity(degree + 1) not in g
+    assert parse_cycles("(0 1)", 2) not in g
+    if degree:
+        assert Permutation.identity(0) not in g
 
 
 def test_membership_builds_no_permutation(monkeypatch):
