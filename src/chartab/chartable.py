@@ -97,7 +97,7 @@ class CharTable:
 
     @property
     def n_classes(self) -> int:
-        return len(self.class_data.reps)
+        return len(self.class_data)
 
     @property
     def lifted(self) -> tuple[tuple[RootSum, ...], ...]:
@@ -117,7 +117,7 @@ class CharTable:
     def power_classes(self, k: int) -> list[int]:
         """Class of g^k for each class representative g."""
         cd = self.class_data
-        return [cd.class_power(j, k) for j in range(len(cd.reps))]
+        return [cd.class_power(j, k) for j in range(len(cd))]
 
     def galois_fixed(self, k: int) -> np.ndarray:
         """Boolean mask of the rows sigma_k fixes: chi(g^k) = chi(g) for all g."""
@@ -127,10 +127,11 @@ class CharTable:
 
 def class_matrix(cd: ClassData, i: int) -> np.ndarray:
     """Structure-constant matrix M[j,k] = #{x in C_i : x^-1 rep_k in C_j}."""
-    k = len(cd.reps)
+    k = len(cd)
     members = cd.member_index[cd.member_offsets[i]:cd.member_offsets[i + 1]]
     # (x^-1 * rep)[b] = rep[x^-1[b]] under left-to-right composition
-    classes = cd.lookup(cd.rep_images[:, cd.inv_base[members]])   # (k, |C_i|)
+    reps = cd.rep_index[:, None, None]
+    classes = cd.lookup(cd.index.rows[reps, cd.inv_base[members]])   # (k, |C_i|)
     counts = np.bincount((classes * k + np.arange(k)[:, None]).ravel(), minlength=k * k)
     return counts.reshape(k, k).astype(np.int64, copy=False)
 
@@ -175,14 +176,14 @@ def _matrix_order(cd: ClassData, orbits: dict) -> list[int]:
     omega(K_{j^a}) = sigma_a(omega(K_j)), so over C the first part
     separates every character; the rest runs only if it does not mod q."""
     first = {j for reps in orbits.values() for j, _ in reps}
-    return sorted(range(1, len(cd.reps)), key=lambda i: (i not in first, cd.sizes[i], i))
+    return sorted(range(1, len(cd)), key=lambda i: (i not in first, cd.sizes[i], i))
 
 
 def compute_table(group: PermGroup, prime_offset: int = 0) -> CharTable:
     """Full exact character table of a dense-mode group."""
     cd = group.conjugacy_classes()
     order = group.order()
-    k = len(cd.reps)
+    k = len(cd)
     wf = select_prime(cd.exponent, order, offset=prime_offset)
     q = wf.q
     orbits = _galois_orbits(cd)
@@ -450,6 +451,7 @@ def table_document(table: CharTable) -> dict:
     """Machine-readable table export (JSON-serializable, deterministic)."""
     from .fields import field_labels
     cd = table.class_data
+    reps = cd.reps
     text = [_render(v) for v in table.distinct]
     return {
         "order": table.group.order(),
@@ -460,7 +462,7 @@ def table_document(table: CharTable) -> dict:
         "w": table.q_field.w,
         "classes": [
             {
-                "rep": cd.reps[j].cycle_string(),
+                "rep": reps[j].cycle_string(),
                 "size": cd.sizes[j],
                 "element_order": cd.element_orders[j],
             }

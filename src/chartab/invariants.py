@@ -62,7 +62,7 @@ def acd_pprime(table: CharTable, p: int, spec: FieldSpec = FieldSpec.all()) -> F
 
 def _classes_meeting(table: CharTable, n: PermGroup) -> list[int]:
     cd = table.class_data
-    return np.unique(cd.lookup(n.element_rows()[:, cd.base])).tolist()
+    return np.unique(cd.lookup(n.element_rows()[:, cd.index.base])).tolist()
 
 
 def kernel_contains(table: CharTable, row: int, n: PermGroup) -> bool:
@@ -128,7 +128,7 @@ def acd_pprime_over_central(table: CharTable, z: PermGroup, lam: dict,
     if any((lam[a] + lam[b] - lam[a * b]) % e for a in elems for b in elems):
         raise ValueError("value pattern is not a homomorphism")
     cd = table.class_data
-    classes = cd.lookup(z.element_rows()[:, cd.base]).tolist()   # in the order of elems
+    classes = cd.lookup(z.element_rows()[:, cd.index.base]).tolist()   # in the order of elems
     require(all(cd.sizes[j] == 1 for j in classes),
             "central elements must sit in singleton classes")
     exps = [lam[x] % e for x in elems]

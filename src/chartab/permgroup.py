@@ -18,19 +18,25 @@ Two representations coexist:
 * a dense element store (capped at 200000 elements, checked against the
   chain's order before enumeration): one read-only (order, degree) int32
   array of image rows in tuple order, built a chain level at a time by
-  numpy gathers.  It is the substrate for conjugacy classes, quotients
-  and all character-table work; Permutations are built from it only at
-  the API edge (elements(), ClassData.reps).
+  numpy gathers over each level's coset table, converted to an int32
+  array once.  It is the substrate for conjugacy classes, quotients and
+  all character-table work; Permutations are built from it only at the
+  API edge (elements(), ClassData.reps).
 
-Classes are identified by base images, the images of the chain's base
-points, which determine an element.  ClassData holds them as exact sorted
-keys with their class ids, its one class index: class orbits, power maps,
-class matrices and ClassData.class_of(x) are numpy gathers plus one
-np.searchsorted lookup rather than a Permutation built and hashed per
-product; a row that matches no element raises InconsistentTable.  Element
-orders are read off the power iteration: each representative's powers on
-the base points are taken until it is back at the base.  A normal
-p-complement is decided on the p'-classes by the same lookups.
+The store comes with its one element index, a RankIndex: an element is
+found from its base images (the images of the chain's base points) by
+ordinary Schreier-Sims sifting, done on numpy arrays for many elements at
+once.  Each level's digit is the orbit index of the current base image,
+read from an int32 slot array, and the later base images are gathered
+through the row of the chosen coset-table entry; the digits form a
+mixed-radix rank in [0, |G|), and rank -> row and rank -> class arrays
+finish the lookup.  Class orbits, power maps, class matrices,
+ClassData.class_of(x), the normal p-complement test and quotients are
+numpy gathers plus these lookups rather than a Permutation built and
+hashed per product; a base image off its level's orbit raises
+InconsistentTable.  Element orders and power maps take ceil(log2(max
+order)) doubling steps: the base images of rep^t for t < T give those for
+t < 2T by one gather through the row of rep^T, which is then squared.
 
 Groups and their class data are immutable after construction (ClassData's
 arrays are read-only), and so is a group's chain: only extend changes a
@@ -180,39 +186,87 @@ class StabilizerChain:
 
 
 @dataclass(frozen=True)
+class RankIndex:
+    """The elements of a dense-mode group, numbered by chain rank.
+
+    Sifting an element g through the chain takes at level i the orbit point
+    x = g[b_i] of that level's base point b_i and multiplies g by the coset
+    table entry v_x (v_x[x] == b_i).  The orbit index of x is the level's
+    digit, and the digits d_0, d_1, ... read in mixed radix,
+    d_0 + n_0 * (d_1 + n_1 * (d_2 + ...)) for orbit sizes n_i, are g's rank
+    in [0, |G|).  Base images are enough to sift: the residue's images of
+    the later base points are v_x[g[b_j]], one gather through the row of v_x.
+
+    rows is the dense store, element_rows(); base holds the base points;
+    slots[i] maps each point to its orbit index at level i (-1 off the
+    orbit) and cosets[i] each orbit index to the row of its coset table
+    entry; row_of_rank maps each rank to its row.  All are read-only.
+    """
+
+    rows: np.ndarray = field(repr=False)
+    base: np.ndarray
+    slots: tuple[np.ndarray, ...] = field(repr=False)
+    cosets: tuple[np.ndarray, ...] = field(repr=False)
+    row_of_rank: np.ndarray = field(repr=False)
+
+    def rank(self, images: np.ndarray) -> np.ndarray:
+        """Ranks of the elements with the given base-image rows (..., b).
+
+        A point off its level's orbit raises InconsistentTable, so a lookup
+        is never silently wrong."""
+        rank = np.zeros(images.shape[:-1], dtype=np.int32)
+        radix = 1
+        for slot, coset in zip(self.slots, self.cosets):
+            digit = slot[images[..., 0]]
+            require(bool(digit.min(initial=0) >= 0), "a product matches no element of the group")
+            rank += digit * radix
+            radix *= len(coset)
+            images = images[..., 1:]
+            if images.shape[-1]:
+                # the residue g * v_x on the later base points: v_x[g[b]]
+                images = self.rows[coset[digit][..., None], images]
+        return rank
+
+    def row(self, images: np.ndarray) -> np.ndarray:
+        """Row indices in rows of the elements with these base-image rows."""
+        return self.row_of_rank[self.rank(images)]
+
+
+@dataclass(frozen=True)
 class ClassData:
     """Conjugacy classes of a dense-mode group.
 
     power_map[j][k] is the class of rep_j**k for 0 <= k < element_orders[j];
     class_power extends to arbitrary k by reduction mod the element order.
-    Each power_map[j] is a read-only int view of length element_orders[j]
+    Each power_map[j] is a read-only int32 view of length element_orders[j]
     into one (k, max element order) array.
 
-    The array fields identify classes by base images (the images of the
-    chain's base points, which determine an element): base holds the base
-    points, keys the base-image rows of all elements in sorted key order and
-    key_class the class of each; rep_images the full image rows of the reps;
-    inv_base the base images of x**-1 for each row x of element_rows();
-    member_index the element indices of class i at
+    Classes are found by chain rank: index is the group's RankIndex and
+    rank_class the class of each rank.  rep_index holds the row of each
+    representative in index.rows; inv_base the base images of x**-1 for
+    each row x; member_index the rows of class i at
     member_offsets[i]:member_offsets[i+1].  All of them are read-only, and
     they are the only class index: class_of(x) looks x up through them.
+    reps builds the representatives as Permutations on each access.
     """
 
-    reps: tuple[Permutation, ...]
     sizes: tuple[int, ...]
     element_orders: tuple[int, ...]
     power_map: tuple[np.ndarray, ...] = field(compare=False)
     exponent: int
-    base: np.ndarray = field(repr=False, compare=False)
-    keys: np.ndarray = field(repr=False, compare=False)
-    key_class: np.ndarray = field(repr=False, compare=False)
-    rep_images: np.ndarray = field(repr=False, compare=False)
+    index: RankIndex = field(repr=False, compare=False)
+    rank_class: np.ndarray = field(repr=False, compare=False)
+    rep_index: np.ndarray = field(repr=False, compare=False)
     inv_base: np.ndarray = field(repr=False, compare=False)
     member_index: np.ndarray = field(repr=False, compare=False)
     member_offsets: np.ndarray = field(repr=False, compare=False)
 
     def __len__(self) -> int:
-        return len(self.reps)
+        return len(self.sizes)
+
+    @property
+    def reps(self) -> tuple[Permutation, ...]:
+        return _permutations(self.index.rows[self.rep_index])
 
     def class_power(self, j: int, k: int) -> int:
         return int(self.power_map[j][k % self.element_orders[j]])
@@ -222,38 +276,18 @@ class ClassData:
 
     def lookup(self, rows: np.ndarray) -> np.ndarray:
         """Class ids of the elements with the given base-image rows."""
-        return self.key_class[_search(self.keys, _as_keys(rows))]
+        return self.rank_class[self.index.rank(rows)]
 
     def class_of(self, x: Permutation) -> int:
         """Class id of an element x of the group."""
-        return int(self.lookup(np.array([x.images])[:, self.base])[0])
-
-
-def _as_keys(rows: np.ndarray) -> np.ndarray:
-    """Rows (..., b) of base images as one exact byte-string key each."""
-    rows = np.ascontiguousarray(rows, dtype=np.int32)
-    if rows.shape[-1] == 0:     # trivial group: empty base, a single element
-        rows = np.zeros(rows.shape[:-1] + (1,), dtype=np.int32)
-    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[-1])))[..., 0]
+        return int(self.lookup(np.array(x.images)[self.index.base]))
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """Full image rows (..., degree) as keys that sort in tuple order: the
+    """Full image rows (n, degree) as keys that sort in tuple order: the
     big-endian bytes of non-negative ints compare as the ints do."""
-    return _as_keys(np.ascontiguousarray(rows, dtype=">i4").view(np.int32))
-
-
-def _search(keys: np.ndarray, wanted: np.ndarray) -> np.ndarray:
-    """Positions of the wanted keys among the sorted keys.
-
-    A key that matches none raises InconsistentTable, so a lookup is never
-    silently wrong.
-    """
-    pos = np.searchsorted(keys, wanted)
-    np.minimum(pos, len(keys) - 1, out=pos)
-    require(bool(np.all(keys[pos] == wanted)),
-            "a product matches no element of the group")
-    return pos
+    rows = np.ascontiguousarray(rows, dtype=">i4")
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -268,6 +302,78 @@ def _permutations(rows: np.ndarray) -> tuple[Permutation, ...]:
     return tuple(Permutation(compose(row.tolist(), points), _checked=True) for row in rows)
 
 
+def _build_index(levels, degree: int) -> RankIndex:
+    """Enumerate the group from its chain's levels and index it by rank.
+
+    Each level's coset table is converted to an int32 array once.  Row
+    e_0 + n_0 * (e_1 + n_1 * ...) of the enumeration is v_e0 * v_e1 * ...,
+    the product of entry e_i of each level i; each level's first entry is
+    the identity, so level i's entry e alone is row e * n_0 * ... * n_(i-1).
+    The rows are then sorted into tuple order, and each level keeps only
+    the sorted rows of its entries.
+    """
+    tables = [np.array(list(lvl.transversal.values()), dtype=np.int32) for lvl in levels]
+    rows = np.arange(degree, dtype=np.int32)[None, :]
+    for v in reversed(tables):
+        # (v * x)[b] = x[v[b]], for every row x and every entry v
+        rows = rows[:, v].reshape(len(rows) * len(v), degree)
+    # with no levels the one row, the identity, is in order (at any degree)
+    order = np.argsort(_row_keys(rows)) if levels else np.zeros(1, dtype=np.intp)
+    rows = _readonly(rows[order])
+    sorted_row = np.empty(len(order), dtype=np.int32)
+    sorted_row[order] = np.arange(len(order), dtype=np.int32)
+    slots, cosets, radix = [], [], 1
+    for lvl, v in zip(levels, tables):
+        slot = np.full(degree, -1, dtype=np.int32)
+        slot[list(lvl.transversal)] = np.arange(len(v), dtype=np.int32)
+        slots.append(_readonly(slot))
+        cosets.append(_readonly(sorted_row[radix * np.arange(len(v))]))
+        radix *= len(v)
+    base = _readonly(np.array([lvl.point for lvl in levels], dtype=np.intp))
+    index = RankIndex(rows=rows, base=base, slots=tuple(slots), cosets=tuple(cosets),
+                      row_of_rank=np.full(len(rows), -1, dtype=np.int32))
+    index.row_of_rank[index.rank(rows[:, base])] = np.arange(len(rows))
+    require(index.row_of_rank.min() >= 0, "base images must determine the element")
+    _readonly(index.row_of_rank)
+    return index
+
+
+def _power_table(index: RankIndex, rank_class: np.ndarray,
+                 rep_index: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
+    """Element orders of the representatives and the read-only int32
+    (k, max order) table of the class of rep_j**t at [j, t], by doubling.
+
+    power holds the base images of rep**t for 1 <= t <= T, and at the row
+    of rep**T; one gather through that row gives t <= 2T,
+    (rep**t * rep**T)[b] = rep**T[rep**t[b]], and the row of rep**2T is
+    found by rank.  Doubling stops once every rep is back at the base; its
+    order is the first t where it is, and rep**0 is the identity, class 0.
+    """
+    rows, base = index.rows, index.base
+    k = len(rep_index)
+    power = rows[rep_index[:, None, None], base]
+    at = rep_index
+    done = (power[:, 0] == base).all(axis=1)
+    while not done.all():
+        block = rows[at[:, None, None], power]       # rep**(T + t)
+        back = (block == base).all(axis=2)
+        first = ~done & back.any(axis=1)
+        done |= first
+        if done.all():      # the last step: t up to the largest order is enough
+            block = block[:, :back[first].argmax(axis=1).max() + 1]
+        else:
+            at = index.row(block[:, -1])
+        power = np.concatenate([power, block], axis=1)
+        del block, back     # before the next step allocates twice as much
+    orders = (power == base).all(axis=2).argmax(axis=1) + 1
+    table = np.zeros((k, orders.max()), dtype=np.int32)
+    power = power[:, :table.shape[1] - 1]
+    chunk = max(1, (1 << 18) // max(1, power[0].size))
+    for i in range(0, k, chunk):
+        table[i:i + chunk, 1:] = rank_class[index.rank(power[i:i + chunk])]
+    return tuple(orders.tolist()), _readonly(table)
+
+
 class PermGroup:
     """A group generated by permutations of a common degree."""
 
@@ -279,7 +385,7 @@ class PermGroup:
         self.degree = degree
         self.generators = tuple(g for g in generators if not g.is_identity())
         self._chain: StabilizerChain | None = None
-        self._rows: np.ndarray | None = None
+        self._index: RankIndex | None = None
         self._classes: ClassData | None = None
 
     # -- structure ---------------------------------------------------------
@@ -306,18 +412,17 @@ class PermGroup:
         """All elements as a read-only (order, degree) int32 array of image
         rows in tuple order (dense mode), read off the chain as the products
         v_0 * v_1 * ... of one coset-table entry per level."""
-        if self._rows is None:
+        return self._dense().rows
+
+    def _dense(self) -> RankIndex:
+        """The dense store with its index by chain rank, built together once."""
+        if self._index is None:
             if self.order() > DEFAULT_ENUM_CAP:
                 raise DenseCapExceeded(
                     f"group has more than {DEFAULT_ENUM_CAP} elements: "
                     "too large for dense mode")
-            rows = np.arange(self.degree, dtype=np.int32)[None, :]
-            for lvl in reversed(self.chain.levels):
-                v = np.array(list(lvl.transversal.values()), dtype=np.intp)
-                # (v * x)[b] = x[v[b]], for every row x and every entry v
-                rows = rows[:, v].reshape(len(rows) * len(v), self.degree)
-            self._rows = _readonly(rows[np.argsort(_row_keys(rows))])
-        return self._rows
+            self._index = _build_index(self.chain.levels, self.degree)
+        return self._index
 
     def elements(self) -> tuple[Permutation, ...]:
         """All elements as Permutations, in the order of element_rows()."""
@@ -334,15 +439,13 @@ class PermGroup:
         return self._classes
 
     def _compute_classes(self) -> ClassData:
-        images = self.element_rows()
+        index = self._dense()
+        images, base = index.rows, index.base
         n = len(images)
-        base = np.array([lvl.point for lvl in self.chain.levels], dtype=np.intp)
         inverses = np.empty_like(images)
         inverses[np.arange(n)[:, None], images] = np.arange(self.degree, dtype=np.int32)
-        unsorted_keys = _as_keys(images[:, base])
-        key_order = np.argsort(unsorted_keys)
-        keys = unsorted_keys[key_order]
-        require(bool(np.all(keys[1:] != keys[:-1])), "base images must determine the element")
+        inv_base = _readonly(inverses[:, base])
+        del inverses
 
         # conjugation by each generator as an index map on element_rows():
         # (g^-1 x g)[b] = g[x[g^-1[b]]] under left-to-right composition
@@ -350,7 +453,7 @@ class PermGroup:
         for g in self.generators:
             g_arr = np.array(g.images, dtype=np.int32)
             g_inv = np.array(g.inverse().images, dtype=np.intp)
-            conj.append(key_order[_search(keys, _as_keys(g_arr[images[:, g_inv[base]]]))].tolist())
+            conj.append(index.row(g_arr[images[:, g_inv[base]]]).tolist())
 
         assigned = [-1] * n
         rep_index: list[int] = []
@@ -373,33 +476,18 @@ class PermGroup:
             rep_index.append(x)
             orbits.append(orbit)
         sizes = tuple(len(m) for m in orbits)
-        key_class = np.array(assigned, dtype=np.intp)[key_order]
-
-        # power maps on the base columns only, rep^t[b] = rep[rep^(t-1)[b]],
-        # until every rep is back at the base: rep^t is then the identity,
-        # so the step count is the element order
-        k = len(rep_index)
-        rep_images = images[rep_index]
-        power = np.broadcast_to(base.astype(np.int32), (k, len(base)))
-        powers, orders = [], np.zeros(k, dtype=np.intp)
-        while not orders.all():
-            powers.append(power)
-            power = rep_images[np.arange(k)[:, None], power]
-            orders[(orders == 0) & np.all(power == base, axis=1)] = len(powers)
-        # (k, max order): the class of rep_j^t at [j, t]
-        power_table = _readonly(key_class[_search(keys, _as_keys(np.stack(powers, axis=1)))])
-        orders = tuple(orders.tolist())
+        rank_class = _readonly(np.array(assigned, dtype=np.int32)[index.row_of_rank])
+        rep_index = np.array(rep_index, dtype=np.intp)
+        orders, power_table = _power_table(index, rank_class, rep_index)
         return ClassData(
-            reps=_permutations(rep_images),
             sizes=sizes,
             element_orders=orders,
             power_map=tuple(power_table[j, :m] for j, m in enumerate(orders)),
             exponent=lcm(*orders),
-            base=_readonly(base),
-            keys=_readonly(keys),
-            key_class=_readonly(key_class),
-            rep_images=_readonly(rep_images),
-            inv_base=_readonly(inverses[:, base]),
+            index=index,
+            rank_class=rank_class,
+            rep_index=_readonly(rep_index),
+            inv_base=inv_base,
             member_index=_readonly(np.concatenate(orbits)),
             member_offsets=_readonly(np.cumsum([0, *sizes])),
         )
@@ -460,10 +548,11 @@ class PermGroup:
         if len(members) != pprime_part(order, p):
             return False
         # (x * r)[b] = r[x[b]]; at most |G| products per lookup
-        bases = self.element_rows()[np.ix_(members, cd.base)]
-        reps = cd.rep_images[inside]
+        rows = cd.index.rows
+        bases = rows[np.ix_(members, cd.index.base)]
+        reps = cd.rep_index[inside]
         chunk = order // len(members)
-        return all(inside[cd.lookup(reps[i:i + chunk][:, bases])].all()
+        return all(inside[cd.lookup(rows[reps[i:i + chunk, None, None], bases])].all()
                    for i in range(0, len(reps), chunk))
 
     # -- quotients -----------------------------------------------------------
@@ -482,21 +571,22 @@ class PermGroup:
         """Faithful action of G/N on the cosets of N, numbered in the order
         of their first rows in element_rows()."""
         self.check_normal(n)
-        rows, n_rows = self.element_rows(), n.element_rows()
-        keys = _row_keys(rows)
+        index = self._dense()
+        rows, base = index.rows, index.base
+        n_base = n.element_rows()[:, base]
         coset = np.full(len(rows), -1, dtype=np.intp)
         reps: list[int] = []
         for x in range(len(rows)):
             if coset[x] < 0:
                 # the coset N x: (h * x)[b] = x[h[b]]
-                coset[_search(keys, _row_keys(rows[x][n_rows]))] = len(reps)
+                coset[index.row(rows[x][n_base])] = len(reps)
                 reps.append(x)
         require(len(reps) * n.order() == self.order(), "cosets of N must partition G")
         quot_gens = []
         for g in self.generators:
             # (rep * g)[b] = g[rep[b]]
-            products = np.array(g.images, dtype=np.int32)[rows[reps]]
-            images = coset[_search(keys, _row_keys(products))]
+            products = np.array(g.images, dtype=np.int32)[rows[reps][:, base]]
+            images = coset[index.row(products)]
             quot_gens.append(Permutation(images.tolist(), _checked=True))
         return PermGroup(quot_gens, len(reps))
 

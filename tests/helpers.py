@@ -99,6 +99,18 @@ def chain_hash(chain) -> str:
     return digest.hexdigest()[:16]
 
 
+def class_hash(group: PermGroup) -> str:
+    """sha256 over the class sizes, element orders, power maps and every
+    class matrix, in class order: equal hashes mean equal class data."""
+    cd = group.conjugacy_classes()
+    digest = hashlib.sha256(repr((cd.sizes, cd.element_orders)).encode())
+    for powers in cd.power_map:
+        digest.update(np.asarray(powers, dtype=np.int64).tobytes() + b";")
+    for i in range(len(cd.sizes)):
+        digest.update(np.ascontiguousarray(class_matrix(cd, i), dtype=np.int64).tobytes())
+    return digest.hexdigest()[:16]
+
+
 def brute_normal_closure(group: PermGroup, seeds) -> frozenset:
     """Close under products and conjugation by all group elements."""
     elems = group.elements()

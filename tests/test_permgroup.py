@@ -17,8 +17,8 @@ from chartab.permgroup import PermGroup, StabilizerChain
 from helpers import (brute_class_map, brute_conjugacy_sizes,
                      brute_has_normal_p_complement, brute_mulclose,
                      brute_normal_closure, central_product_coset_count,
-                     chain_hash, closure_has_normal_p_complement, product_sift,
-                     relabel, sl25_matrix_order)
+                     chain_hash, class_hash, closure_has_normal_p_complement,
+                     product_sift, relabel, sl25_matrix_order)
 
 
 # -- construction and orders ---------------------------------------------------
@@ -252,6 +252,28 @@ def test_chain_hashes_pinned(expr):
     assert (chain_hash(g.chain), chain_hash(relabel(g, 7).chain)) == CHAIN_HASHES[expr]
 
 
+# class_hash of each group and of its relabelling by seed 7: the class order,
+# sizes, element orders, power maps and class matrices stay exactly these
+CLASS_HASHES = {
+    "A(5)": ("094c2cf6546525e1", "094c2cf6546525e1"),
+    "S(7)": ("598866a2525b5c47", "598866a2525b5c47"),
+    "A(8)": ("768540ab33a00755", "768540ab33a00755"),
+    "SL(2,9)": ("04d8e2e87178da92", "c4e7c75b4e9ff6f9"),
+    "D(200)": ("2683573d4ec06cd8", "6a22cdfd42353e5d"),
+    "C(2) x C(2) x C(2) x C(2) x C(2) x C(2) x C(2)": ("033ead2e7022bc94", "033ead2e7022bc94"),
+    "C(200)": ("2837b967fc88a74f", "14f270071b302f45"),
+    "S(3) x C(4)": ("82ff999ebf84dde9", "48ee314b63b8b37c"),
+    "CentralProd(SL(2,5), C(4))": ("dda256c2c8a88cc2", "49a46e0264cf36e3"),
+    "C(1)": ("1665e9b4539aef70", "1665e9b4539aef70"),
+}
+
+
+@pytest.mark.parametrize("expr", sorted(CLASS_HASHES))
+def test_class_hashes_pinned(expr):
+    g = construct(expr)
+    assert (class_hash(g), class_hash(relabel(g, 7))) == CLASS_HASHES[expr]
+
+
 def test_chain_closure_inverts_few_coset_representatives(monkeypatch):
     # nearly all of D(50)'s Schreier generators are the identity, which the
     # coset table shows with no inverse
@@ -404,26 +426,51 @@ def test_power_map_consistency():
 
 
 def test_power_map_matches_permutation_powers():
-    for expr in ("C(1)", "S(4)", "D(15)", "SL(2,5)", "Aff(7,3)", "S(3) x C(4)"):
+    # the whole (k, max order) table the power maps view, past each rep's
+    # own order; C(200)'s largest element order is no power of two, so the
+    # doubling overshoots it and is cut back
+    for expr in ("C(1)", "S(4)", "D(15)", "SL(2,5)", "Aff(7,3)", "S(3) x C(4)", "C(200)"):
         for group in (construct(expr), relabel(construct(expr), seed=5)):
             cd = group.conjugacy_classes()
+            table = cd.power_map[0].base
+            assert table.dtype == np.int32
+            assert table.shape == (len(cd), max(cd.element_orders))
             classes = brute_class_map(group, cd.reps)
             for j, rep in enumerate(cd.reps):
                 assert rep.order() == cd.element_orders[j]
-                assert list(cd.power_map[j]) == [classes[rep ** t]
-                                                 for t in range(cd.element_orders[j])]
+                assert cd.power_map[j].base is table
+                assert len(cd.power_map[j]) == cd.element_orders[j]
+                power, expected = group.identity(), []
+                for _ in range(table.shape[1]):
+                    expected.append(classes[power])
+                    power = power * rep
+                assert table[j].tolist() == expected, (expr, j)
+
+
+def test_classes_of_the_empty_base():
+    # no chain levels: every base-image row is empty and has rank 0
+    for group in (PermGroup([], 3), construct("C(1)")):
+        cd = group.conjugacy_classes()
+        assert len(cd.index.base) == 0
+        assert len(cd) == 1 and cd.sizes == (1,) and cd.element_orders == (1,)
+        assert cd.class_of(group.identity()) == 0
 
 
 def test_class_arrays_read_only():
     g = construct("A(5)")
     cd = g.conjugacy_classes()
-    arrays = [cd.base, cd.keys, cd.key_class, cd.rep_images, cd.inv_base,
-              cd.member_index, cd.member_offsets, *cd.power_map, g.element_rows()]
+    index = cd.index
+    arrays = [index.rows, index.base, *index.slots, *index.cosets, index.row_of_rank,
+              cd.rank_class, cd.rep_index, cd.inv_base, cd.member_index, cd.member_offsets,
+              *cd.power_map, g.element_rows()]
     for arr in arrays:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = arr[0]
-    assert np.array_equal(cd.rep_images, [r.images for r in cd.reps])
+    assert index.rows is g.element_rows()
+    # each representative is the first member of its class
+    firsts = g.element_rows()[cd.member_index[cd.member_offsets[:-1]]]
+    assert [r.images for r in cd.reps] == [tuple(row) for row in firsts.tolist()]
 
 
 # -- normal structure -------------------------------------------------------------

@@ -148,3 +148,35 @@ def test_dataclasses_have_no_memo_fields():
                    and kw.value.value is False for kw in node.keywords):
                 found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
     assert not found, found
+
+
+def test_permgroup_has_one_class_index():
+    # elements are found by chain rank: no byte-string key or sorted search
+    # remains beside it, except the void keys of the one tuple-order sort
+    path = Path(chartab.__file__).parent / "permgroup.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    sort = {id(node) for func in ast.walk(tree)
+            if isinstance(func, ast.FunctionDef) and func.name == "_row_keys"
+            for node in ast.walk(func)}
+    found = [f"permgroup.py:{node.lineno} {ast.unparse(node)}" for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and (node.attr == "searchsorted" or (node.attr == "void" and id(node) not in sort))]
+    assert not found, found
+
+
+def test_order_and_membership_leave_the_rank_index_unbuilt(monkeypatch):
+    built = []
+    build = chartab.permgroup._build_index
+
+    def counted(levels, degree):
+        built.append(degree)
+        return build(levels, degree)
+
+    monkeypatch.setattr(chartab.permgroup, "_build_index", counted)
+    g = chartab.construct("A(7)")
+    assert g.order() == 2520
+    assert g.generators[0] in g and chartab.Permutation.identity(8) not in g
+    assert built == []
+    g.conjugacy_classes()
+    g.element_rows()
+    assert built == [7]
