@@ -5,9 +5,13 @@ classes, q a prime with q = 1 mod exponent(G) and q > 2*floor(sqrt|G|)).
 Their simultaneous eigenvectors, one per irreducible character, carry the
 values omega(K_j) = |C_j| chi(g_j) / chi(1) mod q.  They are split off the
 unit vector e_0 of the identity class, a sum of nonzero multiples of all
-of them: the class matrix of one class per rational class in turn splits
-every piece it does not map to a multiple of itself into its
-eigen-components.  Degrees are recovered from the first orthogonality
+of them: one class per rational class in turn splits every piece it does
+not map to a multiple of itself into its eigen-components.  A central
+class {z} acts by a permutation of the classes (g_j -> z g_j), so a piece
+splits by one DFT over its shifts under it, with no class matrix; any
+other class builds its class matrix, and a piece splits by the minimal
+polynomial of its Krylov rows, reduced one row at a time.  Degrees are
+recovered from the first orthogonality
 relation (the q > 2*sqrt|G| bound makes the square root unique), mod-q
 values follow, and exact cyclotomic values are lifted by one inverse DFT
 mod q per rational class (Galois orbit of classes), all the rational
@@ -41,7 +45,8 @@ from math import gcd, isqrt
 import numpy as np
 
 from .arith import element_of_order, is_prime, prime_factors, unit_generators
-from .fplinalg import InconsistentTable, eig_split_rows, inv_mod, mat_mul, require
+from .fplinalg import (InconsistentTable, eig_split_rows, float_exact, inv_mod, mat_mul,
+                       require)
 from .permgroup import ClassData, PermGroup
 
 # a value in Z[zeta_e]: (exponent, multiplicity) pairs sorted by exponent,
@@ -136,36 +141,157 @@ def class_matrix(cd: ClassData, i: int) -> np.ndarray:
     return counts.reshape(k, k).astype(np.int64, copy=False)
 
 
-def _split_spaces(matrices, k: int, q: int) -> np.ndarray:
+def class_permutation(cd: ClassData, i: int) -> np.ndarray:
+    """For a central class {z}: sigma[j] is the class of z * g_j.
+
+    The class matrix of {z} is then a permutation matrix, and x M^T is
+    the gather x[sigma]."""
+    require(cd.sizes[i] == 1, "only a central class acts by a permutation")
+    rows, base = cd.index.rows, cd.index.base
+    # (z * rep)[b] = rep[z[b]] under left-to-right composition
+    return cd.lookup(rows[cd.rep_index[:, None], rows[cd.rep_index[i], base]])
+
+
+def _class_action(cd: ClassData, i: int) -> np.ndarray:
+    """What _split_spaces applies for class i: its class permutation if the
+    class is central, else its class matrix."""
+    return class_permutation(cd, i) if cd.sizes[i] == 1 else class_matrix(cd, i)
+
+
+def _split_spaces(actions, k: int, wf: WorkingField) -> np.ndarray:
     """Split e_0 into one common eigenvector per character, one per row;
-    matrices are yielded lazily in fixed order.
+    actions are yielded lazily in fixed order, each a class matrix M acting
+    by x -> x M^T, or for a central class its class_permutation sigma,
+    acting by x -> x[sigma].
 
     e_0, the unit vector of the identity class, is sum_chi chi(1)^2/|G| u_chi
-    over the common eigenvectors u_chi of the actions x -> x M^T, and no
-    coefficient is 0 mod q (q divides neither |G| nor any chi(1)).  So each
-    piece is a sum of nonzero multiples of the u_chi of a set of characters.
-    A piece whose image under the next matrix is a multiple of itself (tested
-    by cross-multiplying at its first nonzero coordinate) stays as it is;
-    any other is replaced by its eigen-components, which split that set by
-    eigenvalue.  The split stops once there are k pieces.
+    over the common eigenvectors u_chi of these actions, and no coefficient
+    is 0 mod q (q divides neither |G| nor any chi(1)).  So each piece is a
+    sum of nonzero multiples of the u_chi of a set of characters.  A piece
+    whose image under the next action is a multiple of itself (tested by
+    cross-multiplying at its first nonzero coordinate) stays as it is; any
+    other is replaced by its eigen-components, which split that set by
+    eigenvalue: by one DFT over its shifts under a permutation
+    (_dft_split), by its minimal polynomial under a class matrix
+    (eig_split_rows).  The split stops once there are k pieces.
     """
-    pieces = np.eye(1, k, dtype=np.int64)
-    for mat in matrices:
-        at = np.fmod(mat.T, q, dtype=np.float64)    # once, for every product with it
-        image = mat_mul(pieces, at, q)
-        rows = np.arange(len(pieces))
+    q = wf.q
+    spaces = np.zeros((k, k), dtype=np.int64)      # the pieces, in its first n rows
+    spaces[0, 0] = 1
+    n = 1
+    for act in actions:
+        pieces = spaces[:n]
+        if act.ndim == 1:
+            image = pieces[:, act]
+        else:
+            at = np.fmod(act.T, q, dtype=np.float64)    # once, for every product with it
+            image = mat_mul(pieces, at, q)
+        rows = np.arange(n)
         lead = np.argmax(pieces != 0, axis=1)
         cross = image[rows, lead, None] * pieces
         image *= pieces[rows, lead, None]
         cross -= image
         cross %= q
-        mixed = cross.any(axis=1)
-        if mixed.any():
-            pieces = np.vstack([eig_split_rows(w, at, q) if split else w[None, :]
-                                for w, split in zip(pieces, mixed)])
-        if len(pieces) == k:
+        mixed = np.flatnonzero(cross.any(axis=1))
+        if not len(mixed):
+            continue
+        if act.ndim == 1:
+            parts = _dft_split(pieces[mixed], act, wf)
+        else:
+            parts = np.vstack([eig_split_rows(w, at, q) for w in pieces[mixed]])
+        # the first parts replace the mixed pieces, the others follow the rest
+        added = len(parts) - len(mixed)
+        require(n + added <= k, "more eigen-components than classes")
+        spaces[mixed] = parts[:len(mixed)]
+        spaces[n:n + added] = parts[len(mixed):]
+        n += added
+        if n == k:
             break
-    return pieces
+    return spaces[:n]
+
+
+def _dft_split(pieces: np.ndarray, sigma: np.ndarray, wf: WorkingField) -> np.ndarray:
+    """The eigen-components of each row under x -> x P = x[sigma], a class
+    permutation, as rows; no polynomial is solved and nothing is reduced.
+
+    The period d of a row u is the least d with u P^d = c u.  It divides
+    the order of P, which divides e, and every eigenvalue lam of a
+    component of u has lam^d = c.  Those roots are lam_i = w^(s + i e/d),
+    i < d, with s = log_w(c) / d, and the component for lam_i is
+    sum_{t<d} lam_i^-t u P^t: its terms in one character cancel unless
+    that character's eigenvalue is lam_i, so a root of no character gives
+    a zero row, which is dropped.  The shifts of all rows of one period,
+    each twisted by w^(-s t), are gathered at once through the powers of
+    sigma and multiplied by the one d x d DFT matrix z^(-i t), z = w^(e/d).
+    """
+    q, w, e = wf.q, wf.w, wf.exponent
+    n, k = pieces.shape
+    wpow = np.ones(1, dtype=np.int64)           # w^t for t < e, by doubling
+    while len(wpow) < e:
+        wpow = np.concatenate([wpow, wpow * pow(w, len(wpow), q) % q])
+    wpow = wpow[:e]
+
+    # the period of each row: the least divisor d of e with u P^d = c u
+    lead = np.argmax(pieces != 0, axis=1)
+    at_lead = pieces[np.arange(n), lead]
+    period = np.zeros(n, dtype=np.int64)
+    ratio = np.zeros(n, dtype=np.int64)       # c * u[lead]
+    pending = np.arange(n)
+    for d in [d for d in range(2, e + 1) if e % d == 0]:
+        shift = pieces[pending][:, _perm_power(sigma, d)]
+        here = shift[np.arange(len(pending)), lead[pending]]
+        closed = ~((shift * at_lead[pending, None] - here[:, None] * pieces[pending]) % q).any(axis=1)
+        period[pending[closed]] = d
+        ratio[pending[closed]] = here[closed]
+        pending = pending[~closed]
+        if not len(pending):
+            break
+    require(not len(pending), "a central class must act with order dividing the exponent")
+    c = ratio * np.array([inv_mod(x, q) for x in at_lead.tolist()], dtype=np.int64) % q
+    logs = np.argmax(wpow == c[:, None], axis=1)
+    require(bool((wpow[logs] == c).all() and not (logs % period).any()),
+            "a central class must act by e-th roots of unity")
+
+    parts = []
+    for d in sorted(set(period.tolist())):
+        sel = np.flatnonzero(period == d)
+        t = np.arange(d)
+        # floats, which mat_mul takes as they are, wherever they are exact
+        dtype = np.float64 if float_exact(q, d) else np.int64
+        wd = wpow.astype(dtype)
+        shifts = _shifts(pieces[sel].astype(dtype), sigma, d)
+        shifts *= wd[-np.outer(t, logs[sel] // d) % e][:, :, None]
+        shifts %= q
+        comps = mat_mul(wd[-np.outer(t, t) * (e // d) % e], shifts.reshape(d, -1), q)
+        comps = comps.reshape(-1, k)
+        parts.append(comps[comps.any(axis=1)])
+    return np.vstack(parts)
+
+
+def _shifts(rows: np.ndarray, sigma: np.ndarray, d: int) -> np.ndarray:
+    """The (d, len(rows), k) array of rows[r] P^t = rows[r, sigma^t] at
+    [t, r], the powers of sigma found by doubling: sigma^(a+t) =
+    sigma^t[sigma^a]."""
+    n, k = rows.shape
+    powers = np.empty((d, k), dtype=np.intp)
+    powers[0] = np.arange(k)
+    a = 1
+    while a < d:
+        b = min(a, d - a)
+        powers[a:a + b] = powers[:b, powers[a - 1][sigma]]
+        a += b
+    return rows[np.arange(n)[None, :, None], powers[:, None, :]]
+
+
+def _perm_power(sigma: np.ndarray, t: int) -> np.ndarray:
+    """sigma^t, with x P^t = x[sigma^t] for x P = x[sigma], by squaring."""
+    power, step = np.arange(len(sigma)), sigma
+    while t:
+        if t & 1:
+            power = power[step]
+        step = step[step]
+        t >>= 1
+    return power
 
 
 def _matrix_order(cd: ClassData, orbits: dict) -> list[int]:
@@ -188,7 +314,7 @@ def compute_table(group: PermGroup, prime_offset: int = 0) -> CharTable:
     q = wf.q
     orbits = _galois_orbits(cd)
 
-    spaces = _split_spaces((class_matrix(cd, i) for i in _matrix_order(cd, orbits)), k, q)
+    spaces = _split_spaces((_class_action(cd, i) for i in _matrix_order(cd, orbits)), k, wf)
     require(len(spaces) == k, "eigenspace splitting incomplete")
 
     inv_classes = [cd.inverse_class(j) for j in range(k)]
@@ -491,24 +617,43 @@ def _render(v: RootSum) -> str:
 
 
 def format_table(table: CharTable) -> str:
-    """Plain-text rendering with exact values (z = primitive e-th root)."""
+    """Plain-text rendering with exact values (z = primitive e-th root).
+
+    Columns are named in the ATLAS style, so each is as wide as its widest
+    entry: the element order, then a letter for each class of that order
+    in class order (1a, 2a, 5a, 5b).  The representatives are listed once,
+    below the table."""
     doc = table_document(table)
+    classes = doc["classes"]
+    names = _class_names([c["element_order"] for c in classes])
+    rows = [["class", *names],
+            ["size", *(str(c["size"]) for c in classes)],
+            ["order", *(str(c["element_order"]) for c in classes)]]
+    rows += [[f"X{r} (deg {d})", *values]
+             for r, (d, values) in enumerate(zip(table.degrees, doc["lifted"]))]
+    widths = [max(map(len, column)) for column in zip(*rows)]
     lines = [
         f"|G| = {doc['order']}   classes = {doc['num_classes']}   "
         f"exponent = {doc['exponent']}   q = {doc['q']}  (z = primitive "
         f"{doc['exponent']}-th root of unity)",
     ]
-    headers = ["chi"] + [c["rep"] for c in doc["classes"]]
-    lines.append("class sizes:   " + " ".join(str(c["size"]) for c in doc["classes"]))
-    lines.append("element orders:" + " " + " ".join(
-        str(c["element_order"]) for c in doc["classes"]))
-    widths = [max(len(h), 10) for h in headers]
-    rows = []
-    for r in range(doc["num_classes"]):
-        row = [f"X{r} (deg {table.degrees[r]})"] + doc["lifted"][r]
-        rows.append(row)
-        widths = [max(w, len(cell)) for w, cell in zip(widths, row)]
-    lines.append(" | ".join(h.ljust(w) for h, w in zip(headers, widths)))
-    for row in rows:
-        lines.append(" | ".join(cell.ljust(w) for cell, w in zip(row, widths)))
+    lines += ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
+    lines.append("representatives:")
+    width = max(map(len, names))
+    lines += [f"  {name.ljust(width)}  {c['rep']}" for name, c in zip(names, classes)]
     return "\n".join(lines)
+
+
+def _class_names(orders: list[int]) -> list[str]:
+    """ATLAS class names: each class's element order and a letter for its
+    place among the classes of that order (a, b, ..., z, aa, ab, ...)."""
+    seen: dict[int, int] = {}
+    names = []
+    for m in orders:
+        i = seen[m] = seen.get(m, 0) + 1
+        letters = ""
+        while i:
+            i, r = divmod(i - 1, 26)
+            letters = chr(ord("a") + r) + letters
+        names.append(f"{m}{letters}")
+    return names

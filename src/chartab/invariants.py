@@ -62,7 +62,8 @@ def acd_pprime(table: CharTable, p: int, spec: FieldSpec = FieldSpec.all()) -> F
 
 def _classes_meeting(table: CharTable, n: PermGroup) -> list[int]:
     cd = table.class_data
-    return np.unique(cd.lookup(n.element_rows()[:, cd.index.base])).tolist()
+    met = np.bincount(cd.lookup(n.element_rows()[:, cd.index.base]), minlength=len(cd))
+    return np.flatnonzero(met).tolist()
 
 
 def kernel_contains(table: CharTable, row: int, n: PermGroup) -> bool:

@@ -6,12 +6,12 @@ from math import gcd
 import numpy as np
 import pytest
 
-from chartab import (InconsistentTable, acd_pprime_over_central,
+from chartab import (InconsistentTable, WorkingField, acd_pprime_over_central,
                      central_linear_characters, chartable, construct, fplinalg,
                      select_prime, verify_orthogonality)
-from chartab.chartable import (CharTable, _galois_orbits, _matrix_order,
-                               _split_spaces, class_matrix, compute_table,
-                               orthogonality_failures, table_document)
+from chartab.chartable import (CharTable, _class_action, _galois_orbits, _matrix_order,
+                               _split_spaces, class_matrix, class_permutation,
+                               compute_table, orthogonality_failures, table_document)
 from chartab.harness import check_group
 from chartab.invariants import kernel_contains
 
@@ -119,14 +119,18 @@ def test_compute_table_finds_the_galois_orbits_once(monkeypatch):
 def test_matrix_order_starts_with_one_class_per_rational_class(monkeypatch):
     # K_j and K_{j^a} (gcd(a, e) = 1) separate the same characters, so the
     # order lists one class of each rational class first; D(200)'s 99
-    # rotation classes fall into 11 rational classes, one per order
+    # rotation classes fall into 11 rational classes, one per order; a pull
+    # is a class matrix or, for a central class, a class permutation
     pulled = []
 
-    def counted(cd, i):
-        pulled.append(i)
-        return class_matrix(cd, i)
+    def counted(build):
+        def pull(cd, i):
+            pulled.append(i)
+            return build(cd, i)
+        return pull
 
-    monkeypatch.setattr(chartable, "class_matrix", counted)
+    monkeypatch.setattr(chartable, "class_matrix", counted(class_matrix))
+    monkeypatch.setattr(chartable, "class_permutation", counted(class_permutation))
     for expr, n_first, n_pulled in (("D(200)", 13, 12), ("Aff(7,3)", 2, 2),
                                     ("C(12)", 5, 1), ("S(4)", 4, 2)):
         cd = construct(expr).conjugacy_classes()
@@ -143,16 +147,20 @@ def test_matrix_order_starts_with_one_class_per_rational_class(monkeypatch):
         assert len(pulled) == n_pulled and set(pulled) <= set(first), expr
 
 
+def field_of(group):
+    return select_prime(group.conjugacy_classes().exponent, group.order())
+
+
 def test_split_spaces_builds_only_applied_matrices():
     early = 0
     for expr in ("S(4)", "A(5)", "D(10)", "SL(2,5)", "Aff(7,3)"):
         group = construct(expr)
         cd = group.conjugacy_classes()
-        k, q = len(cd.reps), select_prime(cd.exponent, group.order()).q
-        mats = [class_matrix(cd, i) for i in order_of(cd)]
+        k, wf = len(cd.reps), field_of(group)
+        mats = [_class_action(cd, i) for i in order_of(cd)]
         # the shortest prefix of the matrix order that splits off every character
         applied = next(n for n in range(len(mats) + 1)
-                       if len(_split_spaces(mats[:n], k, q)) == k)
+                       if len(_split_spaces(mats[:n], k, wf)) == k)
         pulls = 0
 
         def stream():
@@ -161,73 +169,218 @@ def test_split_spaces_builds_only_applied_matrices():
                 pulls += 1
                 yield mat
 
-        assert len(_split_spaces(stream(), k, q)) == k
+        assert len(_split_spaces(stream(), k, wf)) == k
         assert pulls == applied, expr
         early += applied < len(mats)
     assert early        # some split finishes before the last matrix
 
 
 def test_split_spaces_reduces_each_new_space_once(monkeypatch):
-    # pieces are single vectors, so the split runs no rref of its own: only
-    # eig_split_rows reduces, once per mixed piece, and each call adds its
-    # new pieces once, so the calls add exactly k - 1 pieces to e_0
-    calls = {"rref": 0, "inside": 0, "added": 0}
-    rref, split = fplinalg.rref, chartable.eig_split_rows
+    # pieces are single vectors and the split runs no rref at all: a class
+    # matrix splits a mixed piece by its minimal polynomial, a class
+    # permutation by a DFT over its shifts, and each call adds its new
+    # pieces once, so the calls of both kinds add exactly k - 1 pieces to e_0
+    calls = {"rref": 0, "eig": 0, "dft": 0, "added": 0}
+    rref, split, dft = fplinalg.rref, chartable.eig_split_rows, chartable._dft_split
 
     def counted_rref(a, q):
         calls["rref"] += 1
         return rref(a, q)
 
     def counted_split(w, at, q):
-        before = calls["rref"]
         out = split(w, at, q)
-        calls["inside"] += calls["rref"] - before
+        calls["eig"] += 1
         calls["added"] += len(out) - 1
+        return out
+
+    def counted_dft(pieces, sigma, wf):
+        out = dft(pieces, sigma, wf)
+        calls["dft"] += 1
+        calls["added"] += len(out) - len(pieces)
         return out
 
     monkeypatch.setattr(fplinalg, "rref", counted_rref)
     monkeypatch.setattr(chartable, "eig_split_rows", counted_split)
+    monkeypatch.setattr(chartable, "_dft_split", counted_dft)
     for expr in ("S(4)", "A(5)", "D(10)", "SL(2,5)", "C(2) x C(2) x C(2)"):
         group = construct(expr)
         cd = group.conjugacy_classes()
-        k, q = len(cd.reps), select_prime(cd.exponent, group.order()).q
+        k = len(cd.reps)
         calls["added"] = 0
-        spaces = _split_spaces((class_matrix(cd, i) for i in order_of(cd)), k, q)
+        spaces = _split_spaces((_class_action(cd, i) for i in order_of(cd)), k, field_of(group))
         assert len(spaces) == k, expr
         assert calls["added"] == k - 1, expr
-    assert calls["inside"] > 0 and calls["rref"] == calls["inside"]
+    assert calls["eig"] > 0 and calls["dft"] > 0 and calls["rref"] == 0
 
 
 def test_split_spaces_never_splits_a_scalar_action(monkeypatch):
-    # a piece a class matrix maps to a multiple of itself is kept, so every
-    # piece handed to eig_split_rows is mixed and has at least two
-    # eigen-components; each returned piece is a common eigenvector
+    # a piece an action maps to a multiple of itself is kept, so every
+    # piece handed to eig_split_rows or _dft_split is mixed and has at
+    # least two eigen-components; each returned piece is a common eigenvector
     scalar, parts = [], []
-    split = chartable.eig_split_rows
+    split, dft = chartable.eig_split_rows, chartable._dft_split
+
+    def is_scalar(w, image, q):
+        lead = int(np.argmax(w != 0))
+        return np.array_equal(image * int(w[lead]) % q, w * int(image[lead]) % q)
 
     def checked_split(w, at, q):
-        image = w @ at % q
-        lead = int(np.argmax(w != 0))
-        scalar.append(np.array_equal(image * int(w[lead]) % q, w * int(image[lead]) % q))
+        scalar.append(is_scalar(w, w @ at % q, q))
         out = split(w, at, q)
         parts.append(len(out))
         return out
 
+    def checked_dft(pieces, sigma, wf):
+        scalar.extend(is_scalar(w, w[sigma], wf.q) for w in pieces)
+        out = dft(pieces, sigma, wf)
+        parts.append(len(out) / len(pieces))
+        return out
+
     monkeypatch.setattr(chartable, "eig_split_rows", checked_split)
+    monkeypatch.setattr(chartable, "_dft_split", checked_dft)
     for expr in ("S(4)", "A(5)", "D(10)", "SL(2,5)", "C(2) x C(2) x C(2)"):
         group = construct(expr)
         cd = group.conjugacy_classes()
-        k, q = len(cd.reps), select_prime(cd.exponent, group.order()).q
+        k, q = len(cd.reps), field_of(group).q
         mats = [class_matrix(cd, i) for i in range(k)]
-        spaces = _split_spaces((mats[i] for i in order_of(cd)), k, q)
+        spaces = _split_spaces((_class_action(cd, i) for i in order_of(cd)), k, field_of(group))
         assert len(spaces) == k, expr
-        # each piece is a common eigenvector: u M_i^T = omega(K_i) u = u[i] u
-        for w in spaces:
-            u = w * pow(int(w[0]), -1, q) % q
-            for i, mat in enumerate(mats):
-                assert np.array_equal(u @ mat.T % q, u[i] * u % q), (expr, i)
+        assert_common_eigenvectors(spaces, mats, q, expr)
     assert scalar and not any(scalar)
     assert min(parts) >= 2
+
+
+def assert_common_eigenvectors(spaces, mats, q, name):
+    # u M_i^T = omega(K_i) u = u[i] u, u normalised at the identity class
+    for w in spaces:
+        u = w * pow(int(w[0]), -1, q) % q
+        for i, mat in enumerate(mats):
+            assert np.array_equal(u @ mat.T % q, u[i] * u % q), (name, i)
+
+
+def period(u, sigma, q):
+    """The least d with u[sigma^d] a multiple of u, by iterating sigma."""
+    lead = int(np.argmax(u != 0))
+    x, d = u[sigma], 1
+    while ((x * u[lead] - u * x[lead]) % q).any():
+        x, d = x[sigma], d + 1
+    return d
+
+
+@pytest.mark.parametrize("expr, seed, periods", [
+    ("C(1)", None, []),
+    ("C(2)", None, [{2}]),
+    ("C(2) x C(2) x C(2)", None, [{2}, {2}, {2}]),
+    # the benchmark's seed-7 relabelling applies classes of orders 25, 100
+    # and 200 first: 1 piece of period 25, then 25 of period 4, 100 of period 2
+    ("C(200)", "7:C(200)", [{25}, {4}, {2}]),
+], ids=["C(1)", "C(2)", "C(2)^3", "C(200)-seed-7"])
+def test_central_split_takes_one_dft_per_period(monkeypatch, expr, seed, periods):
+    # an abelian group splits by class permutations alone: no class matrix,
+    # no minimal polynomial, no rref; per call every piece has one period,
+    # and the DFT is taken at that period, not at the action's order
+    seen, sizes, pulled = [], [], []
+    dft, product = chartable._dft_split, chartable.mat_mul
+
+    def spied(pieces, sigma, wf):
+        seen.append({period(w, sigma, wf.q) for w in pieces})
+        sizes.append(set())
+        monkeypatch.setattr(chartable, "mat_mul", sized)
+        out = dft(pieces, sigma, wf)
+        monkeypatch.setattr(chartable, "mat_mul", product)
+        return out
+
+    def sized(a, b, q):
+        sizes[-1].add(a.shape)
+        return product(a, b, q)
+
+    def refused(*args):
+        pulled.append(args)
+        raise AssertionError("called on an abelian group")
+
+    monkeypatch.setattr(chartable, "_dft_split", spied)
+    for name in ("class_matrix", "eig_split_rows"):
+        monkeypatch.setattr(chartable, name, refused)
+    monkeypatch.setattr(fplinalg, "rref", refused)
+    group = construct(expr) if seed is None else relabel(construct(expr), seed=seed)
+    table = compute_table(group)
+    assert seen == periods and not pulled
+    assert sizes == [{(d, d) for d in ds} for ds in periods]
+    assert table.degrees == (1,) * group.order()
+    assert verify_orthogonality(table)
+
+
+@pytest.mark.parametrize("expr", ["D(8)", "SL(2,5)", "CentralProd(SL(2,5), C(4))"])
+def test_central_then_non_central_split(monkeypatch, expr):
+    # the central classes come first and split by permutation; the class
+    # matrices that follow split what is left, and no size-1 class builds one
+    calls = []
+    dft, split, build = chartable._dft_split, chartable.eig_split_rows, chartable.class_matrix
+
+    def spied_dft(pieces, sigma, wf):
+        calls.append("dft")
+        return dft(pieces, sigma, wf)
+
+    def spied_split(w, at, q):
+        calls.append("eig")
+        return split(w, at, q)
+
+    def spied_build(cd, i):
+        assert cd.sizes[i] > 1, (expr, i)
+        return build(cd, i)
+
+    monkeypatch.setattr(chartable, "_dft_split", spied_dft)
+    monkeypatch.setattr(chartable, "eig_split_rows", spied_split)
+    monkeypatch.setattr(chartable, "class_matrix", spied_build)
+    group = construct(expr)
+    cd = group.conjugacy_classes()
+    k, wf = len(cd.reps), field_of(group)
+    spaces = _split_spaces((_class_action(cd, i) for i in order_of(cd)), k, wf)
+    n_dft = calls.count("dft")
+    assert n_dft and "eig" in calls and calls == ["dft"] * n_dft + ["eig"] * (len(calls) - n_dft)
+    assert len(spaces) == k
+    assert_common_eigenvectors(spaces, [build(cd, i) for i in range(k)], wf.q, expr)
+    compute_table(group)
+
+
+def test_class_permutation_is_the_class_matrix():
+    # x M^T = x[sigma]: the class matrix of {z} is row sigma[j] of I in row j
+    for expr in ("C(6)", "D(8)", "SL(2,5)", "CentralProd(SL(2,5), C(4))", "S(3) x C(4)"):
+        for group in (construct(expr), relabel(construct(expr), seed=3)):
+            cd = group.conjugacy_classes()
+            central = [i for i in range(len(cd)) if cd.sizes[i] == 1]
+            assert len(central) > 1, expr
+            for i in central:
+                sigma = class_permutation(cd, i)
+                assert np.array_equal(class_matrix(cd, i), np.eye(len(cd), dtype=np.int64)[sigma])
+    cd = construct("S(3)").conjugacy_classes()
+    with pytest.raises(InconsistentTable, match="central"):
+        class_permutation(cd, int(np.argmax(np.array(cd.sizes) > 1)))
+
+
+def test_dft_split_drops_roots_no_character_takes():
+    # x P = x[sigma] for a 4-cycle has the eigenvectors (1, lam, lam^2,
+    # lam^3), lam^4 = 1; u = v_1 + v_i (i = 2 mod 5) has period 4 but only
+    # two eigenvalues, so two of the four DFT rows are zero and are dropped
+    wf = WorkingField(q=5, w=2, exponent=4)
+    v1, vi = np.array([1, 1, 1, 1]), np.array([1, 2, 4, 3])
+    parts = chartable._dft_split(((v1 + vi) % 5)[None, :], np.array([1, 2, 3, 0]), wf)
+    multiple_of = [[not ((part * v[0] - v * part[0]) % 5).any() for v in (v1, vi)]
+                   for part in parts]
+    assert sorted(multiple_of) == [[False, True], [True, False]]
+
+
+def test_dft_split_rejects_an_order_not_dividing_the_exponent():
+    # a 3-cycle of the classes cannot act for exponent 2: the period
+    # search stops at e and raises instead of looping
+    wf = WorkingField(q=5, w=4, exponent=2)
+    with pytest.raises(InconsistentTable, match="dividing the exponent"):
+        _split_spaces([np.array([1, 2, 0])], 3, wf)
+    # a 4-cycle for exponent 2: u = e_0 - e_2 has period 2 with u P^2 = -u,
+    # but lam^2 = -1 has no root lam = +-1
+    u = np.array([[1, 0, 4, 0]])
+    with pytest.raises(InconsistentTable, match="roots of unity"):
+        chartable._dft_split(u, np.array([1, 2, 3, 0]), wf)
 
 
 def _similar_to_diagonal(diag: list[int], seed: int, q: int) -> tuple[np.ndarray, np.ndarray]:
@@ -246,10 +399,11 @@ def _similar_to_diagonal(diag: list[int], seed: int, q: int) -> tuple[np.ndarray
     return p_inv @ np.diag(diag) @ p % q, p
 
 
-@pytest.mark.parametrize("diag", [[4, 0, 11, 2, 7, 9], [8, 3, 3, 1, 8, 3]],
-                         ids=["distinct", "repeated"])
-def test_eig_split_rows_eigenspaces(diag):
-    q = 13
+@pytest.mark.parametrize("diag, q", [([4, 0, 11, 2, 7, 9], 13), ([8, 3, 3, 1, 8, 3], 13),
+                                     ([4, 0, 11, 2, 7, 9], 2097143)],
+                         ids=["distinct", "repeated", "distinct-large-q"])
+def test_eig_split_rows_eigenspaces(diag, q):
+    # a large q needs every entry reduced mod q as the rows are eliminated
     a, p = _similar_to_diagonal(diag, seed=3, q=q)
     coeffs = np.random.default_rng(5).integers(1, q, size=len(diag))
     w = coeffs @ p % q          # a nonzero multiple of every left eigenvector

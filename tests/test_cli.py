@@ -25,6 +25,35 @@ def test_table_text(capsys):
     assert "|G| = 4" in out and "z^1" in out
 
 
+def test_table_text_names_classes(capsys):
+    # ATLAS names head the columns; each representative is listed once, below
+    code, out, _ = run(capsys, "table", "S(4)")
+    assert code == 0
+    lines = out.splitlines()
+    names = ["1a", "2a", "3a", "2b", "4a"]
+    assert lines[1].split() == ["class", *names]
+    assert lines[2].split() == ["size", "1", "6", "8", "3", "6"]
+    assert lines[3].split() == ["order", "1", "2", "3", "2", "4"]
+    below = lines.index("representatives:")
+    reps = [c["rep"] for c in chartable.table_document(chartable.compute_table(
+        chartab.construct("S(4)")))["classes"]]
+    assert [line.split(maxsplit=1) for line in lines[below + 1:]] == \
+        [list(pair) for pair in zip(names, reps)]
+    assert not any(rep in line for line in lines[:below] for rep in reps[1:])
+
+
+def test_table_text_grows_as_k_squared(capsys):
+    # C(n) has n classes at degree n: the text grows as k^2, up to the
+    # length of the values (C(60) to C(120): 4.4 times), not as k^2 * degree
+    # (8 times), which padding each column to its representative gave
+    sizes = []
+    for n in (60, 120):
+        code, out, _ = run(capsys, "table", f"C({n})")
+        assert code == 0
+        sizes.append(len(out))
+    assert 4 <= sizes[1] / sizes[0] < 5
+
+
 def test_table_json(capsys):
     code, out, _ = run(capsys, "table", "A(5)", "--json")
     assert code == 0

@@ -2,6 +2,7 @@ import ast
 import importlib.util
 import inspect
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -180,3 +181,26 @@ def test_order_and_membership_leave_the_rank_index_unbuilt(monkeypatch):
     g.conjugacy_classes()
     g.element_rows()
     assert built == [7]
+
+
+def test_tables_leave_numpy_ma_unimported():
+    # a bare np.unique(x) imports numpy.ma on numpy 2.x, which costs over a
+    # megabyte of resident memory; building tables (with a central and a
+    # non-central split), checking a group and testing kernels must not
+    script = """
+import sys
+import chartab
+from chartab.invariants import kernel_contains
+for expr in ("CentralProd(SL(2,5), C(4))", "C(12)", "S(4)"):
+    g = chartab.construct(expr)
+    t = chartab.compute_table(g)
+    assert chartab.verify_orthogonality(t)
+    chartab.format_table(t)
+    [kernel_contains(t, r, g.derived_subgroup()) for r in range(t.n_classes)]
+    chartab.check_group(g, name=expr)
+print("numpy.ma" in sys.modules)
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, env=dict(os.environ, PYTHONPATH=str(REPO / "src")))
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == ["False"]
