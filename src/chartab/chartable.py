@@ -6,16 +6,19 @@ Their simultaneous eigenvectors, one per irreducible character, carry the
 values omega(K_j) = |C_j| chi(g_j) / chi(1) mod q.  They are split off the
 unit vector e_0 of the identity class, a sum of nonzero multiples of all
 of them: one class per rational class in turn splits every piece it does
-not map to a multiple of itself into its eigen-components.  A central
-class {z} acts by a permutation of the classes (g_j -> z g_j), so a piece
-splits by one DFT over its shifts under it, with no class matrix; any
-other class builds its class matrix, and a piece splits by the minimal
-polynomial of its Krylov rows, reduced one row at a time.  Degrees are
-recovered from the first orthogonality
-relation (the q > 2*sqrt|G| bound makes the square root unique), mod-q
-values follow, and exact cyclotomic values are lifted by one inverse DFT
-mod q per rational class (Galois orbit of classes), all the rational
-classes of one element order in one product.
+not map to a multiple of itself into its eigen-components, the central
+classes first, then those whose Galois orbit holds more than one class
+(only they separate Galois-conjugate characters), then the rational ones.
+A central class {z} acts by a permutation of the classes (g_j -> z g_j),
+so a piece splits by one DFT over its shifts under it, with no class
+matrix; any other class builds its class matrix, and a piece splits by
+the minimal polynomial of its Krylov rows, reduced one row at a time.
+Degrees are recovered from the first orthogonality relation (the
+q > 2*sqrt|G| bound makes the square root unique), mod-q values follow,
+and exact cyclotomic values are lifted one rational class (Galois orbit
+of classes) at a time, all the rational classes of one element order
+together: a linear row by the discrete log of its value, checked at every
+power of the representative, any other row by one inverse DFT mod q.
 The other classes of an orbit are filled in by sigma_a, chi(g^a) =
 sigma_a(chi(g)), for the whole table at once in numpy.  A table keeps its
 exact values as one (k, n) array of indices into the tuple of its
@@ -119,10 +122,11 @@ class CharTable:
         i = bisect_left(self.distinct, value)
         return i if i < len(self.distinct) and self.distinct[i] == value else -1
 
-    def power_classes(self, k: int) -> list[int]:
-        """Class of g^k for each class representative g."""
+    def power_classes(self, k: int) -> np.ndarray:
+        """Class of g^k for each class representative g, gathered at once
+        from the power table."""
         cd = self.class_data
-        return [cd.class_power(j, k) for j in range(len(cd))]
+        return cd.power_table[np.arange(len(cd)), k % np.array(cd.element_orders)]
 
     def galois_fixed(self, k: int) -> np.ndarray:
         """Boolean mask of the rows sigma_k fixes: chi(g^k) = chi(g) for all g."""
@@ -224,12 +228,9 @@ def _dft_split(pieces: np.ndarray, sigma: np.ndarray, wf: WorkingField) -> np.nd
     each twisted by w^(-s t), are gathered at once through the powers of
     sigma and multiplied by the one d x d DFT matrix z^(-i t), z = w^(e/d).
     """
-    q, w, e = wf.q, wf.w, wf.exponent
+    q, e = wf.q, wf.exponent
     n, k = pieces.shape
-    wpow = np.ones(1, dtype=np.int64)           # w^t for t < e, by doubling
-    while len(wpow) < e:
-        wpow = np.concatenate([wpow, wpow * pow(w, len(wpow), q) % q])
-    wpow = wpow[:e]
+    wpow = _root_powers(wf)
 
     # the period of each row: the least divisor d of e with u P^d = c u
     lead = np.argmax(pieces != 0, axis=1)
@@ -268,6 +269,15 @@ def _dft_split(pieces: np.ndarray, sigma: np.ndarray, wf: WorkingField) -> np.nd
     return np.vstack(parts)
 
 
+def _root_powers(wf: WorkingField) -> np.ndarray:
+    """w^t mod q for t < e, by doubling."""
+    q, w = wf.q, wf.w
+    wpow = np.ones(1, dtype=np.int64)
+    while len(wpow) < wf.exponent:
+        wpow = np.concatenate([wpow, wpow * pow(w, len(wpow), q) % q])
+    return wpow[:wf.exponent]
+
+
 def _shifts(rows: np.ndarray, sigma: np.ndarray, d: int) -> np.ndarray:
     """The (d, len(rows), k) array of rows[r] P^t = rows[r, sigma^t] at
     [t, r], the powers of sigma found by doubling: sigma^(a+t) =
@@ -296,13 +306,25 @@ def _perm_power(sigma: np.ndarray, t: int) -> np.ndarray:
 
 def _matrix_order(cd: ClassData, orbits: dict) -> list[int]:
     """One class per rational class (the reps of _galois_orbits), then the
-    rest, each by (size, index); the identity class (never splits anything)
-    is skipped.
+    rest; the identity class (never splits anything) is skipped.  In the
+    first part the central classes come first, then the non-central classes
+    whose rational class holds more than one class, then the non-central
+    rational ones, each by (size, index).
 
     omega(K_{j^a}) = sigma_a(omega(K_j)), so over C the first part
-    separates every character; the rest runs only if it does not mod q."""
-    first = {j for reps in orbits.values() for j, _ in reps}
-    return sorted(range(1, len(cd)), key=lambda i: (i not in first, cd.sizes[i], i))
+    separates every character; the rest runs only if it does not mod q.
+    A class fixed by sigma_a (g^a conjugate to g) gives chi and chi^sigma_a
+    the same value omega(K_j), so only classes in a Galois orbit of more
+    than one class can separate Galois-conjugate characters, and by
+    Brauer's permutation lemma such characters exist exactly when such
+    classes do (Isaacs, Character Theory of Finite Groups, Thm 6.32).
+    Pulling those classes first leaves the rational ones, which separate
+    no Galois-conjugate pair, to run only while pieces remain; the central
+    classes keep their place, as their splits are cheap."""
+    orbit_size = {j: len(orbit) for reps in orbits.values() for j, orbit in reps}
+    return sorted(range(1, len(cd)),
+                  key=lambda i: (i not in orbit_size, cd.sizes[i] > 1 and orbit_size.get(i) == 1,
+                                 cd.sizes[i], i))
 
 
 def compute_table(group: PermGroup, prime_offset: int = 0) -> CharTable:
@@ -386,13 +408,18 @@ def _lift_all(values: np.ndarray, degrees: list[int], cd: ClassData,
               wf: WorkingField, orbits: dict) -> tuple[np.ndarray, tuple[RootSum, ...]]:
     """Exact character values for every row and class, as (cells, distinct).
 
-    One inverse DFT mod q per rational class, orbits being
-    _galois_orbits(cd): the representatives of one element order m are
-    lifted together, chi(g^t) for t < m gathered through the power maps as
-    a (row, rep, t) block and multiplied by the m x m inverse-DFT matrix,
-    in chunks of at most k*k entries.  The result is the multiplicity of
-    each m-th root z^t = w^(t*e/m) in chi(g); every multiplicity must be at
-    most chi(1) and they must sum to chi(1).
+    The representatives of one element order m of the rational classes,
+    orbits being _galois_orbits(cd), are lifted together from chi(g^t) for
+    t < m, gathered through the power maps as a (row, rep, t) block in
+    chunks of at most k*k entries.  A degree-1 row is w^l at g, l read from
+    one size-q table of discrete logs, and must be w^(l*t) at g^t for every
+    t < m with l*m = 0 (mod e) (_linear_exponents).  Every other row is
+    multiplied by the m x m inverse-DFT matrix, which gives the
+    multiplicity of each m-th root z^t = w^(t*e/m) in chi(g); every
+    multiplicity must be at most chi(1) and they must sum to chi(1).  For
+    a degree-1 row that check says exactly that one root has multiplicity
+    1, that is chi(g^t) = z^(s*t) for some s and every t < m, which is the
+    discrete-log check with l = s*e/m.
 
     The nonzero terms of each (row, rep) then go to every class g^a of its
     orbit (gcd(a, m) = 1) by sigma_a, which sends the exponent l of w to
@@ -403,9 +430,14 @@ def _lift_all(values: np.ndarray, degrees: list[int], cd: ClassData,
     index of chi_r(g_j).  Every lifted value, evaluated at w, must equal
     its value mod q.
     """
-    q, w, e = wf.q, wf.w, wf.exponent
+    q, e = wf.q, wf.exponent
     k, n = values.shape
     deg = np.asarray(degrees, dtype=np.int64)
+    linear, wide = np.flatnonzero(deg == 1), np.flatnonzero(deg > 1)
+    linear_values, wide_values = values[linear], values[wide]
+    wpow = _root_powers(wf)
+    log = np.full(q, -1, dtype=np.int64)        # log[w^l] = l for l < e, else -1
+    log[wpow] = np.arange(e)
     b = int(deg.max()) + 1      # above every multiplicity
     # by_rep[r, i] holds the terms of chi_r at the i-th rep lifted, each as
     # one int l*b + multiplicity (z^t = w^l), then a 0 for each empty slot;
@@ -417,22 +449,25 @@ def _lift_all(values: np.ndarray, degrees: list[int], cd: ClassData,
     n_reps = 0
     for m, reps in orbits.items():
         step = e // m
-        z = pow(w, step, q)
-        zpow = np.array([pow(z, t, q) for t in range(m)], dtype=np.int64)
         t = np.arange(m)
-        # idft[s, t] = z^(-s*t) / m
-        idft = zpow[-np.outer(t, t) % m] * inv_mod(m % q, q) % q
+        if len(wide):
+            # idft[s, t] = z^(-s*t) / m, z = w^step
+            idft = wpow[-np.outer(t, t) * step % e] * inv_mod(m % q, q) % q
         lb = t * (step * b)
         chunk = max(1, k // m)
         for start in range(0, len(reps), chunk):
             batch = reps[start:start + chunk]
-            powers = np.array([cd.power_map[j] for j, _ in batch])
-            block = np.ascontiguousarray(values[:, powers])  # (row, rep, t)
-            mults = mat_mul(block, idft, q)
-            _check_multiplicities(mults, deg, [j for j, _ in batch])
-            r, i, t = np.nonzero(mults)                      # by (row, rep, t)
-            slot = np.cumsum(mults > 0, axis=2)[r, i, t] - 1
-            by_rep[r, n_reps + i, slot] = mults[r, i, t] + lb[t]
+            classes = [j for j, _ in batch]
+            powers = np.array([cd.power_map[j] for j in classes])
+            slots = n_reps + np.arange(len(batch))
+            logs = _linear_exponents(linear_values[:, powers], log, wpow, linear, classes)
+            by_rep[linear[:, None], slots, 0] = logs * b + 1
+            if len(wide):
+                mults = mat_mul(wide_values[:, powers], idft, q)     # (row, rep, t)
+                _check_multiplicities(mults, deg[wide], wide, classes)
+                r, i, t = np.nonzero(mults)
+                slot = np.cumsum(mults > 0, axis=2)[r, i, t] - 1
+                by_rep[wide[r], slots[i], slot] = mults[r, i, t] + lb[t]
             for _, orbit in batch:
                 for j, a in orbit.items():
                     rep_of[j], power[j] = n_reps, a
@@ -469,20 +504,41 @@ def _lift_all(values: np.ndarray, degrees: list[int], cd: ClassData,
     return cells, distinct
 
 
-def _check_multiplicities(mults: np.ndarray, deg: np.ndarray, classes: list[int]) -> None:
+def _linear_exponents(block: np.ndarray, log: np.ndarray, wpow: np.ndarray,
+                      rows: np.ndarray, classes: list[int]) -> np.ndarray:
+    """l with chi(g) = w^l for each degree-1 row and rep g of block, the
+    (row, rep, t) values chi(g^t), t < m.  Raises unless l*m = 0 (mod e),
+    that is w^l is an m-th root of unity, and chi(g^t) = w^(l*t) for every
+    t < m: chi restricted to <g> is then the character g^t -> w^(l*t)."""
+    e, m = len(wpow), block.shape[2]
+    logs = log[block[:, :, 1 % m]]
+    root = (logs >= 0) & (logs * m % e == 0)
+    bad = ~root | (wpow[logs[:, :, None] * np.arange(m) % e] != block).any(axis=2)
+    if bad.any():
+        r, i = np.argwhere(bad)[0]
+        what = "is not chi(g)^t at some g^t" if root[r, i] else "is no m-th root of unity"
+        raise InconsistentTable(f"lifted value of linear row {rows[r]} {what} "
+                                f"(class {classes[i]}, m = {m})")
+    return logs
+
+
+def _check_multiplicities(mults: np.ndarray, deg: np.ndarray, rows: np.ndarray,
+                          classes: list[int]) -> None:
+    """Every multiplicity of mults, (row, rep, root) for the given rows of
+    degrees deg, is at most the row's degree and they sum to it."""
     over = mults > deg[:, None, None]
     if over.any():
         i, r, t = np.argwhere(over.transpose(1, 0, 2))[0]
         raise InconsistentTable(
             f"lifted multiplicity {int(mults[r, i, t])} exceeds degree {int(deg[r])} "
-            f"(row {r}, class {classes[i]})")
+            f"(row {rows[r]}, class {classes[i]})")
     sums = mults.sum(axis=2)
     wrong = sums != deg[:, None]
     if wrong.any():
         i, r = np.argwhere(wrong.T)[0]
         raise InconsistentTable(
             f"lifted multiplicities sum to {int(sums[r, i])} != degree "
-            f"{int(deg[r])} (row {r}, class {classes[i]})")
+            f"{int(deg[r])} (row {rows[r]}, class {classes[i]})")
 
 
 def verify_orthogonality(table: CharTable) -> bool:

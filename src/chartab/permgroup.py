@@ -239,7 +239,8 @@ class ClassData:
     power_map[j][k] is the class of rep_j**k for 0 <= k < element_orders[j];
     class_power extends to arbitrary k by reduction mod the element order.
     Each power_map[j] is a read-only int32 view of length element_orders[j]
-    into one (k, max element order) array.
+    into power_table, the read-only (k, max element order) array whose
+    entries past a class's element order are 0.
 
     Classes are found by chain rank: index is the group's RankIndex and
     rank_class the class of each rank.  rep_index holds the row of each
@@ -254,6 +255,7 @@ class ClassData:
     element_orders: tuple[int, ...]
     power_map: tuple[np.ndarray, ...] = field(compare=False)
     exponent: int
+    power_table: np.ndarray = field(repr=False, compare=False)
     index: RankIndex = field(repr=False, compare=False)
     rank_class: np.ndarray = field(repr=False, compare=False)
     rep_index: np.ndarray = field(repr=False, compare=False)
@@ -484,6 +486,7 @@ class PermGroup:
             element_orders=orders,
             power_map=tuple(power_table[j, :m] for j, m in enumerate(orders)),
             exponent=lcm(*orders),
+            power_table=power_table,
             index=index,
             rank_class=rank_class,
             rep_index=_readonly(rep_index),

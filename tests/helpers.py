@@ -22,6 +22,11 @@ from chartab.chartable import class_matrix, compute_table
 from chartab.fplinalg import InconsistentTable
 
 
+# the groups of the benchmark's tables workload
+TABLES_GROUPS = ("A(5)", "S(7)", "A(8)", "SL(2,9)", "D(200)",
+                 "C(2) x C(2) x C(2) x C(2) x C(2) x C(2) x C(2)", "C(200)")
+
+
 @lru_cache(maxsize=None)
 def table_of(expr: str):
     return compute_table(construct_cached(expr))

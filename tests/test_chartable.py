@@ -12,10 +12,11 @@ from chartab import (InconsistentTable, WorkingField, acd_pprime_over_central,
 from chartab.chartable import (CharTable, _class_action, _galois_orbits, _matrix_order,
                                _split_spaces, class_matrix, class_permutation,
                                compute_table, orthogonality_failures, table_document)
+from chartab.arith import unit_generators
 from chartab.harness import check_group
 from chartab.invariants import kernel_contains
 
-from helpers import (brute_class_map, det_mod, lifted_complex_rows,
+from helpers import (TABLES_GROUPS, brute_class_map, det_mod, lifted_complex_rows,
                      match_rows_numeric, numeric_character_rows,
                      per_class_lift, reference_class_matrix, relabel,
                      search_working_prime, table_of, with_lifted)
@@ -119,8 +120,13 @@ def test_compute_table_finds_the_galois_orbits_once(monkeypatch):
 def test_matrix_order_starts_with_one_class_per_rational_class(monkeypatch):
     # K_j and K_{j^a} (gcd(a, e) = 1) separate the same characters, so the
     # order lists one class of each rational class first; D(200)'s 99
-    # rotation classes fall into 11 rational classes, one per order; a pull
-    # is a class matrix or, for a central class, a class permutation
+    # rotation classes fall into 11 rational classes, one per order.  In
+    # that part the central classes come first, then the non-central
+    # classes whose Galois orbit has more than one class (only they separate
+    # Galois-conjugate characters), then the non-central rational ones: A(8)
+    # splits with a class of 7-cycles, one of order 15 and the class of
+    # (0 1)(2 3)(4 5)(6 7).  A pull is a class matrix or, for a central
+    # class, a class permutation
     pulled = []
 
     def counted(build):
@@ -131,20 +137,45 @@ def test_matrix_order_starts_with_one_class_per_rational_class(monkeypatch):
 
     monkeypatch.setattr(chartable, "class_matrix", counted(class_matrix))
     monkeypatch.setattr(chartable, "class_permutation", counted(class_permutation))
-    for expr, n_first, n_pulled in (("D(200)", 13, 12), ("Aff(7,3)", 2, 2),
-                                    ("C(12)", 5, 1), ("S(4)", 4, 2)):
-        cd = construct(expr).conjugacy_classes()
+    cases = [("D(200)", None, 13, 12), ("Aff(7,3)", None, 2, 2), ("C(12)", None, 5, 1),
+             ("S(4)", None, 4, 2)]
+    cases += [(expr, seed, n_first, n_pulled) for expr, n_first, n_pulled
+              in (("A(8)", 11, 3), ("SL(2,9)", 9, 5)) for seed in (None, 7)]
+    for expr, seed, n_first, n_pulled in cases:
+        group = construct(expr) if seed is None else relabel(construct(expr), seed)
+        cd = group.conjugacy_classes()
         order = order_of(cd)
         assert sorted(order) == list(range(1, len(cd.reps))), expr
         first, rest = order[:n_first], order[n_first:]
-        assert first == sorted(first, key=lambda j: (cd.sizes[j], j)), expr
         rational = [{cd.class_power(j, a) for a in range(cd.exponent) if gcd(a, cd.exponent) == 1}
                     for j in first]
+        orbit_size = dict(zip(first, map(len, rational)))
+        assert first == sorted(first, key=lambda j: (cd.sizes[j] > 1 and orbit_size[j] == 1,
+                                                     cd.sizes[j], j)), expr
         assert all(j not in r for i, r in enumerate(rational) for j in first[i + 1:]), expr
         assert all(any(j in r for r in rational) for j in rest), expr
         pulled.clear()
-        compute_table(construct(expr))
+        compute_table(group)
         assert len(pulled) == n_pulled and set(pulled) <= set(first), expr
+
+
+GALOIS_CASES = [(expr, seed) for expr in TABLES_GROUPS for seed in (None, 7)]
+GALOIS_CASES += [("A(7)", None), ("SL(2,7)", None), ("Aff(13,12)", None)]
+
+
+@pytest.mark.parametrize("expr, seed", GALOIS_CASES)
+def test_galois_fixes_as_many_rows_as_classes(expr, seed):
+    # Brauer's permutation lemma (Isaacs, Character Theory of Finite Groups,
+    # Thm 6.32): sigma_a fixes as many characters as g -> g^a fixes classes,
+    # which is what pulling the irrational classes first rests on
+    group = construct(expr) if seed is None else relabel(construct(expr), seed)
+    t = compute_table(group)
+    cd = t.class_data
+    for a in unit_generators(cd.exponent):
+        powers = [cd.class_power(j, a) for j in range(t.n_classes)]
+        assert t.power_classes(a).tolist() == powers
+        fixed_classes = sum(p == j for j, p in enumerate(powers))
+        assert int(t.galois_fixed(a).sum()) == fixed_classes, (expr, a)
 
 
 def field_of(group):
@@ -617,21 +648,70 @@ def test_lift_catches_any_corrupted_value():
                          [("C(60)", 12), ("C(2) x C(2) x C(2)", 8), ("A(5)", 4)])
 def test_lift_one_dft_per_rational_class(monkeypatch, expr, rational_classes):
     # C(60): one class per divisor of 60; every class of C(2)^3 is rational;
-    # A(5)'s two classes of 5-cycles are Galois conjugate
+    # A(5)'s two classes of 5-cycles are Galois conjugate.  Each rational
+    # class sends its linear rows through the discrete-log check and only
+    # its other rows through the DFT; an abelian group has no other rows
     t = table_of(expr)
-    dft_classes = []
+    n_linear = t.degrees.count(1)
+    dft_classes, log_classes = [], []
+    exponents = chartable._linear_exponents
 
     def counted(a, b, q):
         if a.ndim == 3:           # (row, class, power) blocks go to the DFT
+            assert a.shape[0] == t.n_classes - n_linear
             dft_classes.append(a.shape[1])
         return fplinalg.mat_mul(a, b, q)
 
+    def logged(block, *args):
+        assert block.shape[0] == n_linear
+        log_classes.append(block.shape[1])
+        return exponents(block, *args)
+
     monkeypatch.setattr(chartable, "mat_mul", counted)
+    monkeypatch.setattr(chartable, "_linear_exponents", logged)
     cells, distinct = chartable._lift_all(t.values_mod_q, list(t.degrees), t.class_data,
                                           t.q_field, _galois_orbits(t.class_data))
     assert distinct == t.distinct
     assert np.array_equal(cells, t.cells)
-    assert sum(dft_classes) == rational_classes
+    assert sum(log_classes) == rational_classes
+    assert sum(dft_classes) == (0 if n_linear == t.n_classes else rational_classes)
+
+
+def test_lift_catches_any_corrupted_linear_value():
+    # every row of C(6) is linear, so only the discrete-log check and the
+    # final value check see these; every class is a power of the generator,
+    # so each other value mod q breaks chi(g^t) = chi(g)^t somewhere.  A -1
+    # turned into 1 at the class of order 2 is a square root of 1 in a
+    # rational class, which only the check at the generator's powers sees
+    t = table_of("C(6)")
+    q = t.q_field.q
+    for r in range(t.n_classes):
+        for j in range(t.n_classes):
+            for wrong in range(1, q):
+                values = t.values_mod_q.copy()
+                values[r, j] = (values[r, j] + wrong) % q
+                with pytest.raises(InconsistentTable, match=r"lifted value"):
+                    chartable._lift_all(values, list(t.degrees), t.class_data, t.q_field,
+                                        _galois_orbits(t.class_data))
+
+
+@pytest.mark.parametrize("expr, order, value", [
+    # q = 7 and the cube roots of unity are 1, 2 and 4: 3 is no power of w
+    ("C(3)", 3, lambda wf: 3),
+    # at a class of order 2 that no element of order 4 squares to, w (of
+    # order 4) passes every check of chi(g^t) = chi(g)^t, t < m
+    ("C(2) x C(4)", 2, lambda wf: wf.w),
+], ids=["C(3)", "C(2) x C(4)"])
+def test_lift_rejects_a_value_no_root_of_unity_of_its_order(expr, order, value):
+    t = table_of(expr)
+    cd = t.class_data
+    reached = {int(c) for i, m in enumerate(cd.element_orders) if m > order
+               for c in cd.power_map[i]}
+    j = next(j for j, m in enumerate(cd.element_orders) if m == order and j not in reached)
+    values = t.values_mod_q.copy()
+    values[1, j] = value(t.q_field)
+    with pytest.raises(InconsistentTable, match=r"lifted value .* no m-th root of unity"):
+        chartable._lift_all(values, list(t.degrees), cd, t.q_field, _galois_orbits(cd))
 
 
 # -- orthogonality ----------------------------------------------------------------

@@ -14,7 +14,7 @@ from chartab.groupspec import construct_cached
 from chartab.perm import compose, invert
 from chartab.permgroup import PermGroup, StabilizerChain
 
-from helpers import (brute_class_map, brute_conjugacy_sizes,
+from helpers import (TABLES_GROUPS, brute_class_map, brute_conjugacy_sizes,
                      brute_has_normal_p_complement, brute_mulclose,
                      brute_normal_closure, central_product_coset_count,
                      chain_hash, class_hash, closure_has_normal_p_complement,
@@ -462,11 +462,13 @@ def test_class_arrays_read_only():
     index = cd.index
     arrays = [index.rows, index.base, *index.slots, *index.cosets, index.row_of_rank,
               cd.rank_class, cd.rep_index, cd.inv_base, cd.member_index, cd.member_offsets,
-              *cd.power_map, g.element_rows()]
+              cd.power_table, *cd.power_map, g.element_rows()]
     for arr in arrays:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = arr[0]
+    # the power maps are views into the one power table
+    assert all(np.shares_memory(row, cd.power_table) for row in cd.power_map)
     assert index.rows is g.element_rows()
     # each representative is the first member of its class
     firsts = g.element_rows()[cd.member_index[cd.member_offsets[:-1]]]
@@ -525,10 +527,6 @@ def test_p_complement_agrees_with_brute_oracle_small():
             if g.order() % p == 0:
                 assert g.has_normal_p_complement(p) == \
                     brute_has_normal_p_complement(g, p), (expr, p)
-
-
-TABLES_GROUPS = ("A(5)", "S(7)", "A(8)", "SL(2,9)", "D(200)",
-                 "C(2) x C(2) x C(2) x C(2) x C(2) x C(2) x C(2)", "C(200)")
 
 
 @pytest.mark.parametrize("relabelled", [False, True])
