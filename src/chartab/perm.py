@@ -6,8 +6,8 @@ group-theoretic code throughout.
 
 This module is the one home of the image-tuple kernels: compose (the
 product), invert (the inverse) and sift (a stabilizer chain's reduction
-through its coset tables of image tuples).  Permutation wraps the first
-two; no other module composes image tuples itself.
+through its coset tables, read as image tuples).  Permutation wraps the
+first two; no other module composes image tuples itself.
 """
 
 from __future__ import annotations
@@ -126,17 +126,25 @@ def sift(images: tuple[int, ...], levels, start: int = 0) -> tuple[tuple[int, ..
     level start on; returns the residue's image tuple and the level where
     it stopped (len(levels) if it passed them all).
 
-    Each level has a base point and a coset table, transversal, mapping
-    each orbit point x to the image tuple of a v_x with v_x[x] == point:
-    the residue is multiplied by it, images * v_x, composed inline as in
-    compose.  A level moves its base point, so a chain of degree <= 1 has
-    no levels and nothing is composed there.
+    Each level has a base point, a coset table, table, whose row
+    transversal[x] is a v_x with v_x[x] == point for each orbit point x,
+    and tuples, the image tuples of the rows read so far by orbit point:
+    the residue is multiplied by v_x, images * v_x, composed inline as in
+    compose.  The first read of an entry builds its tuple from the table
+    row and keeps it in tuples, so an entry is converted once per table;
+    threads racing on an entry build equal tuples, and either may stay.
+    A level moves its base point, so a chain of degree <= 1 has no levels
+    and nothing is composed there.
     """
     for i in range(start, len(levels)):
         lvl = levels[i]
-        v = lvl.transversal.get(images[lvl.point])
+        x = images[lvl.point]
+        v = lvl.tuples.get(x)
         if v is None:
-            return images, i
+            r = lvl.transversal.get(x)
+            if r is None:
+                return images, i
+            v = lvl.tuples[x] = tuple(lvl.table[r].tolist())
         images = itemgetter(*images)(v)
     return images, len(levels)
 

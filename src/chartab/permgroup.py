@@ -3,25 +3,32 @@
 Two representations coexist:
 
 * a deterministic Schreier-Sims stabilizer chain, used for orders and
-  membership with no size limit.  Each level keeps one coset table, the
-  image tuples of the inverse coset representatives, which sifting
-  multiplies by directly, and the orbit-tree edges that built it, whose
-  Schreier generators are the identity and are skipped when closing.
-  Products, inverses and the sift loop itself are the image-tuple kernels
-  of perm.py (compose, invert, sift); sifting, membership and orbit
-  building build no Permutation.  Closing tests every off-tree Schreier
-  generator v_pt^-1 * s * v_s(pt) on the coset table (it is the identity
-  exactly when s * v_s(pt) == v_pt) and forms and sifts only those that
-  fail; a chain build creates a Permutation only for each residue it
+  membership with no size limit.  Each level keeps one coset table, a
+  read-only (orbit size, degree) int32 array whose rows are the inverse
+  coset representatives in breadth-first discovery order, and the
+  orbit-tree edges that built it, whose Schreier generators are the
+  identity.  A rebuild gathers each new row from its parent's row through
+  the inverse of the generator that discovered it, and keeps the rows of
+  the points reached along the same tree edges as before.  The tables of
+  a chain may hold at most MEMORY_BUDGET bytes; the breadth-first search
+  learns an orbit's size before its table is allocated, and a chain past
+  the budget raises DenseCapExceeded.  Closing tests the off-tree
+  Schreier generators v_pt^-1 * s * v_s(pt) of a level on its table a
+  chunk at a time (one is the identity exactly when s * v_s(pt) ==
+  v_pt), forms only those that fail and sifts them; a level keeps the
+  pairs whose generators passed, and skips them while their rows stand.
+  Sifting multiplies image tuples by image tuples with perm.sift, which
+  builds an entry's tuple from its table row when it first reads it and
+  keeps it with the level; sifting, membership and orbit building build
+  no Permutation, and a chain build creates one only for each residue it
   registers as a strong generator.  StabilizerChain.extend grows a chain
   in place, and a normal closure keeps the chain it grew;
 * a dense element store (capped at 200000 elements, checked against the
   chain's order before enumeration): one read-only (order, degree) int32
   array of image rows in tuple order, built a chain level at a time by
-  numpy gathers over each level's coset table, converted to an int32
-  array once.  It is the substrate for conjugacy classes, quotients and
-  all character-table work; Permutations are built from it only at the
-  API edge (elements(), ClassData.reps).
+  numpy gathers over each level's coset table.  It is the substrate for
+  conjugacy classes, quotients and all character-table work; Permutations
+  are built from it only at the API edge (elements(), ClassData.reps).
 
 The store comes with its one element index, a RankIndex: an element is
 found from its base images (the images of the chain's base points) by
@@ -41,7 +48,10 @@ t < 2T by one gather through the row of rep^T, which is then squared.
 Groups and their class data are immutable after construction (ClassData's
 arrays are read-only), and so is a group's chain: only extend changes a
 chain, and normal_closure calls it before the subgroup it returns exists.
-The lazy caches are write-once and safe to share across threads.
+The lazy caches are write-once and safe to share across threads.  That
+includes each level's sift tuples: a tuple is built from the read-only
+table and stored under its point in one dict assignment, so threads that
+race on an entry build equal tuples and either may stay.
 """
 
 from __future__ import annotations
@@ -55,13 +65,15 @@ import numpy as np
 
 from .arith import check_prime, pprime_part
 from .fplinalg import require
-from .perm import Permutation, compose, invert, sift
+from .perm import Permutation, compose, sift
 
 DEFAULT_ENUM_CAP = 200_000
+MEMORY_BUDGET = 1 << 29     # bytes: the most a group's stabilizer chain may hold
+_GATHER_CHUNK = 1 << 18     # entries gathered at once by the Schreier test
 
 
 class DenseCapExceeded(ValueError):
-    """Group is too large for dense mode."""
+    """Group is too large for dense mode, or its chain for MEMORY_BUDGET."""
 
 
 class NotNormal(ValueError):
@@ -72,20 +84,34 @@ class _Level:
     """One level of the chain: a base point, the strong generators that fix
     the earlier base points, and one coset table over the orbit.
 
-    transversal maps each orbit point x to the image tuple of v_x, the
-    inverse of a coset representative carrying point to x, so
-    v_x[x] == point: sifting multiplies by it directly.  tree_edges holds
-    the (point, generator index) pairs that discovered an orbit point;
-    their Schreier generators are the identity by construction.
+    table is a read-only (orbit size, degree) int32 array; its row r is v_x
+    for the r-th orbit point x in discovery order, the inverse of a coset
+    representative carrying point to x, so v_x[x] == point and sifting
+    multiplies by it directly.  transversal maps each orbit point to its
+    row.  images and preimages hold the image arrays of the strong
+    generators and of their inverses, one per generator.  tree_edges maps
+    each (point, generator index) pair that discovered an orbit point to
+    that point, in discovery order; their Schreier generators are the
+    identity by construction.  checked holds the pairs whose Schreier
+    generators are known to sift to the identity through the levels below,
+    the tree edges among them.  tuples maps the orbit points whose entries
+    sifting has read to the entries' image tuples; perm.sift builds each
+    from its table row on first read.
     """
 
-    __slots__ = ("point", "gens", "transversal", "tree_edges")
+    __slots__ = ("point", "gens", "images", "preimages", "transversal", "table",
+                 "tree_edges", "checked", "tuples")
 
-    def __init__(self, point: int, identity: tuple[int, ...]):
+    def __init__(self, point: int, identity: np.ndarray):
         self.point = point
         self.gens: list[Permutation] = []
-        self.transversal: dict[int, tuple[int, ...]] = {point: identity}
-        self.tree_edges: set[tuple[int, int]] = set()
+        self.images: list[np.ndarray] = []
+        self.preimages: list[np.ndarray] = []
+        self.transversal: dict[int, int] = {point: 0}
+        self.table = identity
+        self.tree_edges: dict[tuple[int, int], int] = {}
+        self.checked: set[tuple[int, int]] = set()
+        self.tuples: dict[int, tuple[int, ...]] = {}
 
 
 class StabilizerChain:
@@ -94,26 +120,64 @@ class StabilizerChain:
     def __init__(self, generators: list[Permutation], degree: int):
         self.degree = degree
         self.identity = tuple(range(degree))
+        self._identity_table = _readonly(np.arange(degree, dtype=np.int32)[None, :])
         self.levels: list[_Level] = []
+        self._table_rows = 0            # the orbit sizes summed over the levels
+        self._stale: set[int] = set()   # levels given generators since they were built
         for g in generators:
             self._add(g.images)
         self._close()
 
     def _rebuild_orbit(self, i: int) -> None:
+        """Rebuild level i's orbit by breadth-first search from its base
+        point, then its coset table in discovery order: the row of s[pt] is
+        the row of pt gathered through s^-1 (img -> pt -> point).
+
+        Generators are only ever appended, so a point the search reaches
+        along the same tree edges as before keeps its row, its image tuple
+        and its checked Schreier generators; only the other rows are
+        gathered again.  The search knows the orbit size before the table
+        is allocated: a chain whose tables would pass MEMORY_BUDGET raises
+        DenseCapExceeded instead."""
         lvl = self.levels[i]
-        lvl.transversal = table = {lvl.point: self.identity}
-        lvl.tree_edges = set()
-        gens = [(s.images, invert(s.images)) for s in lvl.gens]
-        queue = deque([lvl.point])
-        while queue:
-            pt = queue.popleft()
-            v = table[pt]
-            for gi, (s, s_inv) in enumerate(gens):
+        row = {lvl.point: 0}
+        tree: dict[tuple[int, int], int] = {}
+        points = [lvl.point]
+        gens = [s.images for s in lvl.gens]
+        for pt in points:       # grows as the search discovers points
+            for gi, s in enumerate(gens):
                 img = s[pt]
-                if img not in table:
-                    table[img] = compose(s_inv, v)     # img -> pt -> point
-                    lvl.tree_edges.add((pt, gi))
-                    queue.append(img)
+                if img not in row:
+                    row[img] = len(points)
+                    points.append(img)
+                    tree[pt, gi] = img
+        rows = self._table_rows + len(points) - len(lvl.transversal)
+        if 4 * self.degree * rows > MEMORY_BUDGET:
+            raise DenseCapExceeded(
+                f"the stabilizer chain's coset tables need {4 * self.degree * rows} bytes, "
+                f"over the budget of {MEMORY_BUDGET} bytes")
+        kept = {lvl.point}
+        for edge, img in tree.items():
+            if edge[0] in kept and edge in lvl.tree_edges:
+                kept.add(img)
+        if len(kept) < len(lvl.transversal):
+            lvl.checked = {(pt, gi) for pt, gi in lvl.checked
+                           if pt in kept and gens[gi][pt] in kept}
+            lvl.tuples = {x: v for x, v in lvl.tuples.items() if x in kept}
+        if len(kept) < len(points):
+            table = np.empty((len(points), self.degree), dtype=np.int32)
+            old, old_row, preimages = lvl.table, lvl.transversal, lvl.preimages
+            table[0] = old[0]     # the identity
+            for r, ((pt, gi), img) in enumerate(tree.items(), 1):
+                if img in kept:
+                    table[r] = old[old_row[img]]
+                else:
+                    # v_img[x] = v_pt[s^-1[x]]
+                    table[r] = table[row[pt]][preimages[gi]]
+            lvl.table = _readonly(table)
+        lvl.checked.update(tree)
+        lvl.transversal, lvl.tree_edges = row, tree
+        self._table_rows = rows
 
     def sift(self, images: tuple[int, ...], start: int = 0) -> tuple[tuple[int, ...], int]:
         """Reduce the image tuple of an element through the chain; returns
@@ -130,51 +194,95 @@ class StabilizerChain:
 
     def _add(self, images: tuple[int, ...]) -> int:
         """Register the residue of the element with these images; returns the
-        level where it stopped, or -1 if the element is already a member."""
+        level where it stopped, or -1 if the element is already a member.
+        The sift reads every level, so stale ones are rebuilt first."""
+        for j in sorted(self._stale):
+            self._rebuild_orbit(j)
+        self._stale.clear()
         images, i = self.sift(images)
         if images == self.identity:
             return -1
+        self._register(images, i)
+        return i
+
+    def _register(self, images: tuple[int, ...], i: int) -> None:
+        """Add a residue that stopped at level i as a strong generator of
+        every level whose preceding base points it fixes; their orbits are
+        rebuilt when next read."""
         if i == len(self.levels):
             base_pt = min(p for p in range(self.degree) if images[p] != p)
-            self.levels.append(_Level(base_pt, self.identity))
+            self.levels.append(_Level(base_pt, self._identity_table))
+            self._table_rows += 1
         h = Permutation(images, _checked=True)
-        # register at every level whose preceding base points h fixes
+        h_images = np.array(images, dtype=np.intp)
+        h_preimages = h_images.argsort()
         for j in range(i + 1):
-            self.levels[j].gens.append(h)
-            self._rebuild_orbit(j)
-        return i
+            lvl = self.levels[j]
+            lvl.gens.append(h)
+            lvl.images.append(h_images)
+            lvl.preimages.append(h_preimages)
+            self._stale.add(j)
 
     def _close(self) -> None:
         # Sims's criterion, deepest level first: every Schreier generator must
         # sift to identity.  A residue changes only the levels up to where it
         # stopped, so the check resumes there; the deeper levels stay closed.
+        # A level is rebuilt when its check starts: the sifts of a check read
+        # only deeper levels, which are closed and so built, and the residue
+        # they find fixes the base points of the levels above it.
         i = len(self.levels) - 1
         while i >= 0:
-            residue = self._schreier_residue(i)
-            i = i - 1 if residue is None else self._add(residue)
+            if i in self._stale:
+                self._rebuild_orbit(i)
+                self._stale.discard(i)
+            found = self._schreier_residue(i)
+            if found is None:
+                i -= 1
+            else:
+                residue, i = found
+                self._register(residue, i)
 
-    def _schreier_residue(self, i: int) -> tuple[int, ...] | None:
+    def _schreier_residue(self, i: int) -> tuple[tuple[int, ...], int] | None:
         """The residue images of the first Schreier generator of level i that
-        does not sift to the identity through the levels below, or None."""
+        does not sift to the identity through the levels below, with the
+        level where it stopped, or None.
+
+        The generators v_pt^-1 * s * v_s(pt) are taken in (point, generator
+        index) order, skipping the checked ones.  One is the identity
+        exactly when s * v_s(pt) == v_pt, which is tested on the coset table
+        for a chunk of them at a time; only the others are formed and
+        sifted.  Those passed over before a residue, and all of them when
+        there is none, are checked: the levels below only grow, so they
+        stay members."""
         lvl = self.levels[i]
-        table = lvl.transversal
+        row, table = lvl.transversal, lvl.table
         gens = [s.images for s in lvl.gens]
-        for pt in sorted(table):
-            v = table[pt]
-            u = None
-            for gi, s in enumerate(gens):
-                # a tree edge's, v_pt^-1 * s * (s^-1 * v_pt), is the identity as built
-                if (pt, gi) in lvl.tree_edges:
-                    continue
-                # v_pt^-1 * s * w is the identity exactly when s * w == v_pt
-                sw = compose(s, table[s[pt]])
-                if sw == v:
-                    continue
-                if u is None:
-                    u = invert(v)
-                residue, _ = self.sift(compose(u, sw), i + 1)
-                if residue != self.identity:
-                    return residue
+        pairs = [(pt, gi) for pt in sorted(row) for gi in range(len(gens))
+                 if (pt, gi) not in lvl.checked]
+        if not pairs:
+            return None
+        images = np.array(lvl.images)
+        entries = table.reshape(-1)
+        chunk = max(1, _GATHER_CHUNK // self.degree)
+        for c in range(0, len(pairs), chunk):
+            block = pairs[c:c + chunk]
+            # (row of pt, generator index, offset of the row of s[pt]) per pair
+            at = np.array([x for pt, gi in block
+                           for x in (row[pt], gi, row[gens[gi][pt]] * self.degree)],
+                          dtype=np.intp).reshape(-1, 3)
+            # (s * v_s(pt))[x] = v_s(pt)[s[x]]
+            sw = entries[images[at[:, 1]] + at[:, 2:]]
+            failed = (sw != table[at[:, 0]]).any(axis=1).nonzero()[0]
+            if failed.size:
+                # the generator g = v_pt^-1 * (s * v_s(pt)) has g[v_pt[x]] = sw[x]
+                formed = np.empty((len(failed), self.degree), dtype=np.int32)
+                formed[np.arange(len(failed))[:, None], table[at[failed, 0]]] = sw[failed]
+                for k, g in zip(failed.tolist(), formed.tolist()):
+                    residue, stop = self.sift(tuple(g), i + 1)
+                    if residue != self.identity:
+                        lvl.checked.update(block[:k])
+                        return residue, stop
+            lvl.checked.update(block)
         return None
 
     def order(self) -> int:
@@ -307,14 +415,14 @@ def _permutations(rows: np.ndarray) -> tuple[Permutation, ...]:
 def _build_index(levels, degree: int) -> RankIndex:
     """Enumerate the group from its chain's levels and index it by rank.
 
-    Each level's coset table is converted to an int32 array once.  Row
+    Each level's coset table is read as it is, an int32 array.  Row
     e_0 + n_0 * (e_1 + n_1 * ...) of the enumeration is v_e0 * v_e1 * ...,
     the product of entry e_i of each level i; each level's first entry is
     the identity, so level i's entry e alone is row e * n_0 * ... * n_(i-1).
     The rows are then sorted into tuple order, and each level keeps only
     the sorted rows of its entries.
     """
-    tables = [np.array(list(lvl.transversal.values()), dtype=np.int32) for lvl in levels]
+    tables = [lvl.table for lvl in levels]
     rows = np.arange(degree, dtype=np.int32)[None, :]
     for v in reversed(tables):
         # (v * x)[b] = x[v[b]], for every row x and every entry v

@@ -82,13 +82,14 @@ def brute_mulclose(gens) -> frozenset:
 
 def product_sift(chain, g: Permutation, start: int = 0) -> tuple[Permutation, int]:
     """StabilizerChain.sift by one Permutation product per level, each
-    composed as tuple(q[x] for x in p): (residue, stuck level)."""
+    composed as tuple(q[x] for x in p) with q a coset-table row read as a
+    list: (residue, stuck level)."""
     for i in range(start, len(chain.levels)):
         lvl = chain.levels[i]
         img = g.images[lvl.point]
         if img not in lvl.transversal:
             return g, i
-        q = lvl.transversal[img]
+        q = lvl.table[lvl.transversal[img]].tolist()
         g = Permutation(tuple(q[x] for x in g.images))
     return g, len(chain.levels)
 
@@ -99,7 +100,7 @@ def chain_hash(chain) -> str:
     digest = hashlib.sha256()
     for lvl in chain.levels:
         digest.update(repr((lvl.point, [s.images for s in lvl.gens],
-                            sorted(lvl.transversal.values()),
+                            sorted(tuple(v) for v in lvl.table.tolist()),
                             sorted(lvl.tree_edges))).encode())
     return digest.hexdigest()[:16]
 

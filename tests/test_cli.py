@@ -230,6 +230,15 @@ def test_dense_cap_error(capsys):
     assert code == 2 and "too large" in err
 
 
+@pytest.mark.parametrize("command", ["table", "check"])
+def test_chain_over_the_memory_budget_exits_2(capsys, command):
+    # C(20000)'s coset table would take 20000 * 20000 * 4 bytes
+    code, out, err = run(capsys, command, "C(20000)")
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("error:")
+    assert str(chartab.permgroup.MEMORY_BUDGET) in err
+
+
 @pytest.mark.parametrize("command", ["check", "acd"])
 def test_non_prime_is_refused_before_the_table(capsys, command):
     # S(9) is past the dense cap, so only a check made first sees the 4

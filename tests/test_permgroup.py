@@ -1,4 +1,6 @@
 import random
+import time
+import tracemalloc
 from math import gcd
 
 import numpy as np
@@ -11,8 +13,8 @@ from chartab.arith import (check_prime, element_of_order, is_prime,
 from chartab.chartable import compute_table
 from chartab.groupspec import construct_cached
 
-from chartab.perm import compose, invert
-from chartab.permgroup import PermGroup, StabilizerChain
+from chartab.perm import compose
+from chartab.permgroup import MEMORY_BUDGET, PermGroup, StabilizerChain
 
 from helpers import (TABLES_GROUPS, brute_class_map, brute_conjugacy_sizes,
                      brute_has_normal_p_complement, brute_mulclose,
@@ -121,13 +123,80 @@ def test_closure_on_random_pairs():
 
 
 def test_chain_levels_keep_one_table_of_inverse_representatives():
-    # transversal[x] carries x back to the level's base point
+    # the row transversal[x] of the table carries x back to the level's base point
     for expr in ("S(6)", "A(7)", "D(10)", "SL(2,5)", "C(12)"):
         g = construct(expr)
         for lvl in g.chain.levels:
             assert not hasattr(lvl, "inverses")
-            assert all(v[x] == lvl.point for x, v in lvl.transversal.items()), expr
-            assert all(Permutation(v) in g for v in lvl.transversal.values()), expr
+            rows = lvl.table.tolist()
+            assert all(rows[r][x] == lvl.point for x, r in lvl.transversal.items()), expr
+            assert all(Permutation(v) in g for v in rows), expr
+
+
+def test_chain_tables_are_read_only_int32_arrays():
+    # one (orbit, degree) int32 array per level, rows in discovery order
+    for expr in ("S(6)", "A(7)", "D(10)", "SL(2,5)", "C(12)", "PSL(2,7)"):
+        g = relabel(construct(expr), 7)
+        for lvl in g.chain.levels:
+            table = lvl.table
+            assert isinstance(table, np.ndarray) and table.dtype == np.int32, expr
+            assert table.shape == (len(lvl.transversal), g.degree), expr
+            assert not table.flags.writeable, expr
+            assert sorted(lvl.transversal.values()) == list(range(len(table))), expr
+            assert lvl.transversal[lvl.point] == 0, expr
+            assert table[0].tolist() == list(range(g.degree)), expr
+            for x, r in lvl.transversal.items():
+                assert table[r, x] == lvl.point, expr
+                assert sorted(table[r].tolist()) == list(range(g.degree)), expr
+
+
+def test_chain_tables_match_a_fresh_search():
+    # a level's table is rebuilt as generators arrive, keeping the rows of
+    # points reached along the same tree edges as before; one search over
+    # its final generators, v_img = s^-1 * v_pt, gives the same rows in the
+    # same order
+    for expr in ("S(6)", "A(7)", "D(10)", "SL(2,5)", "PSL(2,7)", "S(3) x C(4)"):
+        for g in (construct(expr), relabel(construct(expr), 7)):
+            for lvl in g.chain.levels:
+                rows, edges, queue = {lvl.point: g.identity()}, [], [lvl.point]
+                for pt in queue:
+                    for gi, s in enumerate(lvl.gens):
+                        img = s.images[pt]
+                        if img not in rows:
+                            rows[img] = s.inverse() * rows[pt]
+                            edges.append((pt, gi))
+                            queue.append(img)
+                assert list(lvl.transversal) == list(rows), expr
+                assert lvl.table.tolist() == [list(v.images) for v in rows.values()], expr
+                assert list(lvl.tree_edges) == edges, expr
+
+
+def test_chain_order_leaves_few_sift_tuples():
+    # a cyclic group's one level is a path whose only non-tree Schreier
+    # generator passes the table test: its build sifts nothing, so the
+    # image tuples of its 2000 entries are never built
+    g = construct("C(2000)")
+    assert g.order() == 2000
+    (lvl,) = g.chain.levels
+    assert len(lvl.transversal) == 2000 and len(lvl.tuples) <= 2
+
+
+def test_chain_over_the_memory_budget_is_refused_before_its_table():
+    # C(20000) has one level of 20000 points, so its coset table would take
+    # 20000 * 20000 * 4 = 1.6e9 bytes; the search finds the orbit size first
+    # (numpy reports its allocations to tracemalloc)
+    g = construct("C(20000)")
+    assert 4 * 20000 ** 2 > MEMORY_BUDGET >= 4 * 3000 ** 2
+    tracemalloc.start()
+    started = time.perf_counter()
+    try:
+        with pytest.raises(DenseCapExceeded, match=str(MEMORY_BUDGET)):
+            g.order()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - started < 1.0
+    assert peak < 50 * 2 ** 20
 
 
 def test_chain_extend_reports_growth():
@@ -167,10 +236,10 @@ def test_chain_tree_edges_give_identity_schreier_generators():
         g = construct(expr)
         for lvl in g.chain.levels:
             assert len(lvl.tree_edges) == len(lvl.transversal) - 1, expr
+            v = {x: Permutation(lvl.table[r].tolist()) for x, r in lvl.transversal.items()}
             for pt, gi in lvl.tree_edges:
                 s = lvl.gens[gi]
-                schreier = (Permutation(lvl.transversal[pt]).inverse() * s
-                            * Permutation(lvl.transversal[s.images[pt]]))
+                schreier = v[pt].inverse() * s * v[s.images[pt]]
                 assert schreier.is_identity(), expr
 
 
@@ -216,7 +285,7 @@ def test_schreier_identity_test_matches_the_product():
     outcomes = set()
     for expr in ("S(6)", "A(7)", "D(10)", "SL(2,5)"):
         for lvl in construct(expr).chain.levels:
-            table = lvl.transversal
+            table = {x: tuple(lvl.table[r].tolist()) for x, r in lvl.transversal.items()}
             for pt in table:
                 for gi, s in enumerate(lvl.gens):
                     if (pt, gi) in lvl.tree_edges:
@@ -232,7 +301,8 @@ def test_schreier_identity_test_matches_the_product():
 # chain_hash at the commit before the Schreier generators' identity test
 # moved onto the coset table: (plain, relabelled with seed 7); the
 # chain_query groups S(16), A(12) and S(10) at the commit before the coset
-# tables became image tuples
+# tables became image tuples; the chain_build groups C(1000) and D(1000) at
+# the commit before they became int32 arrays
 CHAIN_HASHES = {
     "C(200)": ("91d6a2a312114788", "262de9ddcbf92ecf"),
     "D(100)": ("15b80632107e1663", "e22974a4319eac2a"),
@@ -243,6 +313,8 @@ CHAIN_HASHES = {
     "S(16)": ("8ef14ace14e48154", "26eb45d3728c562f"),
     "A(12)": ("fdd5eaf1319fddad", "b7182b6e0d39624b"),
     "S(10)": ("57326100ef54cf97", "27cc2ff66e99cd28"),
+    "C(1000)": ("f976cff479cc3cd2", "2e841f99564741d8"),
+    "D(1000)": ("64fd1236d40e0997", "43470abfb29441a1"),
 }
 
 
@@ -274,19 +346,21 @@ def test_class_hashes_pinned(expr):
     assert (class_hash(g), class_hash(relabel(g, 7))) == CLASS_HASHES[expr]
 
 
-def test_chain_closure_inverts_few_coset_representatives(monkeypatch):
+def test_chain_closure_forms_few_schreier_generators(monkeypatch):
     # nearly all of D(50)'s Schreier generators are the identity, which the
-    # coset table shows with no inverse
-    calls = []
+    # coset table shows without forming them; only the others are sifted
+    sifted = []
+    original = StabilizerChain.sift
 
-    def counted(images):
-        calls.append(images)
-        return invert(images)
+    def counted(self, images, start=0):
+        if start > 0:
+            sifted.append(images)
+        return original(self, images, start)
 
     g = construct("D(50)")
-    monkeypatch.setattr("chartab.permgroup.invert", counted)
+    monkeypatch.setattr(StabilizerChain, "sift", counted)
     chain = StabilizerChain(list(g.generators), g.degree)
-    assert chain.order() == 100 and len(calls) <= 7
+    assert chain.order() == 100 and len(sifted) <= 7
 
 
 def test_chain_build_makes_a_permutation_only_per_strong_generator(monkeypatch):
