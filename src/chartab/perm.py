@@ -4,10 +4,16 @@ Composition is left-to-right: (p * q) sends x to q[p[x]], i.e. apply p
 first.  This matches the exponent convention x^(gh) = (x^g)^h used by the
 group-theoretic code throughout.
 
-This module is the one home of the image-tuple kernels: compose (the
-product), invert (the inverse) and sift (a stabilizer chain's reduction
-through its coset tables, read as image tuples).  Permutation wraps the
-first two; no other module composes image tuples itself.
+This module is the one home of the product kernels: compose (the
+product of image tuples), invert (the inverse) and sift (a stabilizer
+chain's reduction of a word through its coset tables).  Permutation wraps
+the first two; no other module composes image tuples or words itself.
+
+A word is an element's images in the form sift multiplies fastest, made by
+as_word: up to degree 256 it is bytes(images), and the product by a coset
+table entry is one bytes.translate call through the entry's 256-byte
+translation table; above degree 256 it is the image tuple, multiplied by
+an itemgetter call as in compose.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from math import lcm
 from operator import itemgetter
 
 _CYCLE_RE = re.compile(r"\(\s*((?:\d+[\s,]*)*)\)")
+_BYTE_POINTS = bytes(range(256))    # a bytes word holds the points 0..255
 
 
 class Permutation:
@@ -105,7 +112,7 @@ class Permutation:
 
 def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     """Image tuple of the product p * q, (q[p[0]], q[p[1]], ...), in one
-    C-level call (sift makes the same call inline, once per level)."""
+    C-level call (sift makes the same call inline on tuple words)."""
     if len(p) <= 1:
         # itemgetter needs two indices to return a tuple; degree <= 1 has
         # only the identity, so the product is q
@@ -121,32 +128,44 @@ def invert(p: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(inv)
 
 
-def sift(images: tuple[int, ...], levels, start: int = 0) -> tuple[tuple[int, ...], int]:
-    """Reduce an image tuple through the levels of a stabilizer chain from
-    level start on; returns the residue's image tuple and the level where
-    it stopped (len(levels) if it passed them all).
+def as_word(images) -> bytes | tuple[int, ...]:
+    """The word of an element with these images: bytes up to degree 256,
+    where every point fits in a byte, and the image tuple above."""
+    return bytes(images) if len(images) <= len(_BYTE_POINTS) else tuple(images)
+
+
+def sift(word: bytes | tuple[int, ...], levels,
+         start: int = 0) -> tuple[bytes | tuple[int, ...], int]:
+    """Reduce a word (as_word) through the levels of a stabilizer chain from
+    level start on; returns the residue's word and the level where it
+    stopped (len(levels) if it passed them all).
 
     Each level has a base point, a coset table, table, whose row
     transversal[x] is a v_x with v_x[x] == point for each orbit point x,
-    and tuples, the image tuples of the rows read so far by orbit point:
-    the residue is multiplied by v_x, images * v_x, composed inline as in
-    compose.  The first read of an entry builds its tuple from the table
-    row and keeps it in tuples, so an entry is converted once per table;
-    threads racing on an entry build equal tuples, and either may stay.
-    A level moves its base point, so a chain of degree <= 1 has no levels
-    and nothing is composed there.
+    and entries, the entries read so far by orbit point, in the form the
+    product takes: the residue is multiplied by v_x, word * v_x, as
+    word.translate(v_x) on bytes words, where the entry is the table row
+    padded with the identity on degree..255, and as in compose on tuple
+    words, where it is the row's image tuple.  All words of a chain have
+    its degree, so a level's entries all have one form.  The first read of
+    an entry builds it from the table row and keeps it in entries, so an
+    entry is converted once per table; threads racing on an entry build
+    equal entries, and either may stay.  A level moves its base point, so
+    a chain of degree <= 1 has no levels and nothing is composed there.
     """
+    small = type(word) is bytes
     for i in range(start, len(levels)):
         lvl = levels[i]
-        x = images[lvl.point]
-        v = lvl.tuples.get(x)
+        x = word[lvl.point]
+        v = lvl.entries.get(x)
         if v is None:
             r = lvl.transversal.get(x)
             if r is None:
-                return images, i
-            v = lvl.tuples[x] = tuple(lvl.table[r].tolist())
-        images = itemgetter(*images)(v)
-    return images, len(levels)
+                return word, i
+            row = lvl.table[r].tolist()
+            v = lvl.entries[x] = bytes(row) + _BYTE_POINTS[len(row):] if small else tuple(row)
+        word = word.translate(v) if small else itemgetter(*word)(v)
+    return word, len(levels)
 
 
 def parse_cycles(text: str, degree: int) -> Permutation:

@@ -17,12 +17,15 @@ Two representations coexist:
   chunk at a time (one is the identity exactly when s * v_s(pt) ==
   v_pt), forms only those that fail and sifts them; a level keeps the
   pairs whose generators passed, and skips them while their rows stand.
-  Sifting multiplies image tuples by image tuples with perm.sift, which
-  builds an entry's tuple from its table row when it first reads it and
-  keeps it with the level; sifting, membership and orbit building build
-  no Permutation, and a chain build creates one only for each residue it
-  registers as a strong generator.  StabilizerChain.extend grows a chain
-  in place, and a normal closure keeps the chain it grew;
+  Sifting reduces words with perm.sift: up to degree 256 a word is the
+  bytes of the image tuple and each product is one bytes.translate call,
+  above it the image tuple multiplied by itemgetter; sift builds an
+  entry from its table row when it first reads it and keeps it with the
+  level.  Sifting, membership and orbit building build no Permutation,
+  and a chain build creates one only for each residue it registers as a
+  strong generator; StabilizerChain.sift and _register take image tuples.
+  StabilizerChain.extend grows a chain in place, and a normal closure
+  keeps the chain it grew;
 * a dense element store (capped at 200000 elements, checked against the
   chain's order before enumeration): one read-only (order, degree) int32
   array of image rows in tuple order, built a chain level at a time by
@@ -49,9 +52,9 @@ Groups and their class data are immutable after construction (ClassData's
 arrays are read-only), and so is a group's chain: only extend changes a
 chain, and normal_closure calls it before the subgroup it returns exists.
 The lazy caches are write-once and safe to share across threads.  That
-includes each level's sift tuples: a tuple is built from the read-only
+includes each level's sift entries: an entry is built from the read-only
 table and stored under its point in one dict assignment, so threads that
-race on an entry build equal tuples and either may stay.
+race on an entry build equal entries and either may stay.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ import numpy as np
 
 from .arith import check_prime, pprime_part
 from .fplinalg import require
-from .perm import Permutation, compose, sift
+from .perm import Permutation, as_word, compose, sift
 
 DEFAULT_ENUM_CAP = 200_000
 MEMORY_BUDGET = 1 << 29     # bytes: the most a group's stabilizer chain may hold
@@ -94,13 +97,14 @@ class _Level:
     that point, in discovery order; their Schreier generators are the
     identity by construction.  checked holds the pairs whose Schreier
     generators are known to sift to the identity through the levels below,
-    the tree edges among them.  tuples maps the orbit points whose entries
-    sifting has read to the entries' image tuples; perm.sift builds each
-    from its table row on first read.
+    the tree edges among them.  entries maps the orbit points whose entries
+    sifting has read to the entries in the form perm.sift multiplies by:
+    256-byte translation tables up to degree 256, image tuples above;
+    perm.sift builds each from its table row on first read.
     """
 
     __slots__ = ("point", "gens", "images", "preimages", "transversal", "table",
-                 "tree_edges", "checked", "tuples")
+                 "tree_edges", "checked", "entries")
 
     def __init__(self, point: int, identity: np.ndarray):
         self.point = point
@@ -111,7 +115,7 @@ class _Level:
         self.table = identity
         self.tree_edges: dict[tuple[int, int], int] = {}
         self.checked: set[tuple[int, int]] = set()
-        self.tuples: dict[int, tuple[int, ...]] = {}
+        self.entries: dict[int, bytes | tuple[int, ...]] = {}
 
 
 class StabilizerChain:
@@ -119,7 +123,7 @@ class StabilizerChain:
 
     def __init__(self, generators: list[Permutation], degree: int):
         self.degree = degree
-        self.identity = tuple(range(degree))
+        self.identity = as_word(range(degree))
         self._identity_table = _readonly(np.arange(degree, dtype=np.int32)[None, :])
         self.levels: list[_Level] = []
         self._table_rows = 0            # the orbit sizes summed over the levels
@@ -134,7 +138,7 @@ class StabilizerChain:
         the row of pt gathered through s^-1 (img -> pt -> point).
 
         Generators are only ever appended, so a point the search reaches
-        along the same tree edges as before keeps its row, its image tuple
+        along the same tree edges as before keeps its row, its sift entry
         and its checked Schreier generators; only the other rows are
         gathered again.  The search knows the orbit size before the table
         is allocated: a chain whose tables would pass MEMORY_BUDGET raises
@@ -163,7 +167,7 @@ class StabilizerChain:
         if len(kept) < len(lvl.transversal):
             lvl.checked = {(pt, gi) for pt, gi in lvl.checked
                            if pt in kept and gens[gi][pt] in kept}
-            lvl.tuples = {x: v for x, v in lvl.tuples.items() if x in kept}
+            lvl.entries = {x: v for x, v in lvl.entries.items() if x in kept}
         if len(kept) < len(points):
             table = np.empty((len(points), self.degree), dtype=np.int32)
             old, old_row, preimages = lvl.table, lvl.transversal, lvl.preimages
@@ -182,7 +186,8 @@ class StabilizerChain:
     def sift(self, images: tuple[int, ...], start: int = 0) -> tuple[tuple[int, ...], int]:
         """Reduce the image tuple of an element through the chain; returns
         the image tuple of the residue and the level where it stopped."""
-        return sift(images, self.levels, start)
+        word, i = sift(as_word(images), self.levels, start)
+        return tuple(word), i
 
     def extend(self, g: Permutation) -> bool:
         """Add g to the group unless it is already a member, then restore the
@@ -199,10 +204,10 @@ class StabilizerChain:
         for j in sorted(self._stale):
             self._rebuild_orbit(j)
         self._stale.clear()
-        images, i = self.sift(images)
-        if images == self.identity:
+        word, i = sift(as_word(images), self.levels)
+        if word == self.identity:
             return -1
-        self._register(images, i)
+        self._register(tuple(word), i)
         return i
 
     def _register(self, images: tuple[int, ...], i: int) -> None:
@@ -278,10 +283,10 @@ class StabilizerChain:
                 formed = np.empty((len(failed), self.degree), dtype=np.int32)
                 formed[np.arange(len(failed))[:, None], table[at[failed, 0]]] = sw[failed]
                 for k, g in zip(failed.tolist(), formed.tolist()):
-                    residue, stop = self.sift(tuple(g), i + 1)
+                    residue, stop = sift(as_word(g), self.levels, i + 1)
                     if residue != self.identity:
                         lvl.checked.update(block[:k])
-                        return residue, stop
+                        return tuple(residue), stop
             lvl.checked.update(block)
         return None
 
@@ -290,7 +295,8 @@ class StabilizerChain:
 
     def contains(self, g: Permutation) -> bool:
         images = g.images
-        return len(images) == self.degree and sift(images, self.levels)[0] == self.identity
+        return (len(images) == self.degree
+                and sift(as_word(images), self.levels)[0] == self.identity)
 
 
 @dataclass(frozen=True)

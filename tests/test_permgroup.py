@@ -1,7 +1,7 @@
 import random
 import time
 import tracemalloc
-from math import gcd
+from math import factorial, gcd
 
 import numpy as np
 import pytest
@@ -13,6 +13,7 @@ from chartab.arith import (check_prime, element_of_order, is_prime,
 from chartab.chartable import compute_table
 from chartab.groupspec import construct_cached
 
+from chartab import permgroup
 from chartab.perm import compose
 from chartab.permgroup import MEMORY_BUDGET, PermGroup, StabilizerChain
 
@@ -174,11 +175,12 @@ def test_chain_tables_match_a_fresh_search():
 def test_chain_order_leaves_few_sift_tuples():
     # a cyclic group's one level is a path whose only non-tree Schreier
     # generator passes the table test: its build sifts nothing, so the
-    # image tuples of its 2000 entries are never built
+    # sift entries (image tuples at this degree) of its 2000 table rows are
+    # never built
     g = construct("C(2000)")
     assert g.order() == 2000
     (lvl,) = g.chain.levels
-    assert len(lvl.transversal) == 2000 and len(lvl.tuples) <= 2
+    assert len(lvl.transversal) == 2000 and len(lvl.entries) <= 2
 
 
 def test_chain_over_the_memory_budget_is_refused_before_its_table():
@@ -243,41 +245,46 @@ def test_chain_tree_edges_give_identity_schreier_generators():
                 assert schreier.is_identity(), expr
 
 
-def test_chain_close_skips_tree_edges(monkeypatch):
+@pytest.fixture
+def sifts(monkeypatch):
+    """(start level, word) of every sift a stabilizer chain makes: generators
+    are sifted from level 0, Schreier generators from below their level.
+    Every chain sift goes through the sift that permgroup imports."""
+    recorded = []
+    original = permgroup.sift
+
+    def recording(word, levels, start=0):
+        recorded.append((start, word))
+        return original(word, levels, start)
+
+    monkeypatch.setattr(permgroup, "sift", recording)
+    return recorded
+
+
+def test_chain_close_skips_tree_edges(sifts):
     # C(50)'s orbit tree is the path 0 -> 1 -> ... -> 49; only the edge
     # 49 -> 0 closes a cycle, so at most one Schreier generator is sifted
-    sifted = []
-    original = StabilizerChain.sift
-
-    def counted(self, images, start=0):
-        if start > 0:
-            sifted.append(images)
-        return original(self, images, start)
-
-    monkeypatch.setattr(StabilizerChain, "sift", counted)
+    # (none is: its generator passes the table test); the generator's own
+    # sift shows that the spy sees the chain's sifts
     g = construct("C(50)")
     StabilizerChain(list(g.generators), g.degree)
-    assert len(sifted) <= 1
+    assert [start for start, _ in sifts if start == 0] == [0]
+    assert len([w for start, w in sifts if start > 0]) <= 1
 
 
-def test_chain_close_sifts_no_identity_schreier_generator(monkeypatch):
-    # D(10)'s reflection alone gives 8 identity Schreier generators at level 0
-    sifted = []
-    original = StabilizerChain.sift
-
-    def recorded(self, images, start=0):
-        if start > 0:
-            sifted.append(images)
-        return original(self, images, start)
-
-    monkeypatch.setattr(StabilizerChain, "sift", recorded)
-    for expr in ("D(10)", "S(6)", "SL(2,5)"):
+def test_chain_close_sifts_no_identity_schreier_generator(sifts):
+    # D(10)'s reflection alone gives 8 identity Schreier generators at level 0;
+    # the Schreier generators that fail the table test are all sifted
+    for expr, least in (("D(10)", 4), ("S(6)", 70), ("SL(2,5)", 23)):
         g = construct(expr)
-        sifted.clear()
+        sifts.clear()
         chain = StabilizerChain(list(g.generators), g.degree)
         assert chain.order() == g.order(), expr
-        identity = tuple(range(g.degree))
-        assert sifted and not any(x == identity for x in sifted), expr
+        schreier = [w for start, w in sifts if start > 0]
+        assert len(schreier) >= least, expr
+        assert all(type(w) is type(chain.identity) and len(w) == g.degree
+                   for w in schreier), expr
+        assert chain.identity not in schreier, expr
 
 
 def test_schreier_identity_test_matches_the_product():
@@ -346,21 +353,13 @@ def test_class_hashes_pinned(expr):
     assert (class_hash(g), class_hash(relabel(g, 7))) == CLASS_HASHES[expr]
 
 
-def test_chain_closure_forms_few_schreier_generators(monkeypatch):
+def test_chain_closure_forms_few_schreier_generators(sifts):
     # nearly all of D(50)'s Schreier generators are the identity, which the
     # coset table shows without forming them; only the others are sifted
-    sifted = []
-    original = StabilizerChain.sift
-
-    def counted(self, images, start=0):
-        if start > 0:
-            sifted.append(images)
-        return original(self, images, start)
-
     g = construct("D(50)")
-    monkeypatch.setattr(StabilizerChain, "sift", counted)
+    sifts.clear()
     chain = StabilizerChain(list(g.generators), g.degree)
-    assert chain.order() == 100 and len(sifted) <= 7
+    assert chain.order() == 100 and 4 <= len([w for start, w in sifts if start > 0]) <= 7
 
 
 def test_chain_build_makes_a_permutation_only_per_strong_generator(monkeypatch):
@@ -418,8 +417,11 @@ def test_membership_builds_no_permutation(monkeypatch):
     assert True in expected and False in expected
 
 
+# C(256), C(257) and S(4) x C(252), S(4) x C(253) sit on either side of
+# degree 256, where sifting moves from bytes words to image tuples
 @pytest.mark.parametrize("expr", ["S(6)", "A(7)", "D(10)", "SL(2,5)", "PSL(2,7)",
-                                  "C(1)", "C(2)"])
+                                  "C(1)", "C(2)", "C(256)", "C(257)",
+                                  "S(4) x C(252)", "S(4) x C(253)"])
 @pytest.mark.parametrize("relabelled", [False, True])
 def test_sift_matches_product_oracle(expr, relabelled):
     g = construct(expr)
@@ -438,11 +440,24 @@ def test_sift_matches_product_oracle(expr, relabelled):
         images = list(range(g.degree))
         rng.shuffle(images)
         queries.append(Permutation(images))
+    members = 0
     for x in queries:
         for start in (0, 1):
             residue, level = chain.sift(x.images, start)
             expected, expected_level = product_sift(chain, x, start)
             assert (residue, level) == (expected.images, expected_level), expr
+        member = product_sift(chain, x)[0].is_identity()
+        assert (x in g) == member, expr
+        members += member
+    # the 40 words are members, and some shuffle is not unless G is symmetric
+    assert 40 <= members < len(queries) or g.order() == factorial(g.degree), expr
+    assert Permutation.identity(g.degree + 1) not in g
+    if g.degree:
+        assert Permutation.identity(g.degree - 1) not in g
+    entry = bytes if g.degree <= 256 else tuple
+    entries = [v for lvl in chain.levels for v in lvl.entries.values()]
+    assert all(type(v) is entry and len(v) == max(256, g.degree) for v in entries), expr
+    assert entries or g.degree <= 1, expr
 
 
 # -- conjugacy classes -----------------------------------------------------------

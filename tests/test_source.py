@@ -54,8 +54,9 @@ def test_private_methods_are_called_only_on_self():
 
 
 def test_image_tuples_are_composed_only_in_perm():
-    # the product kernel has one home: no other module imports itemgetter or
-    # composes image tuples itself, as in tuple(q[i] for i in p.images)
+    # the product kernel has one home: no other module imports itemgetter,
+    # composes bytes words with .translate or composes image tuples itself,
+    # as in tuple(q[i] for i in p.images)
     found = []
     for path in sorted(Path(chartab.__file__).parent.glob("*.py")):
         if path.name == "perm.py":
@@ -65,7 +66,7 @@ def test_image_tuples_are_composed_only_in_perm():
             if isinstance(node, ast.ImportFrom) and node.module == "operator":
                 found += [f"{path.name}:{node.lineno} imports {a.name}" for a in node.names
                           if a.name == "itemgetter"]
-            elif isinstance(node, ast.Attribute) and node.attr == "itemgetter":
+            elif isinstance(node, ast.Attribute) and node.attr in ("itemgetter", "translate"):
                 found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
             elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
                 targets = {g.target.id for g in node.generators if isinstance(g.target, ast.Name)}
