@@ -6,8 +6,7 @@ k = -1 are real-valued, and rows fixed by every k = 1 (mod p) take values
 in Q(zeta_p).
 """
 
-from chartab import (FieldSpec, compute_table, construct, field_rows,
-                     galois_image_row, in_field)
+from chartab import FieldSpec, compute_table, construct, field_rows, galois_image_row
 
 # S4 is a rational group: every character is fixed by the whole action.
 t = compute_table(construct("S(4)"))
@@ -22,12 +21,12 @@ print("C(3) rational rows:", field_rows(t, FieldSpec.rational()))
 # in Q(zeta_7) (Gauss-period sums), while its nonprincipal linear
 # characters take cube-root values and fall outside.
 t = compute_table(construct("Aff(7,3)"))
-q7 = FieldSpec.cyclotomic(7)
+rational = field_rows(t, FieldSpec.rational())
+real = field_rows(t, FieldSpec.real())
+q7 = field_rows(t, FieldSpec.cyclotomic(7))
 for r in range(t.n_classes):
     print(f"Aff(7,3) row {r} (degree {t.degrees[r]}): "
-          f"Q={in_field(t, r, FieldSpec.rational())} "
-          f"R={in_field(t, r, FieldSpec.real())} "
-          f"Q7={in_field(t, r, q7)}")
+          f"Q={r in rational} R={r in real} Q7={r in q7}")
 
 # SL(2,5): everything is real (the group is ambivalent-valued), but only
 # the rows without golden-ratio entries are rational.

@@ -24,8 +24,7 @@ sigma_a(chi(g)), for the whole table at once in numpy.  A table keeps its
 exact values as one (k, n) array of indices into the tuple of its
 distinct values, each built once, and every distinct value is checked
 against the values mod q of its cells.  The exact check, the export and
-the invariants read that array; the per-cell tuples of CharTable.lifted
-are built only where the API hands them out.
+the invariants read that array.
 
 verify_orthogonality checks the first orthogonality relation exactly: one
 Gram product modulo each of a few primes p = 1 (mod e) whose product
@@ -107,31 +106,15 @@ class CharTable:
     def n_classes(self) -> int:
         return len(self.class_data)
 
-    @property
-    def lifted(self) -> tuple[tuple[RootSum, ...], ...]:
-        """lifted[r][j] = chi_r(g_j) as a RootSum.
-
-        Every access rebuilds all k * n tuples (nothing is cached), so read
-        it once, not once per cell; one value is
-        table.distinct[table.cells[r, j]].
-        """
-        return tuple(tuple(map(self.distinct.__getitem__, row)) for row in self.cells.tolist())
-
     def value_index(self, value: RootSum) -> int:
         """The index of value in distinct, -1 if the table never takes it."""
         i = bisect_left(self.distinct, value)
         return i if i < len(self.distinct) and self.distinct[i] == value else -1
 
-    def power_classes(self, k: int) -> np.ndarray:
-        """Class of g^k for each class representative g, gathered at once
-        from the power table."""
-        cd = self.class_data
-        return cd.power_table[np.arange(len(cd)), k % np.array(cd.element_orders)]
-
     def galois_fixed(self, k: int) -> np.ndarray:
         """Boolean mask of the rows sigma_k fixes: chi(g^k) = chi(g) for all g."""
         v = self.values_mod_q
-        return np.all(v[:, self.power_classes(k)] == v, axis=1)
+        return np.all(v[:, self.class_data.power_classes(k)] == v, axis=1)
 
 
 def class_matrix(cd: ClassData, i: int) -> np.ndarray:
@@ -339,7 +322,7 @@ def compute_table(group: PermGroup, prime_offset: int = 0) -> CharTable:
     spaces = _split_spaces((_class_action(cd, i) for i in _matrix_order(cd, orbits)), k, wf)
     require(len(spaces) == k, "eigenspace splitting incomplete")
 
-    inv_classes = [cd.inverse_class(j) for j in range(k)]
+    inv_classes = cd.power_classes(-1)
     size_invs = np.array([inv_mod(s % q, q) for s in cd.sizes], dtype=np.int64)
     # sqrt_of[d*d mod q] = d: q > 2*floor(sqrt|G|) keeps these squares distinct
     sqrt_of = np.zeros(q, dtype=np.int64)
@@ -396,9 +379,9 @@ def _galois_orbits(cd: ClassData) -> dict[int, list[tuple[int, dict[int, int]]]]
         if j in done:
             continue
         orbit: dict[int, int] = {}
-        for a in range(m):
+        for a, c in enumerate(cd.power_table[j, :m].tolist()):
             if gcd(a, m) == 1:
-                orbit.setdefault(int(cd.power_map[j][a]), a)
+                orbit.setdefault(c, a)
         done.update(orbit)
         by_order.setdefault(m, []).append((j, orbit))
     return by_order
@@ -458,7 +441,7 @@ def _lift_all(values: np.ndarray, degrees: list[int], cd: ClassData,
         for start in range(0, len(reps), chunk):
             batch = reps[start:start + chunk]
             classes = [j for j, _ in batch]
-            powers = np.array([cd.power_map[j] for j in classes])
+            powers = cd.power_table[classes, :m]
             slots = n_reps + np.arange(len(batch))
             logs = _linear_exponents(linear_values[:, powers], log, wpow, linear, classes)
             by_rep[linear[:, None], slots, 0] = logs * b + 1
@@ -612,7 +595,7 @@ def _equivariance_failures(table: CharTable) -> list[str]:
         # the index of sigma_a(value) for each distinct value, -1 if none
         image = np.array([table.value_index(tuple(sorted((a * l % e, m) for l, m in val)))
                           for val in table.distinct])
-        wrong = table.cells[:, table.power_classes(a)] != image[table.cells]
+        wrong = table.cells[:, table.class_data.power_classes(a)] != image[table.cells]
         for r, j in zip(*np.nonzero(wrong)):
             failures.append(f"lifted values not Galois-equivariant at row {r}, "
                             f"class {j} under sigma_{a}")

@@ -81,7 +81,7 @@ def galois_image_row(table: CharTable, row: int, k: int) -> int:
     if gcd(k, e) != 1:
         raise ValueError(f"k={k} is not coprime to the exponent {e}")
     v = table.values_mod_q
-    matches = np.flatnonzero(np.all(v == v[row][table.power_classes(k)], axis=1))
+    matches = np.flatnonzero(np.all(v == v[row][table.class_data.power_classes(k)], axis=1))
     require(len(matches) == 1, "Galois action did not permute the rows")
     return int(matches[0])
 
@@ -107,11 +107,6 @@ def field_rows(table: CharTable, spec: FieldSpec) -> tuple[int, ...]:
     rows = tuple(int(r) for r in np.nonzero(mask)[0])
     require(0 in rows, "the trivial character must lie in every field")
     return rows
-
-
-def in_field(table: CharTable, row: int, spec: FieldSpec) -> bool:
-    """Do all values of the row lie in the given field?"""
-    return row in field_rows(table, spec)
 
 
 def field_labels(table: CharTable, primes) -> list[str]:

@@ -50,12 +50,9 @@ def degree_counts(table: CharTable, rows=None) -> dict[int, int]:
 
 
 def average_degree(table: CharTable, p: int | None, spec: FieldSpec) -> Fraction:
+    """Average degree of the irreducible characters with values in the field
+    and degree prime to p (every degree when p is None)."""
     return mean_degree(table, selected_rows(table, p, spec))
-
-
-def acd_pprime(table: CharTable, p: int, spec: FieldSpec = FieldSpec.all()) -> Fraction:
-    """Average of p'-degrees of the field-restricted irreducible characters."""
-    return average_degree(table, p, spec)
 
 
 # -- relative counts n_d(G|N) -------------------------------------------------

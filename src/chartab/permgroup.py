@@ -11,19 +11,19 @@ Two representations coexist:
   the inverse of the generator that discovered it, and keeps the rows of
   the points reached along the same tree edges as before.  The tables of
   a chain may hold at most MEMORY_BUDGET bytes; the breadth-first search
-  learns an orbit's size before its table is allocated, and a chain past
-  the budget raises DenseCapExceeded.  Closing tests the off-tree
-  Schreier generators v_pt^-1 * s * v_s(pt) of a level on its table a
-  chunk at a time (one is the identity exactly when s * v_s(pt) ==
-  v_pt), forms only those that fail and sifts them; a level keeps the
-  pairs whose generators passed, and skips them while their rows stand.
-  Sifting reduces words with perm.sift: up to degree 256 a word is the
-  bytes of the image tuple and each product is one bytes.translate call,
-  above it the image tuple multiplied by itemgetter; sift builds an
+  stops as soon as an orbit has more points than the budget leaves rows
+  for, and the chain raises DenseCapExceeded before its table exists.
+  Closing tests the off-tree Schreier generators v_pt^-1 * s * v_s(pt) of
+  a level on its table a chunk at a time (one is the identity exactly when
+  s * v_s(pt) == v_pt), forms only those that fail and sifts them; a level
+  keeps the pairs whose generators passed, and skips them while their rows
+  stand.  Sifting reduces words with perm.sift: up to degree 256 a word is
+  the bytes of the image tuple and each product is one bytes.translate
+  call, above it the image tuple multiplied by itemgetter; sift builds an
   entry from its table row when it first reads it and keeps it with the
-  level.  Sifting, membership and orbit building build no Permutation,
-  and a chain build creates one only for each residue it registers as a
-  strong generator; StabilizerChain.sift and _register take image tuples.
+  level.  Sifting, membership and orbit building build no Permutation, and
+  a chain build creates one only for each residue it registers as a strong
+  generator; StabilizerChain.sift and _register take image tuples.
   StabilizerChain.extend grows a chain in place, and a normal closure
   keeps the chain it grew;
 * a dense element store (capped at 200000 elements, checked against the
@@ -140,26 +140,30 @@ class StabilizerChain:
         Generators are only ever appended, so a point the search reaches
         along the same tree edges as before keeps its row, its sift entry
         and its checked Schreier generators; only the other rows are
-        gathered again.  The search knows the orbit size before the table
-        is allocated: a chain whose tables would pass MEMORY_BUDGET raises
-        DenseCapExceeded instead."""
+        gathered again.  The tables of the other levels leave room for a
+        cap on this level's rows under MEMORY_BUDGET, and the search stops
+        as soon as it finds more points than that: the chain then raises
+        DenseCapExceeded before the table is allocated."""
         lvl = self.levels[i]
+        others = self._table_rows - len(lvl.transversal)
+        cap = MEMORY_BUDGET // (4 * self.degree) - others
         row = {lvl.point: 0}
         tree: dict[tuple[int, int], int] = {}
         points = [lvl.point]
         gens = [s.images for s in lvl.gens]
         for pt in points:       # grows as the search discovers points
+            if len(points) > cap:
+                break
             for gi, s in enumerate(gens):
                 img = s[pt]
                 if img not in row:
                     row[img] = len(points)
                     points.append(img)
                     tree[pt, gi] = img
-        rows = self._table_rows + len(points) - len(lvl.transversal)
-        if 4 * self.degree * rows > MEMORY_BUDGET:
+        if len(points) > cap:
             raise DenseCapExceeded(
-                f"the stabilizer chain's coset tables need {4 * self.degree * rows} bytes, "
-                f"over the budget of {MEMORY_BUDGET} bytes")
+                f"the stabilizer chain's coset tables at degree {self.degree} "
+                f"would pass MEMORY_BUDGET ({MEMORY_BUDGET} bytes)")
         kept = {lvl.point}
         for edge, img in tree.items():
             if edge[0] in kept and edge in lvl.tree_edges:
@@ -181,7 +185,7 @@ class StabilizerChain:
             lvl.table = _readonly(table)
         lvl.checked.update(tree)
         lvl.transversal, lvl.tree_edges = row, tree
-        self._table_rows = rows
+        self._table_rows = others + len(points)
 
     def sift(self, images: tuple[int, ...], start: int = 0) -> tuple[tuple[int, ...], int]:
         """Reduce the image tuple of an element through the chain; returns
@@ -215,7 +219,7 @@ class StabilizerChain:
         every level whose preceding base points it fixes; their orbits are
         rebuilt when next read."""
         if i == len(self.levels):
-            base_pt = min(p for p in range(self.degree) if images[p] != p)
+            base_pt = next(p for p, x in enumerate(images) if x != p)
             self.levels.append(_Level(base_pt, self._identity_table))
             self._table_rows += 1
         h = Permutation(images, _checked=True)
@@ -350,11 +354,10 @@ class RankIndex:
 class ClassData:
     """Conjugacy classes of a dense-mode group.
 
-    power_map[j][k] is the class of rep_j**k for 0 <= k < element_orders[j];
-    class_power extends to arbitrary k by reduction mod the element order.
-    Each power_map[j] is a read-only int32 view of length element_orders[j]
-    into power_table, the read-only (k, max element order) array whose
-    entries past a class's element order are 0.
+    power_table is the read-only (k, max element order) int32 array whose
+    entry [j, t] is the class of rep_j**t for 0 <= t < element_orders[j],
+    and 0 past a class's element order; power_classes(a) gathers the class
+    of rep_j**a for every j, for any integer a.
 
     Classes are found by chain rank: index is the group's RankIndex and
     rank_class the class of each rank.  rep_index holds the row of each
@@ -367,7 +370,6 @@ class ClassData:
 
     sizes: tuple[int, ...]
     element_orders: tuple[int, ...]
-    power_map: tuple[np.ndarray, ...] = field(compare=False)
     exponent: int
     power_table: np.ndarray = field(repr=False, compare=False)
     index: RankIndex = field(repr=False, compare=False)
@@ -384,11 +386,10 @@ class ClassData:
     def reps(self) -> tuple[Permutation, ...]:
         return _permutations(self.index.rows[self.rep_index])
 
-    def class_power(self, j: int, k: int) -> int:
-        return int(self.power_map[j][k % self.element_orders[j]])
-
-    def inverse_class(self, j: int) -> int:
-        return self.class_power(j, self.element_orders[j] - 1)
+    def power_classes(self, a: int) -> np.ndarray:
+        """The class of rep_j**a for each class j, by reduction mod its
+        element order."""
+        return self.power_table[np.arange(len(self)), a % np.array(self.element_orders)]
 
     def lookup(self, rows: np.ndarray) -> np.ndarray:
         """Class ids of the elements with the given base-image rows."""
@@ -598,7 +599,6 @@ class PermGroup:
         return ClassData(
             sizes=sizes,
             element_orders=orders,
-            power_map=tuple(power_table[j, :m] for j, m in enumerate(orders)),
             exponent=lcm(*orders),
             power_table=power_table,
             index=index,

@@ -110,8 +110,8 @@ def class_hash(group: PermGroup) -> str:
     class matrix, in class order: equal hashes mean equal class data."""
     cd = group.conjugacy_classes()
     digest = hashlib.sha256(repr((cd.sizes, cd.element_orders)).encode())
-    for powers in cd.power_map:
-        digest.update(np.asarray(powers, dtype=np.int64).tobytes() + b";")
+    for j, m in enumerate(cd.element_orders):
+        digest.update(np.asarray(cd.power_table[j, :m], dtype=np.int64).tobytes() + b";")
     for i in range(len(cd.sizes)):
         digest.update(np.ascontiguousarray(class_matrix(cd, i), dtype=np.int64).tobytes())
     return digest.hexdigest()[:16]
@@ -249,7 +249,7 @@ def det_mod(a: np.ndarray, q: int) -> int:
 def per_class_lift(values: np.ndarray, degrees, cd, wf) -> list[tuple]:
     """Exact values by one inverse DFT per class, with no Galois step.
 
-    values[:, power_map[j]] (chi(g_j^s) for s < m) times the m x m matrix
+    values[:, power_table[j, :m]] (chi(g_j^s) for s < m) times the m x m matrix
     z^(-s*t) / m gives the multiplicity of z^t in chi(g_j), z = w^(e/m).
     Raises InconsistentTable on a multiplicity above the degree or a sum
     other than the degree.
@@ -264,7 +264,7 @@ def per_class_lift(values: np.ndarray, degrees, cd, wf) -> list[tuple]:
             z_inv = pow(pow(w, e // m, q), -1, q)
             dfts[m] = np.array([[pow(z_inv, s * t, q) for t in range(m)] for s in range(m)],
                                dtype=np.int64)
-        mults = values[:, list(cd.power_map[j])] @ dfts[m] % q * pow(m, -1, q) % q
+        mults = values[:, cd.power_table[j, :m]] @ dfts[m] % q * pow(m, -1, q) % q
         for r in range(k):
             row = mults[r]
             if (row > degrees[r]).any() or int(row.sum()) != degrees[r]:
@@ -285,7 +285,6 @@ def numeric_character_rows(group: PermGroup, seed: int = 5) -> list[list[complex
     for i in range(1, k):
         combo += rng.uniform(0.5, 1.5) * class_matrix(cd, i).astype(float)
     _, vecs = np.linalg.eig(combo)
-    inv = [cd.inverse_class(j) for j in range(k)]
     order = group.order()
     rows = []
     for t in range(k):
@@ -304,7 +303,13 @@ def eval_complex(v, e: int) -> complex:
 
 def lifted_complex_rows(table) -> list[list[complex]]:
     e = table.q_field.exponent
-    return [[eval_complex(v, e) for v in row] for row in table.lifted]
+    return [[eval_complex(v, e) for v in row] for row in lifted(table)]
+
+
+def lifted(table) -> tuple[tuple[tuple, ...], ...]:
+    """The exact value of every cell, row by row: distinct[cells[r, j]] at
+    [r][j]."""
+    return tuple(tuple(table.distinct[c] for c in row) for row in table.cells.tolist())
 
 
 def with_lifted(table, rows):

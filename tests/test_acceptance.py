@@ -7,13 +7,13 @@ from fractions import Fraction
 
 import pytest
 
-from chartab import (FieldSpec, PermGroup, Permutation, acd_pprime,
+from chartab import (FieldSpec, PermGroup, Permutation, average_degree,
                      check_central_product, compute_table, field_rows,
                      fuzz_lemmas, relative_rows, verify_orthogonality)
 from chartab.groupspec import construct_cached
 
 from helpers import (abelian_dual_rows, brute_class_map,
-                     brute_has_normal_p_complement, table_of)
+                     brute_has_normal_p_complement, lifted, table_of)
 
 QUOT_A5 = ("Quot(SL(2,5); (0 3)(1 2)(4 19)(5 23)(6 22)(7 21)(8 20)(9 14)"
            "(10 18)(11 17)(12 16)(13 15))")
@@ -65,9 +65,10 @@ def test_criterion_3_sharp_values():
         ("A(5)", 7, Fraction(16, 5)),
     ]
     for expr, p, want in cases:
-        assert acd_pprime(table_of(expr), p) == want, (expr, p)
+        assert average_degree(table_of(expr), p, FieldSpec.all()) == want, (expr, p)
     for p in (3, 5, 7, 11, 13):
-        assert acd_pprime(table_of(f"D({p})"), p) == Fraction(2 * p + 2, p + 3)
+        assert average_degree(table_of(f"D({p})"), p, FieldSpec.all()) == \
+            Fraction(2 * p + 2, p + 3)
     ok("3", "all exact average values match, zero tolerance")
 
 
@@ -141,8 +142,8 @@ def test_criterion_5_field_predicates():
     t7 = table_of("Aff(7,3)")
     q7_rows = field_rows(t7, FieldSpec.cyclotomic(7))
     assert len(q7_rows) == 3
-    assert acd_pprime(t7, 7, FieldSpec.cyclotomic(7)) == Fraction(7, 3)
-    assert acd_pprime(t4, 2, FieldSpec.rational()) == Fraction(2)
+    assert average_degree(t7, 7, FieldSpec.cyclotomic(7)) == Fraction(7, 3)
+    assert average_degree(t4, 2, FieldSpec.rational()) == Fraction(2)
     ok("5", "S4 fully rational; C3 has 1 rational row; Aff(7,3) has 3 "
             "Q7-valued rows with average 7/3; rational odd average of S4 is 2")
 
@@ -204,12 +205,12 @@ def test_criterion_8a_abelian_dual_oracle(corpus_entries):
         oracle = abelian_dual_rows(group, table.q_field.exponent)
         elems = sorted(group.elements())
         classes = brute_class_map(group, table.class_data.reps)
-        lifted = table.lifted
+        values = lifted(table)
         got = set()
         for r in range(table.n_classes):
             row = []
             for x in elems:
-                vals = lifted[r][classes[x]]
+                vals = values[r][classes[x]]
                 assert len(vals) == 1 and vals[0][1] == 1
                 row.append(vals[0][0])
             got.add(tuple(row))
@@ -243,7 +244,7 @@ def test_criterion_8b_prime_independence(corpus_entries):
         alt = compute_table(group, prime_offset=1)
         assert alt.q_field.q > base.q_field.q
         assert alt.degrees == base.degrees, expr
-        assert alt.lifted == base.lifted, expr
+        assert lifted(alt) == lifted(base), expr
         checked += 1
     ok("8b", f"recomputation with the next admissible prime matches on "
              f"{checked} groups of order <= 60")

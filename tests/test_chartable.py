@@ -16,7 +16,7 @@ from chartab.arith import unit_generators
 from chartab.harness import check_group
 from chartab.invariants import kernel_contains
 
-from helpers import (TABLES_GROUPS, brute_class_map, det_mod, lifted_complex_rows,
+from helpers import (TABLES_GROUPS, brute_class_map, det_mod, lifted, lifted_complex_rows,
                      match_rows_numeric, numeric_character_rows,
                      per_class_lift, reference_class_matrix, relabel,
                      search_working_prime, table_of, with_lifted)
@@ -147,8 +147,9 @@ def test_matrix_order_starts_with_one_class_per_rational_class(monkeypatch):
         order = order_of(cd)
         assert sorted(order) == list(range(1, len(cd.reps))), expr
         first, rest = order[:n_first], order[n_first:]
-        rational = [{cd.class_power(j, a) for a in range(cd.exponent) if gcd(a, cd.exponent) == 1}
-                    for j in first]
+        images = [cd.power_classes(a).tolist() for a in range(cd.exponent)
+                  if gcd(a, cd.exponent) == 1]
+        rational = [{image[j] for image in images} for j in first]
         orbit_size = dict(zip(first, map(len, rational)))
         assert first == sorted(first, key=lambda j: (cd.sizes[j] > 1 and orbit_size[j] == 1,
                                                      cd.sizes[j], j)), expr
@@ -172,8 +173,8 @@ def test_galois_fixes_as_many_rows_as_classes(expr, seed):
     t = compute_table(group)
     cd = t.class_data
     for a in unit_generators(cd.exponent):
-        powers = [cd.class_power(j, a) for j in range(t.n_classes)]
-        assert t.power_classes(a).tolist() == powers
+        powers = [int(cd.power_table[j, a % cd.element_orders[j]]) for j in range(t.n_classes)]
+        assert cd.power_classes(a).tolist() == powers
         fixed_classes = sum(p == j for j, p in enumerate(powers))
         assert int(t.galois_fixed(a).sum()) == fixed_classes, (expr, a)
 
@@ -541,7 +542,7 @@ def test_table_shape_invariants():
 
 def test_lift_trivial_character():
     t = table_of("S(4)")
-    assert t.lifted[0] == (((0, 1),),) * t.n_classes
+    assert lifted(t)[0] == (((0, 1),),) * t.n_classes
 
 
 def test_lift_cyclic3_linear_values():
@@ -549,7 +550,7 @@ def test_lift_cyclic3_linear_values():
     e = t.q_field.exponent
     gen_class = next(j for j in range(3) if t.class_data.element_orders[j] == 3)
     for row in (1, 2):
-        vals = t.lifted[row][gen_class]
+        vals = lifted(t)[row][gen_class]
         assert len(vals) == 1
         l, m = vals[0]
         assert m == 1 and l in {e // 3, 2 * e // 3}
@@ -558,13 +559,13 @@ def test_lift_cyclic3_linear_values():
 def test_lift_sums_to_degree():
     for expr in ("A(5)", "SL(2,3)", "D(7)"):
         t = table_of(expr)
-        lifted = t.lifted
+        values = lifted(t)
         for r in range(t.n_classes):
             for j in range(t.n_classes):
-                assert sum(m for _, m in lifted[r][j]) == t.degrees[r]
+                assert sum(m for _, m in values[r][j]) == t.degrees[r]
                 # lifted value reproduces the mod-q entry
                 q, w = t.q_field.q, t.q_field.w
-                val = sum(m * pow(w, l, q) for l, m in lifted[r][j]) % q
+                val = sum(m * pow(w, l, q) for l, m in values[r][j]) % q
                 assert val == int(t.values_mod_q[r][j])
 
 
@@ -604,18 +605,18 @@ def test_lift_matches_per_class_oracle(expr, seed, offset):
     assert t.cells.shape == (t.n_classes, t.n_classes)
     assert np.array_equal(np.unique(t.cells), np.arange(len(t.distinct)))
     oracle = per_class_lift(t.values_mod_q, t.degrees, t.class_data, t.q_field)
-    assert tuple(oracle) == t.lifted
+    assert tuple(oracle) == lifted(t)
 
 
 def test_lift_catches_wrong_galois_fill():
-    # swap g^2 and g^3 in the power map of the class the DFT runs on
+    # swap g^2 and g^3 in the power table row of the class the DFT runs on
     t = table_of("C(5)")
     cd = t.class_data
     j = cd.element_orders.index(5)
-    row = list(cd.power_map[j])
-    row[2], row[3] = row[3], row[2]
-    power_map = cd.power_map[:j] + (tuple(row),) + cd.power_map[j + 1:]
-    bad = dataclasses.replace(cd, power_map=power_map)
+    power_table = cd.power_table.copy()
+    power_table[j, [2, 3]] = power_table[j, [3, 2]]
+    power_table.flags.writeable = False
+    bad = dataclasses.replace(cd, power_table=power_table)
     with pytest.raises(InconsistentTable, match=r"lifted (multiplicit|value)"):
         chartable._lift_all(t.values_mod_q, list(t.degrees), bad, t.q_field, _galois_orbits(bad))
 
@@ -706,7 +707,7 @@ def test_lift_rejects_a_value_no_root_of_unity_of_its_order(expr, order, value):
     t = table_of(expr)
     cd = t.class_data
     reached = {int(c) for i, m in enumerate(cd.element_orders) if m > order
-               for c in cd.power_map[i]}
+               for c in cd.power_table[i, :m]}
     j = next(j for j, m in enumerate(cd.element_orders) if m == order and j not in reached)
     values = t.values_mod_q.copy()
     values[1, j] = value(t.q_field)
@@ -725,7 +726,7 @@ def test_c4_column_norms():
     t = table_of("C(4)")
     q = t.q_field.q
     v = t.values_mod_q
-    inv = t.power_classes(-1)
+    inv = t.class_data.power_classes(-1)
     for j in range(4):
         norm = sum(int(v[r][j]) * int(v[r][inv[j]]) for r in range(4)) % q
         assert norm == 4 % q
@@ -743,7 +744,7 @@ def test_orthogonality_relations_mod_q(expr, seed):
     q, order, k = t.q_field.q, g.order(), t.n_classes
     sizes = t.class_data.sizes
     v = t.values_mod_q.tolist()
-    inv = t.power_classes(-1)
+    inv = t.class_data.power_classes(-1)
     for r in range(k):
         for s in range(k):
             first = sum(sizes[j] * v[r][j] * v[s][inv[j]] for j in range(k)) % q
@@ -792,7 +793,7 @@ def _bump_multiterm_multiplicity(lifted):
                          ids=["C(3)-swap", "A(5)-bump"])
 def test_exact_orthogonality_catches_bad_lift(expr, mutate):
     t = table_of(expr)
-    bad_lifted = [list(row) for row in t.lifted]
+    bad_lifted = [list(row) for row in lifted(t)]
     r, s = mutate(bad_lifted)
     failures = orthogonality_failures(with_lifted(t, bad_lifted))
     assert f"exact first orthogonality fails at rows ({r},{s})" in failures
@@ -810,7 +811,7 @@ def test_exact_orthogonality_matches_complex_gram():
         order, k = t.group.order(), t.n_classes
         sizes = np.array(t.class_data.sizes)
         for _ in range(10):
-            bad_lifted = [list(row) for row in t.lifted]
+            bad_lifted = [list(row) for row in lifted(t)]
             r, j = rng.randrange(1, k), rng.randrange(k)
             if rng.random() < 0.5:
                 i = rng.randrange(len(bad_lifted[r][j]))
@@ -831,7 +832,7 @@ def test_exact_orthogonality_needs_more_than_the_working_prime():
     # 1 + q at the identity of row 1 leaves every entry right mod q, so one
     # Gram product mod q misses it; the primes must multiply past the bound
     t = table_of("C(3)")
-    bad_lifted = [list(row) for row in t.lifted]
+    bad_lifted = [list(row) for row in lifted(t)]
     bad_lifted[1][0] = ((0, 1 + t.q_field.q),)
     assert orthogonality_failures(with_lifted(t, bad_lifted)) == [
         f"exact first orthogonality fails at rows ({r},{s})" for r, s in ((0, 1), (1, 1), (1, 2))]
@@ -840,18 +841,18 @@ def test_exact_orthogonality_needs_more_than_the_working_prime():
 def _swap_columns_1_2(t):
     # C(5): every row's values at classes 1 and 2 swapped; the Gram matrix
     # is unchanged, as all classes have size 1
-    lifted = [list(row) for row in t.lifted]
-    for row in lifted:
+    rows = [list(row) for row in lifted(t)]
+    for row in rows:
         row[1], row[2] = row[2], row[1]
-    return lifted
+    return rows
 
 
 def _swap_row_1_classes_1_10(t):
     # SL(2,9): row 1 is 1 on both classes, stored as 2 + z^40 + z^80 on the
     # order-3 class and as the four primitive 10th roots on the order-10 one
-    lifted = [list(row) for row in t.lifted]
-    lifted[1][1], lifted[1][10] = lifted[1][10], lifted[1][1]
-    return lifted
+    rows = [list(row) for row in lifted(t)]
+    rows[1][1], rows[1][10] = rows[1][10], rows[1][1]
+    return rows
 
 
 @pytest.mark.parametrize("expr, mutate", [("C(5)", _swap_columns_1_2),
@@ -869,18 +870,12 @@ def test_exact_orthogonality_rejects_non_equivariant_lift(expr, mutate):
 # -- the lifted values as the library reads them ---------------------------------------
 
 @pytest.mark.parametrize("expr", ["S(4)", "A(5)", "SL(2,9)", "C(3) x S(3)"])
-def test_library_never_reads_lifted(monkeypatch, expr):
-    # the per-cell RootSum tuples are built for callers only; the check, the
-    # export, the harness and the invariants all read cells
-    def refuse(self):
-        raise AssertionError("CharTable.lifted read by the library")
-
-    monkeypatch.setattr(CharTable, "lifted", property(refuse))
+def test_library_paths_read_cells(expr):
+    # the check, the export, the harness and the invariants all read the
+    # exact values through cells and distinct
     g = construct(expr)
     check_group(g, name=expr)
     t = compute_table(g)
-    with pytest.raises(AssertionError):
-        t.lifted
     assert verify_orthogonality(t)
     table_document(t)
     # G' lies in the kernel of exactly the linear characters
@@ -902,7 +897,7 @@ def test_prime_independence_sample():
         t1 = compute_table(g, prime_offset=1)
         assert t0.q_field.q != t1.q_field.q
         assert t0.degrees == t1.degrees
-        assert t0.lifted == t1.lifted
+        assert lifted(t0) == lifted(t1)
 
 
 def test_table_document_deterministic():

@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from chartab import FieldSpec, field_rows, galois_image_row, in_field
+from chartab import FieldSpec, field_rows, galois_image_row
 from chartab.fields import field_from_label, field_labels
 
-from helpers import table_of
+from helpers import lifted, table_of
 
 
 def test_fieldspec_validation():
@@ -40,9 +40,10 @@ def test_galois_swaps_cyclic3_rows():
     assert galois_image_row(t, 2, 2) == 1
     # verify through the lifted values: conjugation negates exponents
     e = t.q_field.exponent
+    values = lifted(t)
     for j in range(3):
-        (l1, m1), = t.lifted[1][j]
-        (l2, m2), = t.lifted[2][j]
+        (l1, m1), = values[1][j]
+        (l2, m2), = values[2][j]
         assert m1 == m2 == 1 and (l1 * 2) % e == l2
 
 
@@ -60,8 +61,8 @@ def test_s4_all_rational():
 def test_cyclic3_rationality():
     t = table_of("C(3)")
     assert field_rows(t, FieldSpec.rational()) == (0,)
-    assert not in_field(t, 1, FieldSpec.real())
-    assert not in_field(t, 2, FieldSpec.rational())
+    assert 1 not in field_rows(t, FieldSpec.real())
+    assert 2 not in field_rows(t, FieldSpec.rational())
 
 
 def test_aff73_q7_rows():
@@ -71,7 +72,7 @@ def test_aff73_q7_rows():
     assert sorted(t.degrees[r] for r in rows) == [1, 3, 3]
     linear_nonprincipal = [r for r in range(5)
                            if t.degrees[r] == 1 and r != 0]
-    assert all(not in_field(t, r, q7) for r in linear_nonprincipal)
+    assert all(r not in rows for r in linear_nonprincipal)
 
 
 def test_replaced_values_get_a_fresh_galois_memo():
@@ -103,8 +104,9 @@ def test_galois_action_permutes_rows_preserving_degrees():
 def _fixed_by_all(t, ks):
     # rows fixed by every sigma_k, straight from the mod-q values
     v = t.values_mod_q.tolist()
+    images = [t.class_data.power_classes(k).tolist() for k in ks]
     return {r for r, row in enumerate(v)
-            if all(row[c] == row[j] for k in ks for j, c in enumerate(t.power_classes(k)))}
+            if all(row[c] == row[j] for image in images for j, c in enumerate(image))}
 
 
 def test_field_containments():
@@ -130,11 +132,12 @@ def test_field_containments():
 def test_real_agrees_with_inverse_class_columns():
     for expr in ("SL(2,5)", "D(7)", "Aff(5,4)", "C(8)"):
         t = table_of(expr)
-        inv = t.power_classes(-1)
+        inv = t.class_data.power_classes(-1)
+        real = field_rows(t, FieldSpec.real())
         for r in range(t.n_classes):
             direct = all(int(t.values_mod_q[r][j]) == int(t.values_mod_q[r][inv[j]])
                          for j in range(t.n_classes))
-            assert direct == in_field(t, r, FieldSpec.real())
+            assert direct == (r in real)
 
 
 def test_minimal_field_labels():

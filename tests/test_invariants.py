@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from chartab import (FieldSpec, acd_pprime, acd_pprime_over_central,
+from chartab import (FieldSpec, acd_pprime_over_central,
                      average_degree, central_linear_characters, construct,
                      degree_counts, irr_pprime, n_d_relative, relative_rows)
 from chartab.groupspec import construct_cached
@@ -57,25 +57,28 @@ def test_irr_pprime_rejects_composite():
     ("S(4)", 2, FieldSpec.rational(), Fraction(2)),
 ])
 def test_acd_exact_values(expr, p, field, value):
-    assert acd_pprime(table_of(expr), p, field) == value
+    assert average_degree(table_of(expr), p, field) == value
 
 
 def test_acd_dihedral_conjecture_values():
     for p in (3, 5, 7, 11, 13):
-        assert acd_pprime(table_of(f"D({p})"), p) == Fraction(2 * p + 2, p + 3)
+        assert average_degree(table_of(f"D({p})"), p, FieldSpec.all()) == \
+            Fraction(2 * p + 2, p + 3)
 
 
 def test_acd_is_plain_average_for_coprime_p():
     for expr in ("S(4)", "A(5)", "D(9)"):
         t = table_of(expr)
         p = 101  # way above any degree
-        assert acd_pprime(t, p) == average_degree(t, None, FieldSpec.all())
+        assert average_degree(t, p, FieldSpec.all()) == \
+            average_degree(t, None, FieldSpec.all())
 
 
 def test_acd_one_iff_all_linear():
-    assert acd_pprime(table_of("C(12)"), 5) == 1
-    assert acd_pprime(table_of("S(3)"), 2) == 1  # odd degrees are {1, 1}
-    assert acd_pprime(table_of("S(4)"), 3) > 1
+    assert average_degree(table_of("C(12)"), 5, FieldSpec.all()) == 1
+    # odd degrees are {1, 1}
+    assert average_degree(table_of("S(3)"), 2, FieldSpec.all()) == 1
+    assert average_degree(table_of("S(4)"), 3, FieldSpec.all()) > 1
 
 
 def test_degree_profile_s4():
@@ -162,7 +165,8 @@ def test_over_central_trivial_subgroup():
     triv = g.subgroup([])
     lam = {g.identity(): 0}
     for p in (2, 3, 7):
-        assert acd_pprime_over_central(t, triv, lam, p) == acd_pprime(t, p)
+        assert acd_pprime_over_central(t, triv, lam, p) == \
+            average_degree(t, p, FieldSpec.all())
 
 
 def test_over_central_validation():

@@ -183,22 +183,35 @@ def test_chain_order_leaves_few_sift_tuples():
     assert len(lvl.transversal) == 2000 and len(lvl.entries) <= 2
 
 
-def test_chain_over_the_memory_budget_is_refused_before_its_table():
-    # C(20000) has one level of 20000 points, so its coset table would take
-    # 20000 * 20000 * 4 = 1.6e9 bytes; the search finds the orbit size first
-    # (numpy reports its allocations to tracemalloc)
-    g = construct("C(20000)")
-    assert 4 * 20000 ** 2 > MEMORY_BUDGET >= 4 * 3000 ** 2
-    tracemalloc.start()
+def _refuse_cyclic_chain(n: int, traced: bool) -> tuple[float, int]:
+    """Seconds taken to refuse C(n)'s chain, and the tracemalloc peak of it
+    when traced (numpy reports its allocations to tracemalloc)."""
+    g = construct(f"C({n})")
+    if traced:
+        tracemalloc.start()
     started = time.perf_counter()
     try:
-        with pytest.raises(DenseCapExceeded, match=str(MEMORY_BUDGET)):
+        with pytest.raises(DenseCapExceeded, match=rf"MEMORY_BUDGET \({MEMORY_BUDGET} bytes\)"):
             g.order()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert time.perf_counter() - started < 1.0
+    return time.perf_counter() - started, peak
+
+
+def test_chain_over_the_memory_budget_is_refused_before_its_table():
+    # C(n) has one level of n points, so its coset table would take 4 * n * n
+    # bytes, 1.6e9 for C(20000); the search stops as soon as the orbit has
+    # more points than the budget leaves rows for, so C(1000000) is refused
+    # after 135 of its million points
+    assert 4 * 20000 ** 2 > MEMORY_BUDGET >= 4 * 3000 ** 2
+    seconds, peak = _refuse_cyclic_chain(20000, traced=True)
+    assert seconds < 1.0
     assert peak < 50 * 2 ** 20
+    # tracing the million ints of C(1000000)'s identity word alone can take
+    # most of a second, so its time is taken untraced
+    assert _refuse_cyclic_chain(1000000, traced=False)[0] < 1.0
+    assert _refuse_cyclic_chain(1000000, traced=True)[1] < 100 * 2 ** 20
 
 
 def test_chain_extend_reports_growth():
@@ -499,41 +512,54 @@ def test_class_data_invariants():
 
 
 def test_power_map_consistency():
+    # power_classes(a) for any integer a: 0, negative and past the orders
     rng = random.Random(1)
     for expr in ("S(4)", "SL(2,5)", "D(15)"):
         cd = construct_cached(expr).conjugacy_classes()
+
+        def class_power(j, a):
+            return int(cd.power_classes(a)[j])
+
         for _ in range(50):
             j = rng.randrange(len(cd.reps))
             o = cd.element_orders[j]
-            k1, k2 = rng.randrange(1, 2 * o), rng.randrange(1, 2 * o)
-            jk = cd.class_power(j, k1)
-            assert cd.class_power(jk, k2) == cd.class_power(j, k1 * k2)
+            k1, k2 = rng.randrange(-2 * o, 2 * o), rng.randrange(-2 * o, 2 * o)
+            jk = class_power(j, k1)
+            assert class_power(jk, k2) == class_power(j, k1 * k2)
+        assert cd.power_classes(0).tolist() == [0] * len(cd)
         for j in range(len(cd.reps)):
-            if cd.element_orders[j] > 1:
-                assert cd.class_power(j, 1) == j
-            assert cd.class_power(j, cd.element_orders[j]) == 0
+            o = cd.element_orders[j]
+            if o > 1:
+                assert class_power(j, 1) == j
+            assert class_power(j, o) == class_power(j, -o) == 0
+            assert class_power(j, -1) == class_power(j, o - 1) == class_power(j, 3 * o - 1)
+            assert class_power(class_power(j, -1), -1) == j
 
 
 def test_power_map_matches_permutation_powers():
-    # the whole (k, max order) table the power maps view, past each rep's
-    # own order; C(200)'s largest element order is no power of two, so the
-    # doubling overshoots it and is cut back
+    # the whole (k, max order) power table, past each rep's own order;
+    # C(200)'s largest element order is no power of two, so the doubling
+    # overshoots it and is cut back
     for expr in ("C(1)", "S(4)", "D(15)", "SL(2,5)", "Aff(7,3)", "S(3) x C(4)", "C(200)"):
         for group in (construct(expr), relabel(construct(expr), seed=5)):
             cd = group.conjugacy_classes()
-            table = cd.power_map[0].base
+            table = cd.power_table
             assert table.dtype == np.int32
             assert table.shape == (len(cd), max(cd.element_orders))
             classes = brute_class_map(group, cd.reps)
             for j, rep in enumerate(cd.reps):
                 assert rep.order() == cd.element_orders[j]
-                assert cd.power_map[j].base is table
-                assert len(cd.power_map[j]) == cd.element_orders[j]
                 power, expected = group.identity(), []
                 for _ in range(table.shape[1]):
                     expected.append(classes[power])
                     power = power * rep
                 assert table[j].tolist() == expected, (expr, j)
+            # power_classes(a) is the class of rep**a, for a below 0 and
+            # at or past every element order too
+            top = table.shape[1]
+            for a in (-top - 1, -2, -1, 0, 1, top - 1, top, 2 * top + 1):
+                assert cd.power_classes(a).tolist() == [
+                    classes[rep ** a] for rep in cd.reps], (expr, a)
 
 
 def test_classes_of_the_empty_base():
@@ -551,13 +577,11 @@ def test_class_arrays_read_only():
     index = cd.index
     arrays = [index.rows, index.base, *index.slots, *index.cosets, index.row_of_rank,
               cd.rank_class, cd.rep_index, cd.inv_base, cd.member_index, cd.member_offsets,
-              cd.power_table, *cd.power_map, g.element_rows()]
+              cd.power_table, g.element_rows()]
     for arr in arrays:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = arr[0]
-    # the power maps are views into the one power table
-    assert all(np.shares_memory(row, cd.power_table) for row in cd.power_map)
     assert index.rows is g.element_rows()
     # each representative is the first member of its class
     firsts = g.element_rows()[cd.member_index[cd.member_offsets[:-1]]]

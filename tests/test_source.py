@@ -205,3 +205,26 @@ print("numpy.ma" in sys.modules)
                           timeout=120, env=dict(os.environ, PYTHONPATH=str(REPO / "src")))
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.split() == ["False"]
+
+
+def test_all_lists_exactly_the_public_names_of_the_package():
+    # every public non-module name that chartab/__init__.py binds is in
+    # __all__ once, and every listed name resolves: an export left behind
+    # or a name left out of the list shows here when API is removed
+    path = Path(chartab.__file__)
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.Assign):
+            bound.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+    public = {name for name in bound if not name.startswith("_")
+              and not inspect.ismodule(getattr(chartab, name))}
+    assert len(chartab.__all__) == len(set(chartab.__all__))
+    assert set(chartab.__all__) == public
+    namespace = {}
+    exec("from chartab import *", namespace)
+    assert public <= set(namespace)
