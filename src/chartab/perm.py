@@ -14,6 +14,11 @@ as_word: up to degree 256 it is bytes(images), and the product by a coset
 table entry is one bytes.translate call through the entry's 256-byte
 translation table; above degree 256 it is the image tuple, multiplied by
 an itemgetter call as in compose.
+
+A point array, such as a coset table of a stabilizer chain, has the
+narrowest dtype that holds the points, point_dtype(degree): uint8 up to
+degree 256, the degrees whose words are bytes, so a row's bytes are its
+word; uint16 up to degree 65536; uint32 above.
 """
 
 from __future__ import annotations
@@ -21,6 +26,8 @@ from __future__ import annotations
 import re
 from math import lcm
 from operator import itemgetter
+
+import numpy as np
 
 _CYCLE_RE = re.compile(r"\(\s*((?:\d+[\s,]*)*)\)")
 _BYTE_POINTS = bytes(range(256))    # a bytes word holds the points 0..255
@@ -134,6 +141,13 @@ def as_word(images) -> bytes | tuple[int, ...]:
     return bytes(images) if len(images) <= len(_BYTE_POINTS) else tuple(images)
 
 
+def point_dtype(degree: int) -> np.dtype:
+    """The dtype of point arrays at this degree: the narrowest unsigned
+    integer that holds the points 0..degree-1, uint8 exactly when as_word
+    makes bytes words."""
+    return np.min_scalar_type(degree - 1)
+
+
 def sift(word: bytes | tuple[int, ...], levels,
          start: int = 0) -> tuple[bytes | tuple[int, ...], int]:
     """Reduce a word (as_word) through the levels of a stabilizer chain from
@@ -144,10 +158,11 @@ def sift(word: bytes | tuple[int, ...], levels,
     transversal[x] is a v_x with v_x[x] == point for each orbit point x,
     and entries, the entries read so far by orbit point, in the form the
     product takes: the residue is multiplied by v_x, word * v_x, as
-    word.translate(v_x) on bytes words, where the entry is the table row
-    padded with the identity on degree..255, and as in compose on tuple
-    words, where it is the row's image tuple.  All words of a chain have
-    its degree, so a level's entries all have one form.  The first read of
+    word.translate(v_x) on bytes words, where the entry is the bytes of
+    the table row (a uint8 row, point_dtype) padded with the identity on
+    degree..255, and as in compose on tuple words, where it is the row's
+    image tuple.  All words of a chain have its degree, so a level's
+    entries all have one form.  The first read of
     an entry builds it from the table row and keeps it in entries, so an
     entry is converted once per table; threads racing on an entry build
     equal entries, and either may stay.  A level moves its base point, so
@@ -162,8 +177,9 @@ def sift(word: bytes | tuple[int, ...], levels,
             r = lvl.transversal.get(x)
             if r is None:
                 return word, i
-            row = lvl.table[r].tolist()
-            v = lvl.entries[x] = bytes(row) + _BYTE_POINTS[len(row):] if small else tuple(row)
+            row = lvl.table[r]
+            v = lvl.entries[x] = (row.tobytes() + _BYTE_POINTS[len(row):] if small
+                                  else tuple(row.tolist()))
         word = word.translate(v) if small else itemgetter(*word)(v)
     return word, len(levels)
 

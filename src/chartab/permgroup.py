@@ -4,34 +4,37 @@ Two representations coexist:
 
 * a deterministic Schreier-Sims stabilizer chain, used for orders and
   membership with no size limit.  Each level keeps one coset table, a
-  read-only (orbit size, degree) int32 array whose rows are the inverse
-  coset representatives in breadth-first discovery order, and the
+  read-only (orbit size, degree) array of point_dtype(degree), the
+  narrowest unsigned dtype that holds the points, whose rows are the
+  inverse coset representatives in breadth-first discovery order, and the
   orbit-tree edges that built it, whose Schreier generators are the
   identity.  A rebuild gathers each new row from its parent's row through
   the inverse of the generator that discovered it, and keeps the rows of
-  the points reached along the same tree edges as before.  The tables of
-  a chain may hold at most MEMORY_BUDGET bytes; the breadth-first search
-  stops as soon as an orbit has more points than the budget leaves rows
-  for, and the chain raises DenseCapExceeded before its table exists.
-  Closing tests the off-tree Schreier generators v_pt^-1 * s * v_s(pt) of
-  a level on its table a chunk at a time (one is the identity exactly when
-  s * v_s(pt) == v_pt), forms only those that fail and sifts them; a level
-  keeps the pairs whose generators passed, and skips them while their rows
-  stand.  Sifting reduces words with perm.sift: up to degree 256 a word is
-  the bytes of the image tuple and each product is one bytes.translate
-  call, above it the image tuple multiplied by itemgetter; sift builds an
-  entry from its table row when it first reads it and keeps it with the
-  level.  Sifting, membership and orbit building build no Permutation, and
-  a chain build creates one only for each residue it registers as a strong
-  generator; StabilizerChain.sift and _register take image tuples.
-  StabilizerChain.extend grows a chain in place, and a normal closure
-  keeps the chain it grew;
-* a dense element store (capped at 200000 elements, checked against the
-  chain's order before enumeration): one read-only (order, degree) int32
-  array of image rows in tuple order, built a chain level at a time by
-  numpy gathers over each level's coset table.  It is the substrate for
-  conjugacy classes, quotients and all character-table work; Permutations
-  are built from it only at the API edge (elements(), ClassData.reps).
+  the points reached along the same tree edges as before.  The tables of a
+  chain are charged 4 bytes per entry, which no point dtype exceeds,
+  against MEMORY_BUDGET; the breadth-first search stops as soon as an
+  orbit has more points than the budget leaves rows for, and the chain
+  raises DenseCapExceeded before its table exists.  Closing tests the
+  off-tree Schreier generators v_pt^-1 * s * v_s(pt) of a level on its
+  table a chunk at a time (one is the identity exactly when s * v_s(pt) ==
+  v_pt), forms only those that fail and sifts them; a level keeps the
+  pairs whose generators passed, and skips them while their rows stand.
+  Sifting reduces words with perm.sift: up to degree 256 a word is the
+  bytes of the image tuple and each product is one bytes.translate call,
+  above it the image tuple multiplied by itemgetter; sift builds an entry
+  from its table row (the row's bytes, up to degree 256) when it first
+  reads it and keeps it with the level.  Sifting, membership and orbit
+  building build no Permutation, and a chain build creates one only for
+  each residue it registers as a strong generator; StabilizerChain.sift
+  and _register take image tuples.  StabilizerChain.extend grows a chain
+  in place, and a normal closure keeps the chain it grew;
+* a dense element store (capped at 200000 elements and at MEMORY_BUDGET
+  bytes, both checked against the chain's order before enumeration): one
+  read-only (order, degree) int32 array of image rows in tuple order,
+  built a chain level at a time by numpy gathers over each level's coset
+  table.  It is the substrate for conjugacy classes, quotients and all
+  character-table work; Permutations are built from it only at the API
+  edge (elements(), ClassData.reps).
 
 The store comes with its one element index, a RankIndex: an element is
 found from its base images (the images of the chain's base points) by
@@ -68,10 +71,10 @@ import numpy as np
 
 from .arith import check_prime, pprime_part
 from .fplinalg import require
-from .perm import Permutation, as_word, compose, sift
+from .perm import Permutation, as_word, compose, point_dtype, sift
 
 DEFAULT_ENUM_CAP = 200_000
-MEMORY_BUDGET = 1 << 29     # bytes: the most a group's stabilizer chain may hold
+MEMORY_BUDGET = 1 << 29     # bytes: the most a group's chain, or its dense store, may hold
 _GATHER_CHUNK = 1 << 18     # entries gathered at once by the Schreier test
 
 
@@ -87,10 +90,10 @@ class _Level:
     """One level of the chain: a base point, the strong generators that fix
     the earlier base points, and one coset table over the orbit.
 
-    table is a read-only (orbit size, degree) int32 array; its row r is v_x
-    for the r-th orbit point x in discovery order, the inverse of a coset
-    representative carrying point to x, so v_x[x] == point and sifting
-    multiplies by it directly.  transversal maps each orbit point to its
+    table is a read-only (orbit size, degree) array of point_dtype(degree);
+    its row r is v_x for the r-th orbit point x in discovery order, the
+    inverse of a coset representative carrying point to x, so v_x[x] ==
+    point and sifting multiplies by it directly.  transversal maps each orbit point to its
     row.  images and preimages hold the image arrays of the strong
     generators and of their inverses, one per generator.  tree_edges maps
     each (point, generator index) pair that discovered an orbit point to
@@ -124,7 +127,7 @@ class StabilizerChain:
     def __init__(self, generators: list[Permutation], degree: int):
         self.degree = degree
         self.identity = as_word(range(degree))
-        self._identity_table = _readonly(np.arange(degree, dtype=np.int32)[None, :])
+        self._identity_table = _readonly(np.arange(degree, dtype=point_dtype(degree))[None, :])
         self.levels: list[_Level] = []
         self._table_rows = 0            # the orbit sizes summed over the levels
         self._stale: set[int] = set()   # levels given generators since they were built
@@ -173,7 +176,7 @@ class StabilizerChain:
                            if pt in kept and gens[gi][pt] in kept}
             lvl.entries = {x: v for x, v in lvl.entries.items() if x in kept}
         if len(kept) < len(points):
-            table = np.empty((len(points), self.degree), dtype=np.int32)
+            table = np.empty((len(points), self.degree), dtype=point_dtype(self.degree))
             old, old_row, preimages = lvl.table, lvl.transversal, lvl.preimages
             table[0] = old[0]     # the identity
             for r, ((pt, gi), img) in enumerate(tree.items(), 1):
@@ -284,7 +287,7 @@ class StabilizerChain:
             failed = (sw != table[at[:, 0]]).any(axis=1).nonzero()[0]
             if failed.size:
                 # the generator g = v_pt^-1 * (s * v_s(pt)) has g[v_pt[x]] = sw[x]
-                formed = np.empty((len(failed), self.degree), dtype=np.int32)
+                formed = np.empty((len(failed), self.degree), dtype=table.dtype)
                 formed[np.arange(len(failed))[:, None], table[at[failed, 0]]] = sw[failed]
                 for k, g in zip(failed.tolist(), formed.tolist()):
                     residue, stop = sift(as_word(g), self.levels, i + 1)
@@ -422,7 +425,8 @@ def _permutations(rows: np.ndarray) -> tuple[Permutation, ...]:
 def _build_index(levels, degree: int) -> RankIndex:
     """Enumerate the group from its chain's levels and index it by rank.
 
-    Each level's coset table is read as it is, an int32 array.  Row
+    Each level's coset table is read as it is, an array of the chain's
+    point dtype, and gathered into int32 rows.  Row
     e_0 + n_0 * (e_1 + n_1 * ...) of the enumeration is v_e0 * v_e1 * ...,
     the product of entry e_i of each level i; each level's first entry is
     the identity, so level i's entry e alone is row e * n_0 * ... * n_(i-1).
@@ -532,12 +536,23 @@ class PermGroup:
         return self._dense().rows
 
     def _dense(self) -> RankIndex:
-        """The dense store with its index by chain rank, built together once."""
+        """The dense store with its index by chain rank, built together once.
+
+        The store is charged against MEMORY_BUDGET before it exists, at 8
+        bytes per element and point: its int32 rows with their sort keys in
+        _build_index, or with the inverse rows of _compute_classes.  Ranking
+        the rows gathers their base images, 16 bytes per element and base
+        point at the most, so those are charged too."""
         if self._index is None:
-            if self.order() > DEFAULT_ENUM_CAP:
+            order = self.order()
+            if order > DEFAULT_ENUM_CAP:
                 raise DenseCapExceeded(
                     f"group has more than {DEFAULT_ENUM_CAP} elements: "
                     "too large for dense mode")
+            if 8 * order * (self.degree + 2 * len(self.chain.levels)) > MEMORY_BUDGET:
+                raise DenseCapExceeded(
+                    f"the dense store of {order} elements at degree {self.degree} "
+                    f"would pass MEMORY_BUDGET ({MEMORY_BUDGET} bytes)")
             self._index = _build_index(self.chain.levels, self.degree)
         return self._index
 

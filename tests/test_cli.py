@@ -239,6 +239,16 @@ def test_chain_over_the_memory_budget_exits_2(capsys, command):
     assert str(chartab.permgroup.MEMORY_BUDGET) in err
 
 
+@pytest.mark.parametrize("command", ["table", "check"])
+def test_dense_store_over_the_memory_budget_exits_2(capsys, monkeypatch, command):
+    # a 1 MiB budget holds C(400)'s chain but not its dense store
+    monkeypatch.setattr(chartab.permgroup, "MEMORY_BUDGET", 1 << 20)
+    code, out, err = run(capsys, command, "C(400)")
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("error: the dense store")
+    assert str(1 << 20) in err
+
+
 @pytest.mark.parametrize("command", ["check", "acd"])
 def test_non_prime_is_refused_before_the_table(capsys, command):
     # S(9) is past the dense cap, so only a check made first sees the 4

@@ -14,7 +14,7 @@ from chartab.chartable import compute_table
 from chartab.groupspec import construct_cached
 
 from chartab import permgroup
-from chartab.perm import compose
+from chartab.perm import compose, point_dtype
 from chartab.permgroup import MEMORY_BUDGET, PermGroup, StabilizerChain
 
 from helpers import (TABLES_GROUPS, brute_class_map, brute_conjugacy_sizes,
@@ -134,13 +134,18 @@ def test_chain_levels_keep_one_table_of_inverse_representatives():
             assert all(Permutation(v) in g for v in rows), expr
 
 
-def test_chain_tables_are_read_only_int32_arrays():
-    # one (orbit, degree) int32 array per level, rows in discovery order
-    for expr in ("S(6)", "A(7)", "D(10)", "SL(2,5)", "C(12)", "PSL(2,7)"):
+def test_chain_tables_are_read_only_point_dtype_arrays():
+    # one (orbit, degree) array per level in the narrowest dtype that holds
+    # the points, rows in discovery order; C(256) and C(257) sit on either
+    # side of the uint8/uint16 boundary
+    for expr, dtype in (("S(6)", np.uint8), ("A(7)", np.uint8), ("D(10)", np.uint8),
+                        ("SL(2,5)", np.uint8), ("C(12)", np.uint8), ("PSL(2,7)", np.uint8),
+                        ("C(256)", np.uint8), ("C(257)", np.uint16)):
         g = relabel(construct(expr), 7)
+        assert point_dtype(g.degree) == dtype, expr
         for lvl in g.chain.levels:
             table = lvl.table
-            assert isinstance(table, np.ndarray) and table.dtype == np.int32, expr
+            assert isinstance(table, np.ndarray) and table.dtype == dtype, expr
             assert table.shape == (len(lvl.transversal), g.degree), expr
             assert not table.flags.writeable, expr
             assert sorted(lvl.transversal.values()) == list(range(len(table))), expr
@@ -149,6 +154,9 @@ def test_chain_tables_are_read_only_int32_arrays():
             for x, r in lvl.transversal.items():
                 assert table[r, x] == lvl.point, expr
                 assert sorted(table[r].tolist()) == list(range(g.degree)), expr
+    # C(2000)'s one table holds its 2000 x 2000 points in 2 bytes each
+    (lvl,) = construct("C(2000)").chain.levels
+    assert lvl.table.dtype == np.uint16 and lvl.table.nbytes == 2 * 2000 * 2000
 
 
 def test_chain_tables_match_a_fresh_search():
@@ -212,6 +220,29 @@ def test_chain_over_the_memory_budget_is_refused_before_its_table():
     # most of a second, so its time is taken untraced
     assert _refuse_cyclic_chain(1000000, traced=False)[0] < 1.0
     assert _refuse_cyclic_chain(1000000, traced=True)[1] < 100 * 2 ** 20
+
+
+def test_dense_store_over_the_memory_budget_is_refused_before_it_exists(monkeypatch):
+    # with a 1 MiB budget C(400)'s chain (400 rows of 400 points, charged
+    # 4 bytes each) fits, but its dense store, charged 8 * 400 * (400 + 2)
+    # bytes, does not; the refusal comes from the chain's order and builds
+    # nothing
+    budget = 1 << 20
+    monkeypatch.setattr(permgroup, "MEMORY_BUDGET", budget)
+    assert 4 * 400 * 400 <= budget < 8 * 400 * 402
+    g = construct("C(400)")
+    assert g.order() == 400
+    tracemalloc.start()
+    try:
+        for dense in (g.element_rows, g.conjugacy_classes, g.elements):
+            with pytest.raises(DenseCapExceeded, match=rf"MEMORY_BUDGET \({budget} bytes\)"):
+                dense()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 16
+    # C(300)'s store, charged 8 * 300 * 302 bytes, fits the same budget
+    assert construct("C(300)").element_rows().shape == (300, 300)
 
 
 def test_chain_extend_reports_growth():

@@ -166,6 +166,33 @@ def test_permgroup_has_one_class_index():
     assert not found, found
 
 
+def test_point_dtype_has_one_home():
+    # perm.point_dtype, beside as_word, which makes bytes words at the same
+    # degrees, is the one place that picks the dtype of chain points; the
+    # stabilizer chain allocates its coset tables and formed Schreier
+    # generators in it and names no np.int32
+    found = []
+    for path in sorted(Path(chartab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+        if path.name == "perm.py":
+            if not {"point_dtype", "as_word"} <= defined:
+                found.append("perm.py defines no point_dtype beside as_word")
+            continue
+        if "point_dtype" in defined:
+            found.append(f"{path.name} defines point_dtype")
+        if path.name == "permgroup.py":
+            chain = [node for node in tree.body if isinstance(node, ast.ClassDef)
+                     and node.name in ("_Level", "StabilizerChain")]
+            found += [f"permgroup.py:{node.lineno} {ast.unparse(node)}"
+                      for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                      and node.attr == "min_scalar_type"]
+            found += [f"permgroup.py:{node.lineno} {ast.unparse(node)}"
+                      for cls in chain for node in ast.walk(cls)
+                      if isinstance(node, ast.Attribute) and node.attr == "int32"]
+    assert not found, found
+
+
 def test_order_and_membership_leave_the_rank_index_unbuilt(monkeypatch):
     built = []
     build = chartab.permgroup._build_index
