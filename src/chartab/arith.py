@@ -34,13 +34,6 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
-def pprime_part(n: int, p: int) -> int:
-    """n with every factor p divided out."""
-    while n % p == 0:
-        n //= p
-    return n
-
-
 def element_of_order(q: int, e: int) -> int:
     """Element of exact multiplicative order e in F_q, q prime.
 

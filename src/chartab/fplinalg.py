@@ -10,8 +10,9 @@ Eigenvectors are found one vector at a time: eig_split_rows splits a row
 into its eigen-components under a matrix from the minimal polynomial of
 its Krylov rows, with no characteristic polynomial or nullspace.  Each
 Krylov row is reduced once, as it is grown, against one array holding the
-reduced rows and their transforms; rref is kept for callers that reduce a
-whole block.
+reduced rows and their transforms.  No library path calls rref; it is
+kept only because the benchmark's tracer (perfbench/spans.py) wraps it by
+name.
 """
 
 from __future__ import annotations

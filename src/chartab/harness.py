@@ -26,8 +26,8 @@ from .arith import check_prime, is_prime, prime_factors
 from .chartable import compute_table
 from .fields import FieldSpec, field_rows
 from .groupspec import GroupExprError, construct, parse_group_expr
-from .invariants import (average_degree, degree_counts, irr_pprime, mean_degree,
-                         pprime_rows)
+from .invariants import (average_degree, degree_counts, has_normal_p_complement,
+                         irr_pprime, is_solvable, mean_degree, pprime_rows)
 from .perm import Permutation
 from .permgroup import PermGroup
 
@@ -192,13 +192,14 @@ def check_group(group: PermGroup, primes: list[int] | None = None,
     """Evaluate every applicable catalog entry for each prime, checked
     before the table is built.  Each field's rows are selected once (Qp's
     once per prime p dividing the exponent; otherwise they are Q's) and give
-    both the p'-filtered and the plain average."""
+    both the p'-filtered and the plain average.  The conclusions, a normal
+    p-complement and solvability, are read off the same table."""
     if primes is None:
         primes = default_primes(group)
     for p in primes:
         check_prime(p)
     table = compute_table(group)
-    solvable = group.is_solvable()
+    solvable = is_solvable(table)
     n_d = degree_counts(table)
     fixed_fields = {label: field_rows(table, spec) for label, spec in
                     (("C", FieldSpec.all()), ("Q", FieldSpec.rational()),
@@ -212,7 +213,7 @@ def check_group(group: PermGroup, primes: list[int] | None = None,
         acds = {label: mean_degree(table, pprime_rows(table, rows, p))
                 for label, rows in fields.items()}
         unfiltered = {label: mean_degree(table, rows) for label, rows in fields.items()}
-        complement = group.has_normal_p_complement(p)
+        complement = has_normal_p_complement(table, p)
         verdicts = []
         for entry in THEOREM_CATALOG:
             if not entry.applicable(p):
@@ -453,19 +454,26 @@ def sharpness_scan(entries: list[str], p: int, mode: str):
 
     mode "solvability" filters to nonsolvable groups; mode "pnilpotency" to
     groups without a normal p-complement.  Returns (min acd or None,
-    witness list).
+    witness list).  A table is built only for a group whose order leaves
+    the conclusion open: p not dividing |G| gives a normal p-complement (G
+    itself), and fewer than three prime divisors give solvability
+    (Burnside's p^a q^b theorem).
     """
     check_prime(p)
     if mode not in ("solvability", "pnilpotency"):
         raise ValueError("mode must be 'solvability' or 'pnilpotency'")
+    solvability = mode == "solvability"
     best: Fraction | None = None
     witnesses: list[str] = []
     for expr in entries:
         group = construct(expr)
-        holds = group.is_solvable() if mode == "solvability" else group.has_normal_p_complement(p)
-        if holds:
+        order = group.order()
+        if len(prime_factors(order)) < 3 if solvability else order % p:
+            continue        # the order settles the conclusion
+        table = compute_table(group)
+        if is_solvable(table) if solvability else has_normal_p_complement(table, p):
             continue
-        acd = average_degree(compute_table(group), p, FieldSpec.all())
+        acd = average_degree(table, p, FieldSpec.all())
         if best is None or acd < best:
             best, witnesses = acd, [expr]
         elif acd == best:

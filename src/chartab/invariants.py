@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import check_prime
+from .arith import check_prime, prime_factors
 from .chartable import CharTable
 from .fields import FieldSpec, field_rows
 from .fplinalg import require
@@ -55,30 +55,79 @@ def average_degree(table: CharTable, p: int | None, spec: FieldSpec) -> Fraction
     return mean_degree(table, selected_rows(table, p, spec))
 
 
-# -- relative counts n_d(G|N) -------------------------------------------------
+# -- kernels and normal structure ---------------------------------------------
 
-def _classes_meeting(table: CharTable, n: PermGroup) -> list[int]:
+def _kernels(table: CharTable) -> np.ndarray:
+    """Boolean (k, k) mask whose row r is the set of classes in Ker(chi_r):
+    chi(g) = chi(1) iff g is in the kernel, and cells hold each exact value
+    once.  Every normal subgroup of G is an intersection of these kernels.
+
+    Each kernel is a normal subgroup, so its order, the sum of its class
+    sizes, must divide |G|: a table that fails raises InconsistentTable
+    rather than give a wrong conclusion."""
+    ker = table.cells == table.cells[:, :1]
+    sizes = np.array(table.class_data.sizes, dtype=np.int64)
+    require(not (sizes.sum() % (ker @ sizes)).any(), "a kernel's order must divide |G|")
+    return ker
+
+
+def _classes_meeting(table: CharTable, n: PermGroup) -> np.ndarray:
+    """Boolean mask of the classes that meet N."""
     cd = table.class_data
-    met = np.bincount(cd.lookup(n.element_rows()[:, cd.index.base]), minlength=len(cd))
-    return np.flatnonzero(met).tolist()
+    return np.bincount(cd.lookup(n.element_rows()[:, cd.index.base]), minlength=len(cd)) > 0
 
 
 def kernel_contains(table: CharTable, row: int, n: PermGroup) -> bool:
-    """Is N inside Ker(chi_row)?  chi(x) = chi(1) iff x is in the kernel,
-    that is, iff the exact lifted value is chi(1) times the root 1."""
-    one = table.value_index(((0, table.degrees[row]),))
-    return bool((table.cells[row, _classes_meeting(table, n)] == one).all())
+    """Is N inside Ker(chi_row)?"""
+    return bool(_kernels(table)[row, _classes_meeting(table, n)].all())
 
 
 def relative_rows(table: CharTable, n: PermGroup) -> tuple[int, ...]:
     """Irr(G|N): rows whose kernel does not contain N."""
     table.group.check_normal(n)
-    return tuple(r for r in range(table.n_classes)
-                 if not kernel_contains(table, r, n))
+    inside = _kernels(table)[:, _classes_meeting(table, n)].all(axis=1)
+    return tuple(np.flatnonzero(~inside).tolist())
 
 
 def n_d_relative(table: CharTable, n: PermGroup, d: int) -> int:
     return sum(1 for r in relative_rows(table, n) if table.degrees[r] == d)
+
+
+def has_normal_p_complement(table: CharTable, p: int) -> bool:
+    """Does G have a normal p-complement?  Let S be the classes of element
+    order prime to p.  A normal p-complement K holds every p'-element g (gK
+    has p-power order in G/K and order prime to p), so K = S, and K is the
+    intersection of the kernels that contain it.  Conversely, if S is that
+    intersection, it is a normal subgroup of p'-elements, and G/S is a
+    p-group because the p'-part of every element lies in S."""
+    check_prime(p)
+    ker = _kernels(table)
+    s = np.array([m % p != 0 for m in table.class_data.element_orders])
+    over_s = ker[(ker | ~s).all(axis=1)]    # the kernels containing S
+    return bool((over_s.all(axis=0) == s).all())
+
+
+def is_solvable(table: CharTable) -> bool:
+    """Is G solvable?  Walks one chief series down from N = G: every
+    G-normal subgroup properly inside N is an intersection of sets
+    Ker(chi) & N, at least one of them proper in N, so the largest proper
+    such set is a maximal G-normal subgroup M of N.  G is solvable iff
+    every chief factor N/M has prime-power order."""
+    ker = _kernels(table)
+    sizes = np.array(table.class_data.sizes, dtype=np.int64)
+    n = np.ones(len(sizes), dtype=bool)
+    n_order = int(sizes.sum())
+    while n_order > 1:
+        inside = ker & n
+        orders = inside @ sizes
+        orders[orders == n_order] = 0       # N itself
+        m = int(orders.argmax())
+        require(orders[m] > 0 and n_order % orders[m] == 0,
+                "the kernels must cut N down to a normal subgroup")
+        if len(prime_factors(n_order // int(orders[m]))) > 1:
+            return False
+        n, n_order = inside[m], int(orders[m])
+    return True
 
 
 # -- averages over a fixed central character -----------------------------------

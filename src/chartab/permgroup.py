@@ -26,8 +26,7 @@ Two representations coexist:
   reads it and keeps it with the level.  Sifting, membership and orbit
   building build no Permutation, and a chain build creates one only for
   each residue it registers as a strong generator; StabilizerChain.sift
-  and _register take image tuples.  StabilizerChain.extend grows a chain
-  in place, and a normal closure keeps the chain it grew;
+  and _register take image tuples;
 * a dense element store (capped at 200000 elements and at MEMORY_BUDGET
   bytes, both checked against the chain's order before enumeration): one
   read-only (order, degree) int32 array of image rows in tuple order,
@@ -44,16 +43,17 @@ read from an int32 slot array, and the later base images are gathered
 through the row of the chosen coset-table entry; the digits form a
 mixed-radix rank in [0, |G|), and rank -> row and rank -> class arrays
 finish the lookup.  Class orbits, power maps, class matrices,
-ClassData.class_of(x), the normal p-complement test and quotients are
-numpy gathers plus these lookups rather than a Permutation built and
-hashed per product; a base image off its level's orbit raises
-InconsistentTable.  Element orders and power maps take ceil(log2(max
-order)) doubling steps: the base images of rep^t for t < T give those for
-t < 2T by one gather through the row of rep^T, which is then squared.
+ClassData.class_of(x) and quotients are numpy gathers plus these lookups
+rather than a Permutation built and hashed per product; a base image off
+its level's orbit raises InconsistentTable.  Element orders and power maps
+take ceil(log2(max order)) doubling steps: the base images of rep^t for
+t < T give those for t < 2T by one gather through the row of rep^T, which
+is then squared.
 
 Groups and their class data are immutable after construction (ClassData's
-arrays are read-only), and so is a group's chain: only extend changes a
-chain, and normal_closure calls it before the subgroup it returns exists.
+arrays are read-only), and so is a group's chain, which changes only inside
+StabilizerChain.__init__.  Normal structure (solvability, normal
+p-complements) is read off the character table, in invariants.
 The lazy caches are write-once and safe to share across threads.  That
 includes each level's sift entries: an entry is built from the read-only
 table and stored under its point in one dict assignment, so threads that
@@ -62,14 +62,11 @@ race on an entry build equal entries and either may stay.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from itertools import combinations
 from math import lcm, prod
 
 import numpy as np
 
-from .arith import check_prime, pprime_part
 from .fplinalg import require
 from .perm import Permutation, as_word, compose, point_dtype, sift
 
@@ -132,7 +129,13 @@ class StabilizerChain:
         self._table_rows = 0            # the orbit sizes summed over the levels
         self._stale: set[int] = set()   # levels given generators since they were built
         for g in generators:
-            self._add(g.images)
+            # the sift reads every level, so stale ones are rebuilt first
+            for j in sorted(self._stale):
+                self._rebuild_orbit(j)
+            self._stale.clear()
+            word, i = sift(as_word(g.images), self.levels)
+            if word != self.identity:
+                self._register(tuple(word), i)
         self._close()
 
     def _rebuild_orbit(self, i: int) -> None:
@@ -195,27 +198,6 @@ class StabilizerChain:
         the image tuple of the residue and the level where it stopped."""
         word, i = sift(as_word(images), self.levels, start)
         return tuple(word), i
-
-    def extend(self, g: Permutation) -> bool:
-        """Add g to the group unless it is already a member, then restore the
-        strong generating set; returns whether the group grew."""
-        if self._add(g.images) < 0:
-            return False
-        self._close()
-        return True
-
-    def _add(self, images: tuple[int, ...]) -> int:
-        """Register the residue of the element with these images; returns the
-        level where it stopped, or -1 if the element is already a member.
-        The sift reads every level, so stale ones are rebuilt first."""
-        for j in sorted(self._stale):
-            self._rebuild_orbit(j)
-        self._stale.clear()
-        word, i = sift(as_word(images), self.levels)
-        if word == self.identity:
-            return -1
-        self._register(tuple(word), i)
-        return i
 
     def _register(self, images: tuple[int, ...], i: int) -> None:
         """Add a residue that stopped at level i as a strong generator of
@@ -526,9 +508,6 @@ class PermGroup:
     def identity(self) -> Permutation:
         return Permutation.identity(self.degree)
 
-    def is_trivial(self) -> bool:
-        return not self.generators
-
     def element_rows(self) -> np.ndarray:
         """All elements as a read-only (order, degree) int32 array of image
         rows in tuple order (dense mode), read off the chain as the products
@@ -626,66 +605,15 @@ class PermGroup:
 
     # -- normal structure ----------------------------------------------------
 
-    def normal_closure(self, seeds) -> "PermGroup":
-        """Smallest normal subgroup of self containing the seed elements."""
-        seeds = [s for s in seeds if not s.is_identity()]
-        for s in seeds:
-            if s not in self:
-                raise ValueError("seed element lies outside the group")
-        closure_gens: list[Permutation] = []
-        chain = StabilizerChain([], self.degree)
-        todo = deque(seeds)
-        while todo:
-            x = todo.popleft()
-            if chain.extend(x):
-                closure_gens.append(x)
-                todo.extend(x.conjugate(g) for g in self.generators)
-        closure = self.subgroup(closure_gens)
-        closure._chain = chain      # the chain built here already spans it
-        return closure
-
-    def derived_subgroup(self) -> "PermGroup":
-        return self.normal_closure(a.inverse() * b.inverse() * a * b
-                                   for a, b in combinations(self.generators, 2))
-
-    def derived_series(self) -> list["PermGroup"]:
-        series = [self]
-        while True:
-            nxt = series[-1].derived_subgroup()
-            if nxt.order() == series[-1].order():
-                break
-            series.append(nxt)
-            if nxt.is_trivial():
-                break
-        return series
-
     def is_solvable(self) -> bool:
-        return self.derived_series()[-1].order() == 1
+        from .chartable import compute_table
+        from .invariants import is_solvable
+        return is_solvable(compute_table(self))
 
     def has_normal_p_complement(self, p: int) -> bool:
-        """Does G have a normal p-complement?  Let S be the members of the
-        classes of element order prime to p.  A normal p-complement K holds
-        every p'-element g (gK has p-power order in G/K and order prime to
-        p), so K = S.  Conversely, let |S| = |G|_{p'} and S*r lie in S for
-        each p'-class representative r.  S is a union of classes, so each
-        x = r^g in S gives S*x = (S*r)^g in S: S is closed, a normal
-        subgroup of p'-order and p-power index."""
-        check_prime(p)
-        order = self.order()
-        if order % p:
-            return True     # G is its own p-complement
-        cd = self.conjugacy_classes()
-        inside = np.array([m % p != 0 for m in cd.element_orders])
-        members = cd.member_index[np.repeat(inside, cd.sizes)]
-        if len(members) != pprime_part(order, p):
-            return False
-        # (x * r)[b] = r[x[b]]; at most |G| products per lookup
-        rows = cd.index.rows
-        bases = rows[np.ix_(members, cd.index.base)]
-        reps = cd.rep_index[inside]
-        chunk = order // len(members)
-        return all(inside[cd.lookup(rows[reps[i:i + chunk, None, None], bases])].all()
-                   for i in range(0, len(reps), chunk))
+        from .chartable import compute_table
+        from .invariants import has_normal_p_complement
+        return has_normal_p_complement(compute_table(self), p)
 
     # -- quotients -----------------------------------------------------------
 

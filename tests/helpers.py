@@ -11,8 +11,9 @@ import cmath
 import dataclasses
 import hashlib
 import random
+from collections import deque
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from math import isqrt
 
 import numpy as np
@@ -145,12 +146,52 @@ def brute_has_normal_p_complement(group: PermGroup, p: int) -> bool:
     return len(p_prime) == target and all(x * y in p_prime for x in p_prime for y in p_prime)
 
 
+def normal_closure(group: PermGroup, seeds) -> PermGroup:
+    """Smallest normal subgroup of the group containing the seed elements:
+    a seed or conjugate not yet in the closure joins its generators, and
+    its conjugates by the group's generators are queued."""
+    seeds = [s for s in seeds if not s.is_identity()]
+    for s in seeds:
+        if s not in group:
+            raise ValueError("seed element lies outside the group")
+    closure = group.subgroup([])
+    todo = deque(seeds)
+    while todo:
+        x = todo.popleft()
+        if x not in closure:
+            closure = group.subgroup([*closure.generators, x])
+            todo.extend(x.conjugate(g) for g in group.generators)
+    return closure
+
+
+def derived_subgroup(group: PermGroup) -> PermGroup:
+    """G', the normal closure of the commutators of generator pairs."""
+    return normal_closure(group, (a.inverse() * b.inverse() * a * b
+                                  for a, b in combinations(group.generators, 2)))
+
+
+def derived_series(group: PermGroup) -> list[PermGroup]:
+    """G, G', G'', ... down to the first term equal to the one before it."""
+    series = [group]
+    while series[-1].generators:
+        nxt = derived_subgroup(series[-1])
+        if nxt.order() == series[-1].order():
+            break
+        series.append(nxt)
+    return series
+
+
+def series_is_solvable(group: PermGroup) -> bool:
+    """G is solvable iff its derived series ends in the trivial group."""
+    return derived_series(group)[-1].order() == 1
+
+
 def closure_has_normal_p_complement(group: PermGroup, p: int) -> bool:
     """G has a normal p-complement iff O^p(G), the normal closure of its
     p'-class representatives, has order prime to p."""
     cd = group.conjugacy_classes()
     seeds = [rep for rep, m in zip(cd.reps, cd.element_orders) if m % p]
-    return group.normal_closure(seeds).order() % p != 0
+    return normal_closure(group, seeds).order() % p != 0
 
 
 def brute_class_map(group: PermGroup, reps) -> dict[Permutation, int]:

@@ -16,8 +16,8 @@ from chartab.arith import unit_generators
 from chartab.harness import check_group
 from chartab.invariants import kernel_contains
 
-from helpers import (TABLES_GROUPS, brute_class_map, det_mod, lifted, lifted_complex_rows,
-                     match_rows_numeric, numeric_character_rows,
+from helpers import (TABLES_GROUPS, brute_class_map, derived_subgroup, det_mod, lifted,
+                     lifted_complex_rows, match_rows_numeric, numeric_character_rows,
                      per_class_lift, reference_class_matrix, relabel,
                      search_working_prime, table_of, with_lifted)
 
@@ -879,7 +879,7 @@ def test_library_paths_read_cells(expr):
     assert verify_orthogonality(t)
     table_document(t)
     # G' lies in the kernel of exactly the linear characters
-    derived = g.derived_subgroup()
+    derived = derived_subgroup(g)
     assert [kernel_contains(t, r, derived) for r in range(t.n_classes)] == [
         d == 1 for d in t.degrees]
     center = g.subgroup([x for x in g.elements() if not x.is_identity()

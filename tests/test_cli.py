@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import chartab
-from chartab import chartable
+from chartab import chartable, harness
 from chartab.cli import main
 
 
@@ -276,6 +277,23 @@ def test_inconsistent_table_exit_code(capsys, monkeypatch):
         assert code == 3 and out == "", name
         assert err.startswith("error: ") and err.count("\n") == 1, name
         assert "Traceback" not in err, name
+
+
+def test_corrupt_kernel_exits_3(capsys, monkeypatch):
+    # chi_1 of A(5) made to take chi_1(1) on class 1 too: that kernel's order
+    # no longer divides |G|, so no conclusion is read off the table
+    def corrupt_table(group):
+        table = chartable.compute_table(group)
+        cells = table.cells.copy()
+        cells[1, 1] = cells[1, 0]
+        return dataclasses.replace(table, cells=cells)
+
+    sizes = chartable.compute_table(chartab.construct("A(5)")).class_data.sizes
+    assert 60 % (1 + sizes[1])
+    monkeypatch.setattr(harness, "compute_table", corrupt_table)
+    code, out, err = run(capsys, "check", "A(5)", "--json")
+    assert (code, out) == (3, "")
+    assert err == "error: internal inconsistency: a kernel's order must divide |G|\n"
 
 
 def test_inconsistent_table_exit_code_optimized():

@@ -254,6 +254,19 @@ def test_sharpness_scan_pnilpotency_p3():
     assert best == Fraction(4, 3) and "S(3)" in wit
 
 
+@pytest.mark.parametrize("p,mode,best,n_witnesses", [
+    (2, "solvability", "3", 6),
+    (5, "solvability", "11/4", 3),
+    (3, "pnilpotency", "4/3", 5),
+    (2, "pnilpotency", "3/2", 2),
+])
+def test_sharpness_scan_over_the_default_corpus(corpus_entries, p, mode, best, n_witnesses):
+    # the minimum and witness count found when every group's conclusion was
+    # decided, which skipping the groups whose order settles it must keep
+    got, witnesses = sharpness_scan(corpus_entries, p, mode)
+    assert (got, len(witnesses)) == (Fraction(best), n_witnesses)
+
+
 def test_sharpness_scan_no_witnesses():
     best, wit = sharpness_scan(["C(4)", "C(9)"], 3, "solvability")
     assert best is None and wit == []

@@ -8,7 +8,7 @@ from chartab import (FieldSpec, acd_pprime_over_central,
 from chartab.groupspec import construct_cached
 from chartab.invariants import kernel_contains, selected_rows
 
-from helpers import table_of
+from helpers import normal_closure, table_of
 
 
 def sl25_center():
@@ -123,7 +123,7 @@ def test_kernel_partition(expr, seed_cycles):
     if seed_cycles is None:
         n = sl25_center()
     else:
-        n = g.normal_closure([parse_cycles(seed_cycles, g.degree)])
+        n = normal_closure(g, [parse_cycles(seed_cycles, g.degree)])
     quotient_table = compute_table(g.quotient_by(n))
     nd_g = degree_counts(t)
     nd_q = degree_counts(quotient_table)
@@ -134,7 +134,7 @@ def test_kernel_partition(expr, seed_cycles):
 def test_kernel_contains_basics():
     t = table_of("S(4)")
     g = t.group
-    v4 = g.normal_closure([__import__("chartab").parse_cycles("(0 1)(2 3)", 4)])
+    v4 = normal_closure(g, [__import__("chartab").parse_cycles("(0 1)(2 3)", 4)])
     # the two linear rows and the degree-2 row factor through S4/V4 = S3
     kers = [kernel_contains(t, r, v4) for r in range(5)]
     assert sum(kers) == 3

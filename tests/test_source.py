@@ -53,6 +53,21 @@ def test_private_methods_are_called_only_on_self():
     assert not found, found
 
 
+def test_private_fields_are_written_only_on_self():
+    # an object's underscore fields are its own business: no library module
+    # assigns to one on another object
+    found = []
+    for path in sorted(Path(chartab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)):
+                continue
+            private = node.attr.startswith("_") and not node.attr.endswith("__")
+            if private and not (isinstance(node.value, ast.Name) and node.value.id == "self"):
+                found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    assert not found, found
+
+
 def test_image_tuples_are_composed_only_in_perm():
     # the product kernel has one home: no other module imports itemgetter,
     # composes bytes words with .translate or composes image tuples itself,
@@ -224,7 +239,7 @@ for expr in ("CentralProd(SL(2,5), C(4))", "C(12)", "S(4)"):
     t = chartab.compute_table(g)
     assert chartab.verify_orthogonality(t)
     chartab.format_table(t)
-    [kernel_contains(t, r, g.derived_subgroup()) for r in range(t.n_classes)]
+    [kernel_contains(t, r, g) for r in range(t.n_classes)]
     chartab.check_group(g, name=expr)
 print("numpy.ma" in sys.modules)
 """
