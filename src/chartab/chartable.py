@@ -11,8 +11,10 @@ classes first, then those whose Galois orbit holds more than one class
 (only they separate Galois-conjugate characters), then the rational ones.
 A central class {z} acts by a permutation of the classes (g_j -> z g_j),
 so a piece splits by one DFT over its shifts under it, with no class
-matrix; any other class builds its class matrix, and a piece splits by
-the minimal polynomial of its Krylov rows, reduced one row at a time.
+matrix, and a central class in the subgroup that the central classes
+already applied generate is skipped, as it splits nothing; any other
+class builds its class matrix, and a piece splits by the minimal
+polynomial of its Krylov rows, reduced one row at a time.
 Degrees are recovered from the first orthogonality relation (the
 q > 2*sqrt|G| bound makes the square root unique), mod-q values follow,
 and exact cyclotomic values are lifted one rational class (Galois orbit
@@ -143,6 +145,35 @@ def _class_action(cd: ClassData, i: int) -> np.ndarray:
     """What _split_spaces applies for class i: its class permutation if the
     class is central, else its class matrix."""
     return class_permutation(cd, i) if cd.sizes[i] == 1 else class_matrix(cd, i)
+
+
+def _class_actions(cd: ClassData, order: list[int]):
+    """The actions of the classes in order, lazily, as _class_action gives
+    them, less every central class in the subgroup that the central classes
+    already given generate.
+
+    A central character omega_chi is a homomorphism on Z(G) (Schneider,
+    J. Symbolic Comput. 9 (1990) 601-606), so once every piece is an
+    eigenvector of z_1, ..., z_r it is one of every product of their
+    powers, and such a class splits nothing.  inside marks the classes of
+    that subgroup and grows by z through z's class permutation sigma:
+    inside[sigma] marks z^-1 times the subgroup, and doubling through
+    sigma^2, sigma^4, ... marks z^-t times it for every t once nothing
+    changes."""
+    inside = np.zeros(len(cd), dtype=bool)
+    inside[0] = True
+    for i in order:
+        if inside[i]:       # only central classes are ever marked
+            continue
+        action = _class_action(cd, i)
+        yield action
+        if action.ndim == 1:
+            step = action
+            while True:
+                grown = inside | inside[step]
+                if np.array_equal(grown, inside):
+                    break
+                inside, step = grown, step[step]
 
 
 def _split_spaces(actions, k: int, wf: WorkingField) -> np.ndarray:
@@ -319,7 +350,7 @@ def compute_table(group: PermGroup, prime_offset: int = 0) -> CharTable:
     q = wf.q
     orbits = _galois_orbits(cd)
 
-    spaces = _split_spaces((_class_action(cd, i) for i in _matrix_order(cd, orbits)), k, wf)
+    spaces = _split_spaces(_class_actions(cd, _matrix_order(cd, orbits)), k, wf)
     require(len(spaces) == k, "eigenspace splitting incomplete")
 
     inv_classes = cd.power_classes(-1)
@@ -616,7 +647,7 @@ def table_document(table: CharTable) -> dict:
     """Machine-readable table export (JSON-serializable, deterministic)."""
     from .fields import field_labels
     cd = table.class_data
-    reps = cd.reps
+    reps = cd.rep_strings()
     text = [_render(v) for v in table.distinct]
     return {
         "order": table.group.order(),
@@ -627,7 +658,7 @@ def table_document(table: CharTable) -> dict:
         "w": table.q_field.w,
         "classes": [
             {
-                "rep": reps[j].cycle_string(),
+                "rep": reps[j],
                 "size": cd.sizes[j],
                 "element_order": cd.element_orders[j],
             }

@@ -18,7 +18,10 @@ an itemgetter call as in compose.
 A point array, such as a coset table of a stabilizer chain, has the
 narrowest dtype that holds the points, point_dtype(degree): uint8 up to
 degree 256, the degrees whose words are bytes, so a row's bytes are its
-word; uint16 up to degree 65536; uint32 above.
+word; uint16 up to degree 65536; uint32 above.  from_rows is the one
+builder of Permutations from an array of image rows, such as a group's
+dense store, and cycle_string the one writer of cycle notation, for a
+Permutation and for the image rows of a class's representatives alike.
 """
 
 from __future__ import annotations
@@ -82,27 +85,10 @@ class Permutation:
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each rotated to start at its minimum."""
-        seen = [False] * self.degree
-        out = []
-        for i in range(self.degree):
-            if seen[i] or self.images[i] == i:
-                seen[i] = True
-                continue
-            cyc = [i]
-            j = self.images[i]
-            seen[i] = True
-            while j != i:
-                seen[j] = True
-                cyc.append(j)
-                j = self.images[j]
-            out.append(tuple(cyc))
-        return out
+        return [tuple(c) for c in _cycles(self.images, range(self.degree))]
 
     def cycle_string(self) -> str:
-        cycs = self.cycles()
-        if not cycs:
-            return "()"
-        return "".join("(" + " ".join(map(str, c)) + ")" for c in cycs)
+        return cycle_string(self.images)
 
     def __repr__(self) -> str:
         return f"Permutation[{self.cycle_string()}, deg={self.degree}]"
@@ -146,6 +132,54 @@ def point_dtype(degree: int) -> np.dtype:
     integer that holds the points 0..degree-1, uint8 exactly when as_word
     makes bytes words."""
     return np.min_scalar_type(degree - 1)
+
+
+def from_rows(rows: np.ndarray) -> tuple[Permutation, ...]:
+    """The rows of an (n, degree) array of images as Permutations, with no
+    int object made per entry: up to degree 256 the image tuples are cut
+    from one bytes buffer of all the rows, so their items are the small
+    ints Python shares, and above it each is gathered from one tuple of the
+    point ints."""
+    n, degree = rows.shape
+    # True is _checked, passed by position: the keyword makes each call
+    # measurably slower
+    if degree > len(_BYTE_POINTS):
+        points = tuple(range(degree))
+        return tuple([Permutation(compose(row.tolist(), points), True) for row in rows])
+    buf = rows.astype(point_dtype(degree)).tobytes()
+    # degree references to one iterator: each tuple takes the next row
+    images = zip(*[iter(buf)] * degree) if degree else [()] * n
+    return tuple([Permutation(t, True) for t in images])
+
+
+def cycle_string(images, names=None) -> str:
+    """The permutation with these images in cycle notation, "(0 1 2)(3 4)":
+    its nontrivial cycles, each from its least point, in order of least
+    points, and "()" for the identity.  Point x is written names[x], by
+    default str(x); writing many permutations of one degree, pass one list
+    of names for all of them."""
+    if names is None:
+        names = [str(x) for x in range(len(images))]
+    return "".join(["(" + " ".join(c) + ")" for c in _cycles(images, names)]) or "()"
+
+
+def _cycles(images, names) -> list[list]:
+    """The nontrivial cycles of the permutation with these images, each
+    from its least point, in order of least points, with point x given as
+    names[x]: its text in cycle_string, x itself for names = range(degree)."""
+    seen = bytearray(len(images))
+    out = []
+    for i, j in enumerate(images):
+        if j == i or seen[i]:
+            continue
+        seen[i] = 1
+        cycle = [names[i]]
+        while j != i:
+            seen[j] = 1
+            cycle.append(names[j])
+            j = images[j]
+        out.append(cycle)
+    return out
 
 
 def sift(word: bytes | tuple[int, ...], levels,

@@ -32,8 +32,8 @@ Two representations coexist:
   read-only (order, degree) int32 array of image rows in tuple order,
   built a chain level at a time by numpy gathers over each level's coset
   table.  It is the substrate for conjugacy classes, quotients and all
-  character-table work; Permutations are built from it only at the API
-  edge (elements(), ClassData.reps).
+  character-table work; Permutations are built from it, by perm.from_rows,
+  only at the API edge (elements(), ClassData.reps).
 
 The store comes with its one element index, a RankIndex: an element is
 found from its base images (the images of the chain's base points) by
@@ -42,7 +42,8 @@ once.  Each level's digit is the orbit index of the current base image,
 read from an int32 slot array, and the later base images are gathered
 through the row of the chosen coset-table entry; the digits form a
 mixed-radix rank in [0, |G|), and rank -> row and rank -> class arrays
-finish the lookup.  Class orbits, power maps, class matrices,
+finish the lookup.  Class orbits are labelled by the least row in them,
+through one int32 conjugation map per generator.  Power maps, class matrices,
 ClassData.class_of(x) and quotients are numpy gathers plus these lookups
 rather than a Permutation built and hashed per product; a base image off
 its level's orbit raises InconsistentTable.  Element orders and power maps
@@ -68,7 +69,7 @@ from math import lcm, prod
 import numpy as np
 
 from .fplinalg import require
-from .perm import Permutation, as_word, compose, point_dtype, sift
+from .perm import Permutation, as_word, cycle_string, from_rows, point_dtype, sift
 
 DEFAULT_ENUM_CAP = 200_000
 MEMORY_BUDGET = 1 << 29     # bytes: the most a group's chain, or its dense store, may hold
@@ -347,10 +348,13 @@ class ClassData:
     Classes are found by chain rank: index is the group's RankIndex and
     rank_class the class of each rank.  rep_index holds the row of each
     representative in index.rows; inv_base the base images of x**-1 for
-    each row x; member_index the rows of class i at
-    member_offsets[i]:member_offsets[i+1].  All of them are read-only, and
-    they are the only class index: class_of(x) looks x up through them.
-    reps builds the representatives as Permutations on each access.
+    each row x; member_index the rows of class i, in ascending row order,
+    at member_offsets[i]:member_offsets[i+1].  Classes are numbered in the
+    order of their least rows, and each one's least row is its
+    representative.  All of them are read-only, and they are the only class
+    index: class_of(x) looks x up through them.  reps builds the
+    representatives as Permutations on each access, and rep_strings writes
+    them in cycle notation.
     """
 
     sizes: tuple[int, ...]
@@ -369,7 +373,13 @@ class ClassData:
 
     @property
     def reps(self) -> tuple[Permutation, ...]:
-        return _permutations(self.index.rows[self.rep_index])
+        return from_rows(self.index.rows[self.rep_index])
+
+    def rep_strings(self) -> list[str]:
+        """The representatives in cycle notation, as
+        Permutation.cycle_string writes them, every point named once."""
+        names = [str(x) for x in range(self.index.rows.shape[1])]
+        return [cycle_string(rep.images, names) for rep in self.reps]
 
     def power_classes(self, a: int) -> np.ndarray:
         """The class of rep_j**a for each class j, by reduction mod its
@@ -395,13 +405,6 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
-
-
-def _permutations(rows: np.ndarray) -> tuple[Permutation, ...]:
-    """The image rows as Permutations, built a row at a time; their image
-    tuples share one tuple of point ints instead of an int object per entry."""
-    points = tuple(range(rows.shape[1]))
-    return tuple(Permutation(compose(row.tolist(), points), _checked=True) for row in rows)
 
 
 def _build_index(levels, degree: int) -> RankIndex:
@@ -537,7 +540,7 @@ class PermGroup:
 
     def elements(self) -> tuple[Permutation, ...]:
         """All elements as Permutations, in the order of element_rows()."""
-        return _permutations(self.element_rows())
+        return from_rows(self.element_rows())
 
     def subgroup(self, generators) -> "PermGroup":
         return PermGroup(generators, self.degree)
@@ -550,6 +553,15 @@ class PermGroup:
         return self._classes
 
     def _compute_classes(self) -> ClassData:
+        """The classes as orbits on the rows of element_rows() under
+        conjugation by the generators, each map an int32 array of rows.
+
+        Every row is labelled by the least row of its orbit, by min-label
+        propagation with pointer jumping: label = minimum(label, label[c])
+        over the maps c, then label = label[label], until nothing changes.
+        The rows that keep their own labels are the representatives, in
+        ascending order, which numbers the classes; the members of each
+        class are listed in ascending row order."""
         index = self._dense()
         images, base = index.rows, index.base
         n = len(images)
@@ -564,34 +576,30 @@ class PermGroup:
         for g in self.generators:
             g_arr = np.array(g.images, dtype=np.int32)
             g_inv = np.array(g.inverse().images, dtype=np.intp)
-            conj.append(index.row(g_arr[images[:, g_inv[base]]]).tolist())
+            conj.append(index.row(g_arr[images[:, g_inv[base]]]))
 
-        assigned = [-1] * n
-        rep_index: list[int] = []
-        orbits: list[list[int]] = []
-        for x in range(n):
-            if assigned[x] >= 0:
-                continue
-            idx = len(rep_index)
-            orbit = [x]
-            assigned[x] = idx
-            head = 0
-            while head < len(orbit):
-                y = orbit[head]
-                head += 1
-                for c in conj:
-                    z = c[y]
-                    if assigned[z] < 0:
-                        assigned[z] = idx
-                        orbit.append(z)
-            rep_index.append(x)
-            orbits.append(orbit)
-        sizes = tuple(len(m) for m in orbits)
-        rank_class = _readonly(np.array(assigned, dtype=np.int32)[index.row_of_rank])
-        rep_index = np.array(rep_index, dtype=np.intp)
+        # a label only falls, and only to a row of the same class; once no map
+        # and no jump lowers one, labels agree along every map (each permutes
+        # the class's rows), so each class holds one label: its least row,
+        # which keeps its own
+        label = np.arange(n, dtype=np.int32)
+        while True:
+            last = label.copy()
+            for c in conj:
+                np.minimum(label, label[c], out=label)
+            label = label[label]
+            if np.array_equal(label, last):
+                break
+        del conj, last
+        rep_index = np.flatnonzero(label == np.arange(n))
+        class_of_rep = np.zeros(n, dtype=np.int32)
+        class_of_rep[rep_index] = np.arange(len(rep_index), dtype=np.int32)
+        assigned = class_of_rep[label]
+        sizes = np.bincount(assigned, minlength=len(rep_index))
+        rank_class = _readonly(assigned[index.row_of_rank])
         orders, power_table = _power_table(index, rank_class, rep_index)
         return ClassData(
-            sizes=sizes,
+            sizes=tuple(sizes.tolist()),
             element_orders=orders,
             exponent=lcm(*orders),
             power_table=power_table,
@@ -599,8 +607,8 @@ class PermGroup:
             rank_class=rank_class,
             rep_index=_readonly(rep_index),
             inv_base=inv_base,
-            member_index=_readonly(np.concatenate(orbits)),
-            member_offsets=_readonly(np.cumsum([0, *sizes])),
+            member_index=_readonly(np.argsort(assigned, kind="stable")),
+            member_offsets=_readonly(np.concatenate([[0], np.cumsum(sizes)])),
         )
 
     # -- normal structure ----------------------------------------------------

@@ -194,6 +194,50 @@ def closure_has_normal_p_complement(group: PermGroup, p: int) -> bool:
     return normal_closure(group, seeds).order() % p != 0
 
 
+def bfs_classes(group: PermGroup) -> tuple[list[int], list[int], list[list[int]]]:
+    """Conjugacy classes as orbits on the rows of element_rows(), found by
+    breadth-first search a row at a time, each map conjugation by one
+    generator built with Permutation products: (reps, class of each row,
+    members of each class in discovery order).  Classes are numbered in
+    the order of their least rows, each the class's representative."""
+    elems = group.elements()
+    row_of = {x: r for r, x in enumerate(elems)}
+    conj = [[row_of[x.conjugate(g)] for x in elems] for g in group.generators]
+    assigned = [-1] * len(elems)
+    reps: list[int] = []
+    orbits: list[list[int]] = []
+    for x in range(len(elems)):
+        if assigned[x] >= 0:
+            continue
+        orbit = [x]
+        assigned[x] = len(reps)
+        for y in orbit:         # grows as the search finds members
+            for c in conj:
+                z = c[y]
+                if assigned[z] < 0:
+                    assigned[z] = len(reps)
+                    orbit.append(z)
+        reps.append(x)
+        orbits.append(orbit)
+    return reps, assigned, orbits
+
+
+def reference_cycle_string(g: Permutation) -> str:
+    """Cycle notation by a walk over the image tuple that shares no code
+    with the library's: cycles from their least points, "()" if none."""
+    images, seen, text = g.images, set(), []
+    for start in range(len(images)):
+        if start in seen or images[start] == start:
+            continue
+        cycle, x = [], start
+        while x not in seen:
+            seen.add(x)
+            cycle.append(str(x))
+            x = images[x]
+        text.append("(" + " ".join(cycle) + ")")
+    return "".join(text) or "()"
+
+
 def brute_class_map(group: PermGroup, reps) -> dict[Permutation, int]:
     """Class index of every element: each rep conjugated by every element."""
     elems = group.elements()

@@ -9,8 +9,8 @@ import pytest
 from chartab import (InconsistentTable, WorkingField, acd_pprime_over_central,
                      central_linear_characters, chartable, construct, fplinalg,
                      select_prime, verify_orthogonality)
-from chartab.chartable import (CharTable, _class_action, _galois_orbits, _matrix_order,
-                               _split_spaces, class_matrix, class_permutation,
+from chartab.chartable import (CharTable, _class_action, _class_actions, _galois_orbits,
+                               _matrix_order, _split_spaces, class_matrix, class_permutation,
                                compute_table, orthogonality_failures, table_document)
 from chartab.arith import unit_generators
 from chartab.harness import check_group
@@ -18,8 +18,8 @@ from chartab.invariants import kernel_contains
 
 from helpers import (TABLES_GROUPS, brute_class_map, derived_subgroup, det_mod, lifted,
                      lifted_complex_rows, match_rows_numeric, numeric_character_rows,
-                     per_class_lift, reference_class_matrix, relabel,
-                     search_working_prime, table_of, with_lifted)
+                     per_class_lift, reference_class_matrix, reference_cycle_string,
+                     relabel, search_working_prime, table_of, with_lifted)
 
 
 # -- working prime ---------------------------------------------------------------
@@ -373,6 +373,32 @@ def test_central_then_non_central_split(monkeypatch, expr):
     assert len(spaces) == k
     assert_common_eigenvectors(spaces, [build(cd, i) for i in range(k)], wf.q, expr)
     compute_table(group)
+
+
+def test_central_classes_in_the_pulled_subgroup_are_skipped(monkeypatch):
+    # C(2)^7 is generated by 7 of its classes; every later central class
+    # lies in the subgroup the ones pulled generate and splits nothing
+    built = []
+    permutation = chartable.class_permutation
+
+    def counted(cd, i):
+        built.append(i)
+        return permutation(cd, i)
+
+    monkeypatch.setattr(chartable, "class_permutation", counted)
+    compute_table(construct(" x ".join(["C(2)"] * 7)))
+    assert len(built) == 7
+
+
+@pytest.mark.parametrize("expr", ["C(2) x C(2) x C(2) x C(2) x C(2) x C(2) x C(2)", "C(200)",
+                                  "S(3) x C(4)", "CentralProd(SL(2,5), C(4))", "SL(2,9)"])
+def test_central_skip_leaves_the_spaces_unchanged(expr):
+    for group in (construct(expr), relabel(construct(expr), 7)):
+        cd = group.conjugacy_classes()
+        k, wf = len(cd), field_of(group)
+        order = _matrix_order(cd, _galois_orbits(cd))
+        every = _split_spaces((_class_action(cd, i) for i in order), k, wf)
+        assert np.array_equal(_split_spaces(_class_actions(cd, order), k, wf), every), expr
 
 
 def test_class_permutation_is_the_class_matrix():
@@ -898,6 +924,14 @@ def test_prime_independence_sample():
         assert t0.q_field.q != t1.q_field.q
         assert t0.degrees == t1.degrees
         assert lifted(t0) == lifted(t1)
+
+
+@pytest.mark.parametrize("expr", [*TABLES_GROUPS, "C(300)"])
+def test_document_writes_each_representative_in_cycle_notation(expr):
+    table = table_of(expr)
+    reps = table.class_data.reps
+    written = [c["rep"] for c in table_document(table)["classes"]]
+    assert written == [r.cycle_string() for r in reps] == [reference_cycle_string(r) for r in reps]
 
 
 def test_table_document_deterministic():

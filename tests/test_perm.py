@@ -5,6 +5,8 @@ import pytest
 
 from chartab import Permutation, parse_cycles
 
+from helpers import reference_cycle_string
+
 
 def test_identity():
     e = Permutation.identity(5)
@@ -67,6 +69,24 @@ def test_cycle_roundtrip():
     assert parse_cycles(p.cycle_string(), 5) == p
     assert parse_cycles("()", 4).is_identity()
     assert parse_cycles("(0, 1, 2)", 3) == parse_cycles("(0 1 2)", 3)
+
+
+def test_cycle_string_matches_a_reference_walk():
+    # every degree from 0, the byte-word limit and past it, with fixed points
+    rng = random.Random(11)
+    for n in (0, 1, 2, 5, 255, 256, 257, 300):
+        for _ in range(5):
+            images = list(range(n))
+            moved = rng.sample(range(n), rng.randint(0, n))
+            shuffled = moved[:]
+            rng.shuffle(shuffled)
+            for x, y in zip(moved, shuffled):
+                images[x] = y
+            p = Permutation(images)
+            assert p.cycle_string() == reference_cycle_string(p)
+            written = "".join("(" + " ".join(map(str, c)) + ")" for c in p.cycles())
+            assert (written or "()") == reference_cycle_string(p)
+            assert parse_cycles(p.cycle_string(), n) == p
 
 
 def test_not_a_permutation():

@@ -18,7 +18,7 @@ from chartab import permgroup
 from chartab.perm import compose, point_dtype
 from chartab.permgroup import MEMORY_BUDGET, PermGroup, StabilizerChain
 
-from helpers import (TABLES_GROUPS, brute_class_map, brute_conjugacy_sizes,
+from helpers import (TABLES_GROUPS, bfs_classes, brute_class_map, brute_conjugacy_sizes,
                      brute_has_normal_p_complement, brute_mulclose,
                      brute_normal_closure, central_product_coset_count,
                      chain_hash, class_hash, closure_has_normal_p_complement,
@@ -87,6 +87,17 @@ def test_element_rows_match_elements(expr, relabelled):
     as_tuples = [tuple(r) for r in rows.tolist()]
     assert as_tuples == sorted(as_tuples) and len(set(as_tuples)) == len(as_tuples)
     assert g.element_rows() is rows
+
+
+# up to degree 256 the image tuples are cut from the rows' bytes, above it
+# gathered from one tuple of point ints
+@pytest.mark.parametrize("expr", ["A(8)", "C(256)", "C(257)", "C(300)"])
+def test_elements_and_reps_are_the_rows(expr):
+    g = construct(expr)
+    rows = g.element_rows()
+    assert g.elements() == tuple(Permutation(tuple(row)) for row in rows.tolist())
+    cd = g.conjugacy_classes()
+    assert cd.reps == tuple(Permutation(tuple(row)) for row in rows[cd.rep_index].tolist())
 
 
 def test_enumeration_cap(monkeypatch):
@@ -532,6 +543,42 @@ def test_class_data_invariants():
             assert sorted(elems[x] for x in idx) == sorted(
                 x for x, c in classes.items() if c == j)
         assert all(cd.class_of(x) == c for x, c in classes.items())
+
+
+def assert_classes_match_bfs(group, name):
+    # the same classes in the same order: representatives, sizes, the class
+    # of every rank, and each class's members, listed in ascending row order
+    cd = group.conjugacy_classes()
+    reps, assigned, orbits = bfs_classes(group)
+    assert cd.rep_index.tolist() == reps, name
+    assert list(cd.sizes) == [len(orbit) for orbit in orbits], name
+    assert cd.rank_class.tolist() == [assigned[r] for r in cd.index.row_of_rank.tolist()], name
+    offsets = cd.member_offsets.tolist()
+    assert [cd.member_index[a:b].tolist() for a, b in zip(offsets, offsets[1:])] == [
+        sorted(orbit) for orbit in orbits], name
+
+
+@pytest.mark.parametrize("relabelled", [False, True])
+def test_classes_match_the_bfs_oracle(corpus_entries, relabelled):
+    for expr in (*corpus_entries, *TABLES_GROUPS):
+        group = construct_cached(expr)
+        assert_classes_match_bfs(relabel(group, 7) if relabelled else group, expr)
+
+
+def test_classes_peak_under_six_times_the_store():
+    # the class orbits are labelled through one int32 array per generator,
+    # with no Python list of conjugates; C(2)^12 has 12 generators and a
+    # store of 4096 rows of 24 points
+    g = construct(" x ".join(["C(2)"] * 12))
+    store = g.element_rows().nbytes
+    tracemalloc.start()
+    try:
+        g.conjugacy_classes()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(g.conjugacy_classes()) == 4096
+    assert peak < 6 * store, peak / store
 
 
 def test_power_map_consistency():

@@ -96,6 +96,23 @@ def test_image_tuples_are_composed_only_in_perm():
     assert not found, found
 
 
+def test_compose_is_used_only_in_perm():
+    # perm.from_rows is the one builder of Permutations from image rows, so
+    # no other library module needs the product kernel compose
+    found = []
+    for path in sorted(Path(chartab.__file__).parent.glob("*.py")):
+        if path.name == "perm.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                found += [f"{path.name}:{node.lineno} imports compose" for a in node.names
+                          if a.name == "compose"]
+            elif isinstance(node, ast.Attribute) and node.attr == "compose":
+                found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    assert not found, found
+
+
 def test_benchmark_tracer_targets_exist():
     # perfbench/spans.py wraps library functions and PermGroup methods by
     # name; loading it (without instrumenting) checks every name still
