@@ -21,8 +21,7 @@ print(format_table(t))
 print()
 
 # Orthogonality is checked exactly: the first relation over the lifted
-# values, then their agreement with the values mod q, which gives both
-# relations mod q as well.
+# values, and their Galois equivariance, which makes that check exact.
 print("orthogonality holds:", verify_orthogonality(t))
 print("sum of squared degrees:", sum(d * d for d in t.degrees), "= |G| =", a5.order())
 print()

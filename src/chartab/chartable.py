@@ -23,17 +23,16 @@ together: a linear row by the discrete log of its value, checked at every
 power of the representative, any other row by one inverse DFT mod q.
 The other classes of an orbit are filled in by sigma_a, chi(g^a) =
 sigma_a(chi(g)), for the whole table at once in numpy.  A table keeps its
-exact values as one (k, n) array of indices into the tuple of its
-distinct values, each built once, and every distinct value is checked
-against the values mod q of its cells.  The exact check, the export and
-the invariants read that array.
+exact values only, as one (k, n) array of indices into the tuple of its
+distinct values, each built once and checked against the values mod q of
+its cells, which the table does not keep.  The exact check, the fields,
+the export and the invariants read that array.
 
 verify_orthogonality checks the first orthogonality relation exactly: one
 Gram product modulo each of a few primes p = 1 (mod e) whose product
 bounds every entry, and Galois equivariance of the lifted values on
 generators of (Z/e)^x, which makes those Gram products decide the entries
-exactly in Z[zeta_e].  It then checks that the lifted values evaluate to
-the values mod q, which carries both relations over to the mod-q table.
+exactly in Z[zeta_e].
 
 Everything in this module is exact: F_q arithmetic on int64 numpy arrays
 and integer multiplicity vectors.  Floats appear only inside mat_mul, and
@@ -93,14 +92,15 @@ class CharTable:
     The exact value chi_r(g_j) is distinct[cells[r, j]]: a multiplicity
     vector over e-th roots of unity, stored sparsely as ((exponent,
     multiplicity), ...).  distinct holds each value once, ascending, and
-    cells is a (k, n) int array of indices into it.
+    cells is a (k, n) int array of indices into it.  A value is the
+    multiset of eigenvalues of a matrix representing g_j, which chi_r and
+    the class determine, so rows compare exactly as their cells do.
     """
 
     group: PermGroup
     class_data: ClassData
     q_field: WorkingField
     degrees: tuple[int, ...]
-    values_mod_q: np.ndarray
     cells: np.ndarray
     distinct: tuple[RootSum, ...]
 
@@ -115,8 +115,8 @@ class CharTable:
 
     def galois_fixed(self, k: int) -> np.ndarray:
         """Boolean mask of the rows sigma_k fixes: chi(g^k) = chi(g) for all g."""
-        v = self.values_mod_q
-        return np.all(v[:, self.class_data.power_classes(k)] == v, axis=1)
+        c = self.cells
+        return np.all(c[:, self.class_data.power_classes(k)] == c, axis=1)
 
 
 def class_matrix(cd: ClassData, i: int) -> np.ndarray:
@@ -284,7 +284,7 @@ def _dft_split(pieces: np.ndarray, sigma: np.ndarray, wf: WorkingField) -> np.nd
 
 
 def _root_powers(wf: WorkingField) -> np.ndarray:
-    """w^t mod q for t < e, by doubling."""
+    """w^t mod q for t < e, by doubling; w^-t is at -t % e."""
     q, w = wf.q, wf.w
     wpow = np.ones(1, dtype=np.int64)
     while len(wpow) < wf.exponent:
@@ -392,7 +392,6 @@ def compute_table(group: PermGroup, prime_offset: int = 0) -> CharTable:
         class_data=cd,
         q_field=wf,
         degrees=tuple(degrees),
-        values_mod_q=values,
         cells=cells,
         distinct=distinct,
     )
@@ -556,7 +555,7 @@ def _check_multiplicities(mults: np.ndarray, deg: np.ndarray, rows: np.ndarray,
 
 
 def verify_orthogonality(table: CharTable) -> bool:
-    """The first orthogonality relation exactly, then both relations mod q.
+    """The first orthogonality relation exactly.
 
     alpha_rs = sum_j |C_j| chi_r(g_j) conj(chi_s(g_j)) - delta_rs |G| lies
     in Z[zeta_e] (conj negates exponents); it is evaluated at zeta -> w, w of
@@ -570,25 +569,24 @@ def verify_orthogonality(table: CharTable) -> bool:
     has all conjugates below N.  For such equivariant tables the failing
     row pairs are exactly those with alpha_rs != 0.
 
-    Both relations then hold mod q once every lifted value, evaluated at
-    the working root w, equals its value mod q (checked last, so corrupted
-    lifted values are reported as exact failures).  For the square table X
-    and D = diag(|C_j|), X D X* = |G| I gives X* X = |G| D^-1, which is
-    second orthogonality; zeta -> w is a ring homomorphism Z[zeta_e] -> F_q,
-    and by equivariance it sends conj(chi(g)) = sigma_-1(chi(g)) to the
-    value mod q on the class of g^-1.  On False, orthogonality_failures()
-    locates the failures."""
+    Both relations then hold mod q as well: the table's values mod q are
+    its exact values at zeta -> w, a ring homomorphism Z[zeta_e] -> F_q.
+    For the square table X and D = diag(|C_j|), X D X* = |G| I gives
+    X* X = |G| D^-1, which is second orthogonality, and by equivariance
+    zeta -> w sends conj(chi(g)) = sigma_-1(chi(g)) to the value mod q on
+    the class of g^-1.  On False, orthogonality_failures() locates the
+    failures."""
     return not orthogonality_failures(table)
 
 
 def orthogonality_failures(table: CharTable) -> list[str]:
-    return (_gram_failures(table) or _equivariance_failures(table)
-            or _value_failures(table.cells, table.distinct, table.values_mod_q, table.q_field))
+    return _gram_failures(table) or _equivariance_failures(table)
 
 
-def _at_root(distinct: tuple[RootSum, ...], p: int, w: int, e: int) -> np.ndarray:
-    """Each distinct value at zeta -> w, mod p (w of order e)."""
-    wpow = [pow(w, l, p) for l in range(e)]
+def _at_root(distinct: tuple[RootSum, ...], wpow: np.ndarray, p: int) -> np.ndarray:
+    """Each distinct value at zeta -> w, mod p, wpow being the powers w^t,
+    t < e, of a root w of order e = len(wpow) mod p, as _root_powers gives."""
+    wpow, e = wpow.tolist(), len(wpow)
     return np.array([sum(m * wpow[l % e] for l, m in val) % p for val in distinct],
                     dtype=np.int64)
 
@@ -608,8 +606,9 @@ def _gram_failures(table: CharTable) -> list[str]:
     while product <= bound:
         wf = select_prime(e, order, offset=offset)
         p = wf.q
-        at_w = _at_root(table.distinct, p, wf.w, e)
-        at_w_inv = _at_root(table.distinct, p, inv_mod(wf.w, p), e)
+        wpow = _root_powers(wf)
+        at_w = _at_root(table.distinct, wpow, p)
+        at_w_inv = _at_root(table.distinct, wpow[-np.arange(e) % e], p)
         gram = mat_mul(at_w[cells] * (sizes % p) % p, at_w_inv[cells].T, p)
         bad |= gram != np.eye(k, dtype=np.int64) * (order % p)
         product, offset = product * p, offset + 1
@@ -636,7 +635,7 @@ def _equivariance_failures(table: CharTable) -> list[str]:
 def _value_failures(cells: np.ndarray, distinct: tuple[RootSum, ...], values: np.ndarray,
                     wf: WorkingField) -> list[str]:
     """Cells whose lifted value at zeta -> w differs from its value mod q."""
-    wrong = _at_root(distinct, wf.q, wf.w, wf.exponent)[cells] != values
+    wrong = _at_root(distinct, _root_powers(wf), wf.q)[cells] != values
     return [f"lifted value does not match its value mod q at row {r}, class {j}"
             for r, j in zip(*np.nonzero(wrong))]
 
@@ -646,16 +645,16 @@ def _value_failures(cells: np.ndarray, distinct: tuple[RootSum, ...], values: np
 def table_document(table: CharTable) -> dict:
     """Machine-readable table export (JSON-serializable, deterministic)."""
     from .fields import field_labels
-    cd = table.class_data
+    cd, wf = table.class_data, table.q_field
     reps = cd.rep_strings()
     text = [_render(v) for v in table.distinct]
     return {
         "order": table.group.order(),
         "degree": table.group.degree,
         "num_classes": table.n_classes,
-        "exponent": table.q_field.exponent,
-        "q": table.q_field.q,
-        "w": table.q_field.w,
+        "exponent": wf.exponent,
+        "q": wf.q,
+        "w": wf.w,
         "classes": [
             {
                 "rep": reps[j],
@@ -665,8 +664,8 @@ def table_document(table: CharTable) -> dict:
             for j in range(table.n_classes)
         ],
         "degrees": list(table.degrees),
-        "row_fields": field_labels(table, prime_factors(table.q_field.exponent)),
-        "values_mod_q": table.values_mod_q.tolist(),
+        "row_fields": field_labels(table, prime_factors(wf.exponent)),
+        "values_mod_q": _at_root(table.distinct, _root_powers(wf), wf.q)[table.cells].tolist(),
         "lifted": [[text[i] for i in row] for row in table.cells.tolist()],
     }
 
@@ -693,28 +692,28 @@ def format_table(table: CharTable) -> str:
     entry: the element order, then a letter for each class of that order
     in class order (1a, 2a, 5a, 5b).  The representatives are listed once,
     below the table."""
-    doc = table_document(table)
-    classes = doc["classes"]
-    names = _class_names([c["element_order"] for c in classes])
+    cd = table.class_data
+    e = table.q_field.exponent
+    names = _class_names(cd.element_orders)
+    text = [_render(v) for v in table.distinct]
     rows = [["class", *names],
-            ["size", *(str(c["size"]) for c in classes)],
-            ["order", *(str(c["element_order"]) for c in classes)]]
-    rows += [[f"X{r} (deg {d})", *values]
-             for r, (d, values) in enumerate(zip(table.degrees, doc["lifted"]))]
+            ["size", *map(str, cd.sizes)],
+            ["order", *map(str, cd.element_orders)]]
+    rows += [[f"X{r} (deg {d})", *(text[i] for i in cells)]
+             for r, (d, cells) in enumerate(zip(table.degrees, table.cells.tolist()))]
     widths = [max(map(len, column)) for column in zip(*rows)]
     lines = [
-        f"|G| = {doc['order']}   classes = {doc['num_classes']}   "
-        f"exponent = {doc['exponent']}   q = {doc['q']}  (z = primitive "
-        f"{doc['exponent']}-th root of unity)",
+        f"|G| = {table.group.order()}   classes = {table.n_classes}   "
+        f"exponent = {e}   q = {table.q_field.q}  (z = primitive {e}-th root of unity)",
     ]
     lines += ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
     lines.append("representatives:")
     width = max(map(len, names))
-    lines += [f"  {name.ljust(width)}  {c['rep']}" for name, c in zip(names, classes)]
+    lines += [f"  {name.ljust(width)}  {rep}" for name, rep in zip(names, cd.rep_strings())]
     return "\n".join(lines)
 
 
-def _class_names(orders: list[int]) -> list[str]:
+def _class_names(orders: tuple[int, ...]) -> list[str]:
     """ATLAS class names: each class's element order and a letter for its
     place among the classes of that order (a, b, ..., z, aa, ab, ...)."""
     seen: dict[int, int] = {}

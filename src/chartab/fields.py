@@ -6,10 +6,8 @@ R iff fixed by sigma_{e-1}, and in Q_p = Q(zeta_p) iff fixed by every
 sigma_k with k = 1 (mod p) when p | e (when p does not divide e this
 degenerates to the rational test, since Q(zeta_p) meets Q(zeta_e) in Q).
 A row fixed by generators of such a group of k is fixed by all of it, so
-only the generators (arith.unit_generators) are tested.
-
-Row comparisons happen mod q, which is sound because the mod-q table is
-nonsingular, so distinct rows stay distinct.
+only the generators (arith.unit_generators) are tested.  Rows are
+compared exactly, through the indices of their values (CharTable.cells).
 """
 
 from __future__ import annotations
@@ -80,8 +78,8 @@ def galois_image_row(table: CharTable, row: int, k: int) -> int:
     e = table.q_field.exponent
     if gcd(k, e) != 1:
         raise ValueError(f"k={k} is not coprime to the exponent {e}")
-    v = table.values_mod_q
-    matches = np.flatnonzero(np.all(v == v[row][table.class_data.power_classes(k)], axis=1))
+    c = table.cells
+    matches = np.flatnonzero(np.all(c == c[row][table.class_data.power_classes(k)], axis=1))
     require(len(matches) == 1, "Galois action did not permute the rows")
     return int(matches[0])
 

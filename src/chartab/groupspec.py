@@ -14,6 +14,10 @@ d | p-1, CentralProd(SL(2,5), C(2m)), Quot(expr; gens), File("path").
 
 Group files are JSON: {"degree": n, "generators": [...]} where each
 generator is an image array or a cycle-notation string.
+
+The constructors whose degree is an argument, and group files, charge
+their generators and the chain's identity word (permgroup.charge_words)
+before building them, so a huge degree is refused before it costs memory.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from functools import lru_cache
 from .arith import element_of_order, is_prime
 from .perm import Permutation, parse_cycles
 from .fplinalg import require
-from .permgroup import PermGroup, direct_product
+from .permgroup import PermGroup, charge_words, direct_product
 
 
 class GroupExprError(ValueError):
@@ -284,6 +288,7 @@ def cyclic(n: int) -> PermGroup:
         raise GroupExprError(f"C(n) needs n >= 1, got {n}")
     if n == 1:
         return PermGroup([], 1)
+    charge_words(2, n)
     rot = Permutation(tuple((i + 1) % n for i in range(n)), _checked=True)
     return PermGroup([rot], n)
 
@@ -296,6 +301,7 @@ def dihedral(n: int) -> PermGroup:
         return PermGroup([parse_cycles("(0 1)", 2)], 2)
     if n == 2:
         return PermGroup([parse_cycles("(0 1)", 4), parse_cycles("(2 3)", 4)], 4)
+    charge_words(3, n)
     rot = Permutation(tuple((i + 1) % n for i in range(n)), _checked=True)
     flip = Permutation(tuple((n - i) % n for i in range(n)), _checked=True)
     return PermGroup([rot, flip], n)
@@ -306,6 +312,7 @@ def symmetric(n: int) -> PermGroup:
         raise GroupExprError(f"S(n) needs n >= 1, got {n}")
     if n == 1:
         return PermGroup([], 1)
+    charge_words(3, n)
     gens = [parse_cycles("(0 1)", n)]
     if n > 2:
         gens.append(Permutation(tuple((i + 1) % n for i in range(n)), _checked=True))
@@ -319,6 +326,7 @@ def alternating(n: int) -> PermGroup:
         return PermGroup([], max(n, 1))
     if n == 3:
         return PermGroup([parse_cycles("(0 1 2)", 3)], 3)
+    charge_words(3, n)
     three = parse_cycles("(0 1 2)", n)
     if n % 2 == 1:
         # A_n = <(0 1 2), (0 1 ... n-1)> for odd n
@@ -402,6 +410,7 @@ def affine(p: int, d: int) -> PermGroup:
         raise GroupExprError(f"Aff(p,d) needs p prime, got p={p}")
     if d < 1 or (p - 1) % d != 0:
         raise GroupExprError(f"Aff(p,d) needs d | p-1, got p={p}, d={d}")
+    charge_words(3, p)
     shift = Permutation(tuple((i + 1) % p for i in range(p)), _checked=True)
     if d == 1:
         return PermGroup([shift], p)
@@ -444,6 +453,7 @@ def group_from_file(path: str) -> PermGroup:
                              f"got {degree!r}")
     if not isinstance(raw_gens, list):
         raise GroupExprError(f"group file {path!r}: 'generators' must be a list")
+    charge_words(len(raw_gens) + 1, degree)
     gens = []
     for entry in raw_gens:
         if not (isinstance(entry, str)

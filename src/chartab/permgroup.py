@@ -14,7 +14,10 @@ Two representations coexist:
   chain are charged 4 bytes per entry, which no point dtype exceeds,
   against MEMORY_BUDGET; the breadth-first search stops as soon as an
   orbit has more points than the budget leaves rows for, and the chain
-  raises DenseCapExceeded before its table exists.  Closing tests the
+  raises DenseCapExceeded before its table exists; its generators and
+  its identity word, image tuples of WORD_BYTES a point, are charged
+  before the word is built (charge_words, which the constructors of
+  groupspec call before the generators exist).  Closing tests the
   off-tree Schreier generators v_pt^-1 * s * v_s(pt) of a level on its
   table a chunk at a time (one is the identity exactly when s * v_s(pt) ==
   v_pt), forms only those that fail and sifts them; a level keeps the
@@ -73,11 +76,24 @@ from .perm import Permutation, as_word, cycle_string, from_rows, point_dtype, si
 
 DEFAULT_ENUM_CAP = 200_000
 MEMORY_BUDGET = 1 << 29     # bytes: the most a group's chain, or its dense store, may hold
+# bytes per point of an image tuple, an 8-byte slot and a 32-byte int under
+# tracemalloc (39.99 B at degree 10^6, for the generator of C(n) and the
+# chain's identity word alike)
+WORD_BYTES = 40
 _GATHER_CHUNK = 1 << 18     # entries gathered at once by the Schreier test
 
 
 class DenseCapExceeded(ValueError):
     """Group is too large for dense mode, or its chain for MEMORY_BUDGET."""
+
+
+def charge_words(count: int, degree: int) -> None:
+    """Refuse, before they exist, count image tuples at this degree, a
+    group's generators and its chain's identity word, at WORD_BYTES a point."""
+    if count * degree * WORD_BYTES > MEMORY_BUDGET:
+        raise DenseCapExceeded(
+            f"the generators and identity word at degree {degree} ({count} image "
+            f"tuples) would pass MEMORY_BUDGET ({MEMORY_BUDGET} bytes)")
 
 
 class NotNormal(ValueError):
@@ -123,6 +139,7 @@ class StabilizerChain:
     """Deterministic Schreier-Sims base and strong generating set."""
 
     def __init__(self, generators: list[Permutation], degree: int):
+        charge_words(len(generators) + 1, degree)
         self.degree = degree
         self.identity = as_word(range(degree))
         self._identity_table = _readonly(np.arange(degree, dtype=point_dtype(degree))[None, :])
@@ -665,6 +682,7 @@ class PermGroup:
 def direct_product(a: PermGroup, b: PermGroup) -> PermGroup:
     """A x B acting on the disjoint union of their point sets."""
     deg = a.degree + b.degree
+    charge_words(len(a.generators) + len(b.generators) + 1, deg)
     fixed_a, fixed_b = tuple(range(a.degree)), tuple(range(a.degree, deg))
     gens = [Permutation(g.images + fixed_b, _checked=True) for g in a.generators]
     gens += [Permutation(fixed_a + tuple(i + a.degree for i in g.images), _checked=True)

@@ -397,11 +397,19 @@ def lifted(table) -> tuple[tuple[tuple, ...], ...]:
     return tuple(tuple(table.distinct[c] for c in row) for row in table.cells.tolist())
 
 
+def mod_q_values(table) -> np.ndarray:
+    """The table's values mod q as a (k, n) int64 array: each distinct
+    value evaluated at zeta -> w, the working root, in Python ints, and
+    gathered through cells."""
+    q, w = table.q_field.q, table.q_field.w
+    at_w = [sum(m * pow(w, l, q) for l, m in v) % q for v in table.distinct]
+    return np.array([[at_w[c] for c in row] for row in table.cells.tolist()], dtype=np.int64)
+
+
 def with_lifted(table, rows):
     """The table with its exact values replaced by the given rows of
     RootSums, stored as the table stores them: cells indexing the distinct
-    values, ascending.  values_mod_q is left untouched, so only the exact
-    check can fail."""
+    values, ascending."""
     distinct = tuple(sorted({v for row in rows for v in row}))
     index = {v: i for i, v in enumerate(distinct)}
     cells = np.array([[index[v] for v in row] for row in rows], dtype=np.intp)

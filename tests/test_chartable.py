@@ -9,7 +9,7 @@ import pytest
 from chartab import (InconsistentTable, WorkingField, acd_pprime_over_central,
                      central_linear_characters, chartable, construct, fplinalg,
                      select_prime, verify_orthogonality)
-from chartab.chartable import (CharTable, _class_action, _class_actions, _galois_orbits,
+from chartab.chartable import (_class_action, _class_actions, _galois_orbits,
                                _matrix_order, _split_spaces, class_matrix, class_permutation,
                                compute_table, orthogonality_failures, table_document)
 from chartab.arith import unit_generators
@@ -17,9 +17,10 @@ from chartab.harness import check_group
 from chartab.invariants import kernel_contains
 
 from helpers import (TABLES_GROUPS, brute_class_map, derived_subgroup, det_mod, lifted,
-                     lifted_complex_rows, match_rows_numeric, numeric_character_rows,
-                     per_class_lift, reference_class_matrix, reference_cycle_string,
-                     relabel, search_working_prime, table_of, with_lifted)
+                     lifted_complex_rows, match_rows_numeric, mod_q_values,
+                     numeric_character_rows, per_class_lift, reference_class_matrix,
+                     reference_cycle_string, relabel, search_working_prime, table_of,
+                     with_lifted)
 
 
 # -- working prime ---------------------------------------------------------------
@@ -560,10 +561,11 @@ def test_table_shape_invariants():
         assert t.n_classes == len(t.class_data.reps)
         assert sum(d * d for d in t.degrees) == order
         assert all(order % d == 0 for d in t.degrees)
-        assert list(t.values_mod_q[0]) == [1] * t.n_classes
-        assert [int(v) for v in t.values_mod_q[:, 0]] == list(t.degrees)
+        values = mod_q_values(t)
+        assert list(values[0]) == [1] * t.n_classes
+        assert [int(v) for v in values[:, 0]] == list(t.degrees)
         # rows are linearly independent mod q
-        assert det_mod(t.values_mod_q, t.q_field.q) != 0
+        assert det_mod(values, t.q_field.q) != 0
 
 
 def test_lift_trivial_character():
@@ -589,10 +591,6 @@ def test_lift_sums_to_degree():
         for r in range(t.n_classes):
             for j in range(t.n_classes):
                 assert sum(m for _, m in values[r][j]) == t.degrees[r]
-                # lifted value reproduces the mod-q entry
-                q, w = t.q_field.q, t.q_field.w
-                val = sum(m * pow(w, l, q) for l, m in values[r][j]) % q
-                assert val == int(t.values_mod_q[r][j])
 
 
 def test_lift_matches_numeric_diagonalization():
@@ -630,7 +628,7 @@ def test_lift_matches_per_class_oracle(expr, seed, offset):
     assert list(t.distinct) == sorted(set(t.distinct))
     assert t.cells.shape == (t.n_classes, t.n_classes)
     assert np.array_equal(np.unique(t.cells), np.arange(len(t.distinct)))
-    oracle = per_class_lift(t.values_mod_q, t.degrees, t.class_data, t.q_field)
+    oracle = per_class_lift(mod_q_values(t), t.degrees, t.class_data, t.q_field)
     assert tuple(oracle) == lifted(t)
 
 
@@ -644,7 +642,7 @@ def test_lift_catches_wrong_galois_fill():
     power_table.flags.writeable = False
     bad = dataclasses.replace(cd, power_table=power_table)
     with pytest.raises(InconsistentTable, match=r"lifted (multiplicit|value)"):
-        chartable._lift_all(t.values_mod_q, list(t.degrees), bad, t.q_field, _galois_orbits(bad))
+        chartable._lift_all(mod_q_values(t), list(t.degrees), bad, t.q_field, _galois_orbits(bad))
 
 
 def test_lift_catches_wrong_galois_exponent():
@@ -656,15 +654,16 @@ def test_lift_catches_wrong_galois_exponent():
     by_exponent = {a: c for c, a in orbit.items()}
     orbit[by_exponent[2]], orbit[by_exponent[3]] = 3, 2
     with pytest.raises(InconsistentTable, match="does not match its value mod q"):
-        chartable._lift_all(t.values_mod_q, list(t.degrees), t.class_data, t.q_field, orbits)
+        chartable._lift_all(mod_q_values(t), list(t.degrees), t.class_data, t.q_field, orbits)
 
 
 def test_lift_catches_any_corrupted_value():
     t = table_of("A(5)")
     q = t.q_field.q
+    exact = mod_q_values(t)
     for r in range(t.n_classes):
         for j in range(t.n_classes):
-            values = t.values_mod_q.copy()
+            values = exact.copy()
             values[r, j] = (values[r, j] + 1) % q
             with pytest.raises(InconsistentTable, match=r"lifted (multiplicit|value)"):
                 chartable._lift_all(values, list(t.degrees), t.class_data, t.q_field,
@@ -696,7 +695,7 @@ def test_lift_one_dft_per_rational_class(monkeypatch, expr, rational_classes):
 
     monkeypatch.setattr(chartable, "mat_mul", counted)
     monkeypatch.setattr(chartable, "_linear_exponents", logged)
-    cells, distinct = chartable._lift_all(t.values_mod_q, list(t.degrees), t.class_data,
+    cells, distinct = chartable._lift_all(mod_q_values(t), list(t.degrees), t.class_data,
                                           t.q_field, _galois_orbits(t.class_data))
     assert distinct == t.distinct
     assert np.array_equal(cells, t.cells)
@@ -712,10 +711,11 @@ def test_lift_catches_any_corrupted_linear_value():
     # rational class, which only the check at the generator's powers sees
     t = table_of("C(6)")
     q = t.q_field.q
+    exact = mod_q_values(t)
     for r in range(t.n_classes):
         for j in range(t.n_classes):
             for wrong in range(1, q):
-                values = t.values_mod_q.copy()
+                values = exact.copy()
                 values[r, j] = (values[r, j] + wrong) % q
                 with pytest.raises(InconsistentTable, match=r"lifted value"):
                     chartable._lift_all(values, list(t.degrees), t.class_data, t.q_field,
@@ -735,7 +735,7 @@ def test_lift_rejects_a_value_no_root_of_unity_of_its_order(expr, order, value):
     reached = {int(c) for i, m in enumerate(cd.element_orders) if m > order
                for c in cd.power_table[i, :m]}
     j = next(j for j, m in enumerate(cd.element_orders) if m == order and j not in reached)
-    values = t.values_mod_q.copy()
+    values = mod_q_values(t)
     values[1, j] = value(t.q_field)
     with pytest.raises(InconsistentTable, match=r"lifted value .* no m-th root of unity"):
         chartable._lift_all(values, list(t.degrees), cd, t.q_field, _galois_orbits(cd))
@@ -751,7 +751,7 @@ def test_orthogonality_examples():
 def test_c4_column_norms():
     t = table_of("C(4)")
     q = t.q_field.q
-    v = t.values_mod_q
+    v = mod_q_values(t)
     inv = t.class_data.power_classes(-1)
     for j in range(4):
         norm = sum(int(v[r][j]) * int(v[r][inv[j]]) for r in range(4)) % q
@@ -762,14 +762,14 @@ def test_c4_column_norms():
                                   "C(2) x C(8)"])
 @pytest.mark.parametrize("seed", [None, 7])
 def test_orthogonality_relations_mod_q(expr, seed):
-    # verify_orthogonality no longer checks the mod-q table directly; both
-    # relations must follow from the exact check, here in Python ints
+    # the table keeps no values mod q; both relations must hold for its
+    # exact values at zeta -> w once the exact check passes, here in Python ints
     g = construct(expr) if seed is None else relabel(construct(expr), seed)
     t = compute_table(g)
     assert verify_orthogonality(t)
     q, order, k = t.q_field.q, g.order(), t.n_classes
     sizes = t.class_data.sizes
-    v = t.values_mod_q.tolist()
+    v = mod_q_values(t).tolist()
     inv = t.class_data.power_classes(-1)
     for r in range(k):
         for s in range(k):
@@ -779,23 +779,6 @@ def test_orthogonality_relations_mod_q(expr, seed):
         for jj in range(k):
             second = sum(v[r][inv[j]] * v[r][jj] for r in range(k)) % q
             assert second == (order // sizes[j] if j == jj else 0) % q, (j, jj)
-
-
-def test_mutated_table_fails_orthogonality():
-    t = table_of("S(3)")
-    mutated = CharTable(
-        group=t.group,
-        class_data=t.class_data,
-        q_field=t.q_field,
-        degrees=t.degrees,
-        values_mod_q=t.values_mod_q.copy(),
-        cells=t.cells,
-        distinct=t.distinct,
-    )
-    mutated.values_mod_q[1][1] = (mutated.values_mod_q[1][1] + 1) % t.q_field.q
-    assert not verify_orthogonality(mutated)
-    assert orthogonality_failures(mutated) == [
-        "lifted value does not match its value mod q at row 1, class 1"]
 
 
 def _swap_two_values(lifted):

@@ -92,6 +92,40 @@ def test_table_json_bytes_of_large_tables(capsys, expr, sha256):
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
+@pytest.mark.parametrize("expr, sha256", [
+    ("A(5)", "32ee8e8b96d71d6fda383d36d781ea6dab7383f7d2e815916002bbbec96f0154"),
+    ("S(7)", "032f14695fbff30d89e76d9a102c3d3c123f369ca174c2203eb555d4ddd83c87"),
+    ("A(8)", "b22949f78ba428833673a552e6cc4f2ae7d20c3ebee8df156ed25a925dfbfec4"),
+    ("SL(2,9)", "37c6f5eeb79019a3f338078f4d1324cfb0463e1d289b29f42e6642f7e9f9ccd7"),
+    ("D(200)", "d371ad4eeb7fad0d473548ba2156ae510db302744fc3db8c20ab262c800b812d"),
+    (" x ".join(["C(2)"] * 7),
+     "9242c51ca3f3a338af2c1e7f1887b23a91ff9d68bb7d8ca6d7110a9ad7fab3d0"),
+    ("C(200)", "0fbeb493723d620d7f09900fc30631d0f6f75d9bd31cbf708892739a9fed2759"),
+    ("C(500)", "69259bf6a0c6327f6289797680202da8e20c70253a235eb2435660dfb146a349"),
+    ("C(1000)", "ba579faaac14e1381fae3e5ffef53f9644b5313a08cdddc9072736c46fc5e5c6"),
+])
+def test_table_text_bytes_of_large_tables(capsys, expr, sha256):
+    # the text tables of the benchmark's table groups and of two large
+    # cyclic groups: bytes pinned across changes of the text renderer
+    code, out, _ = run(capsys, "table", expr)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+def _no_field_labels(table, primes):
+    raise chartab.InconsistentTable("field labels computed")
+
+
+def test_text_table_computes_no_field_labels(capsys, monkeypatch):
+    # the text table reads the table alone; only the JSON document carries
+    # the row fields
+    monkeypatch.setattr(chartab.fields, "field_labels", _no_field_labels)
+    assert run(capsys, "table", "S(4)")[0] == 0
+    code, out, err = run(capsys, "table", "S(4)", "--json")
+    assert (code, out) == (3, "")
+    assert err == "error: internal inconsistency: field labels computed\n"
+
+
 def test_acd(capsys):
     code, out, _ = run(capsys, "acd", "A(5)", "--prime", "5")
     assert code == 0 and out.strip() == "11/4"
@@ -240,6 +274,19 @@ def test_chain_over_the_memory_budget_exits_2(capsys, command):
     assert str(chartab.permgroup.MEMORY_BUDGET) in err
 
 
+@pytest.mark.parametrize("argv", [["table", "C(30000000)", "--json"],
+                                  ["check", "C(30000000)"],
+                                  ["table", 'File("{path}")']])
+def test_huge_degree_exits_2(capsys, tmp_path, argv):
+    # a degree of 3e7 is refused before any image tuple of that degree exists
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({"degree": 30000000, "generators": ["(0 1)"]}))
+    code, out, err = run(capsys, *(arg.format(path=path) for arg in argv))
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("error: the generators")
+    assert str(chartab.permgroup.MEMORY_BUDGET) in err
+
+
 @pytest.mark.parametrize("command", ["table", "check"])
 def test_dense_store_over_the_memory_budget_exits_2(capsys, monkeypatch, command):
     # a 1 MiB budget holds C(400)'s chain but not its dense store
@@ -268,12 +315,14 @@ def _no_row_fixed(table, k):
 
 def test_inconsistent_table_exit_code(capsys, monkeypatch):
     # identity class matrices split nothing, so the table cannot be finished;
-    # Galois masks fixing no row leave even the trivial character outside Q
-    for owner, name, fake in ((chartable, "class_matrix", _identity_class_matrix),
-                              (chartable.CharTable, "galois_fixed", _no_row_fixed)):
+    # Galois masks fixing no row leave even the trivial character outside Q,
+    # which only the JSON document's row fields ask about
+    for owner, name, fake, argv in (
+            (chartable, "class_matrix", _identity_class_matrix, ["table", "S(3)"]),
+            (chartable.CharTable, "galois_fixed", _no_row_fixed, ["table", "S(3)", "--json"])):
         with monkeypatch.context() as patch:
             patch.setattr(owner, name, fake)
-            code, out, err = run(capsys, "table", "S(3)")
+            code, out, err = run(capsys, *argv)
         assert code == 3 and out == "", name
         assert err.startswith("error: ") and err.count("\n") == 1, name
         assert "Traceback" not in err, name

@@ -7,7 +7,7 @@ import pytest
 from chartab import FieldSpec, field_rows, galois_image_row
 from chartab.fields import field_from_label, field_labels
 
-from helpers import lifted, table_of
+from helpers import lifted, mod_q_values, table_of
 
 
 def test_fieldspec_validation():
@@ -78,7 +78,7 @@ def test_aff73_q7_rows():
 def test_replaced_values_get_a_fresh_galois_memo():
     t = table_of("C(3)")
     assert field_rows(t, FieldSpec.rational()) == (0,)
-    trivial = dataclasses.replace(t, values_mod_q=np.ones_like(t.values_mod_q))
+    trivial = dataclasses.replace(t, cells=np.zeros_like(t.cells))
     assert field_rows(trivial, FieldSpec.rational()) == (0, 1, 2)
 
 
@@ -102,8 +102,8 @@ def test_galois_action_permutes_rows_preserving_degrees():
 
 
 def _fixed_by_all(t, ks):
-    # rows fixed by every sigma_k, straight from the mod-q values
-    v = t.values_mod_q.tolist()
+    # rows fixed by every sigma_k, straight from the values mod q
+    v = mod_q_values(t).tolist()
     images = [t.class_data.power_classes(k).tolist() for k in ks]
     return {r for r, row in enumerate(v)
             if all(row[c] == row[j] for image in images for j, c in enumerate(image))}
@@ -134,9 +134,9 @@ def test_real_agrees_with_inverse_class_columns():
         t = table_of(expr)
         inv = t.class_data.power_classes(-1)
         real = field_rows(t, FieldSpec.real())
+        v = mod_q_values(t)
         for r in range(t.n_classes):
-            direct = all(int(t.values_mod_q[r][j]) == int(t.values_mod_q[r][inv[j]])
-                         for j in range(t.n_classes))
+            direct = all(int(v[r][j]) == int(v[r][inv[j]]) for j in range(t.n_classes))
             assert direct == (r in real)
 
 

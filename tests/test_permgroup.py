@@ -258,6 +258,40 @@ def test_dense_store_over_the_memory_budget_is_refused_before_it_exists(monkeypa
     assert construct("C(300)").element_rows().shape == (300, 300)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: construct("C(30000000)"),
+    lambda: construct("D(30000000)"),
+    lambda: construct("S(30000000)"),
+    lambda: construct("A(30000000)"),
+    lambda: construct("Aff(30000001,2)"),
+    lambda: PermGroup([], 30000000).order(),
+], ids=["C", "D", "S", "A", "Aff", "chain"])
+def test_huge_degree_is_refused_before_its_image_tuples(build):
+    # an image tuple takes 40 bytes a point, 1.2e9 at degree 3e7: the
+    # generators, and the chain's identity word, are refused before they exist
+    tracemalloc.start()
+    started = time.perf_counter()
+    try:
+        with pytest.raises(DenseCapExceeded, match=rf"MEMORY_BUDGET \({MEMORY_BUDGET} bytes\)"):
+            build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - started < 0.5
+    assert peak < 2 ** 16
+
+
+def test_direct_product_is_charged_before_its_generators(monkeypatch):
+    # with a 1 MiB budget C(5000) fits (2 * 5000 * 40 bytes), but the
+    # generators of C(5000) x C(5000) and its identity word do not
+    budget = 1 << 20
+    monkeypatch.setattr(permgroup, "MEMORY_BUDGET", budget)
+    assert 2 * 5000 * permgroup.WORD_BYTES <= budget < 3 * 10000 * permgroup.WORD_BYTES
+    a = construct("C(5000)")
+    with pytest.raises(DenseCapExceeded, match=rf"MEMORY_BUDGET \({budget} bytes\)"):
+        permgroup.direct_product(a, a)
+
+
 # base points, orbit sizes and strong generators per level, which skipping
 # the orbit-tree edges' Schreier generators must leave as they are
 CHAIN_SHAPES = {
