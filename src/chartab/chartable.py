@@ -9,12 +9,13 @@ of them: one class per rational class in turn splits every piece it does
 not map to a multiple of itself into its eigen-components, the central
 classes first, then those whose Galois orbit holds more than one class
 (only they separate Galois-conjugate characters), then the rational ones.
-A central class {z} acts by a permutation of the classes (g_j -> z g_j),
-so a piece splits by one DFT over its shifts under it, with no class
-matrix, and a central class in the subgroup that the central classes
-already applied generate is skipped, as it splits nothing; any other
-class builds its class matrix, and a piece splits by the minimal
-polynomial of its Krylov rows, reduced one row at a time.
+A central class {z} acts by a permutation sigma of the classes (g_j ->
+z g_j), whose powers below z's order are built once: a piece splits by
+one DFT over its shifts under them, with no class matrix, and they mark
+the subgroup that the central classes applied so far generate, a central
+class in which is skipped, as it splits nothing; any other class builds
+its class matrix, and a piece splits by the minimal polynomial of its
+Krylov rows, reduced one row at a time.
 Degrees are recovered from the first orthogonality relation (the
 q > 2*sqrt|G| bound makes the square root unique), mod-q values follow,
 and exact cyclotomic values are lifted one rational class (Galois orbit
@@ -141,46 +142,11 @@ def class_permutation(cd: ClassData, i: int) -> np.ndarray:
     return cd.lookup(rows[cd.rep_index[:, None], rows[cd.rep_index[i], base]])
 
 
-def _class_action(cd: ClassData, i: int) -> np.ndarray:
-    """What _split_spaces applies for class i: its class permutation if the
-    class is central, else its class matrix."""
-    return class_permutation(cd, i) if cd.sizes[i] == 1 else class_matrix(cd, i)
-
-
-def _class_actions(cd: ClassData, order: list[int]):
-    """The actions of the classes in order, lazily, as _class_action gives
-    them, less every central class in the subgroup that the central classes
-    already given generate.
-
-    A central character omega_chi is a homomorphism on Z(G) (Schneider,
-    J. Symbolic Comput. 9 (1990) 601-606), so once every piece is an
-    eigenvector of z_1, ..., z_r it is one of every product of their
-    powers, and such a class splits nothing.  inside marks the classes of
-    that subgroup and grows by z through z's class permutation sigma:
-    inside[sigma] marks z^-1 times the subgroup, and doubling through
-    sigma^2, sigma^4, ... marks z^-t times it for every t once nothing
-    changes."""
-    inside = np.zeros(len(cd), dtype=bool)
-    inside[0] = True
-    for i in order:
-        if inside[i]:       # only central classes are ever marked
-            continue
-        action = _class_action(cd, i)
-        yield action
-        if action.ndim == 1:
-            step = action
-            while True:
-                grown = inside | inside[step]
-                if np.array_equal(grown, inside):
-                    break
-                inside, step = grown, step[step]
-
-
-def _split_spaces(actions, k: int, wf: WorkingField) -> np.ndarray:
-    """Split e_0 into one common eigenvector per character, one per row;
-    actions are yielded lazily in fixed order, each a class matrix M acting
-    by x -> x M^T, or for a central class its class_permutation sigma,
-    acting by x -> x[sigma].
+def _split_spaces(cd: ClassData, order: list[int], wf: WorkingField) -> np.ndarray:
+    """Split e_0 into one common eigenvector per character, one per row, by
+    the classes of order in turn, each action built only when it is applied:
+    a class matrix M acts by x -> x M^T, and a central class {z} by its
+    class permutation sigma, x -> x[sigma].
 
     e_0, the unit vector of the identity class, is sum_chi chi(1)^2/|G| u_chi
     over the common eigenvectors u_chi of these actions, and no coefficient
@@ -192,17 +158,33 @@ def _split_spaces(actions, k: int, wf: WorkingField) -> np.ndarray:
     eigenvalue: by one DFT over its shifts under a permutation
     (_dft_split), by its minimal polynomial under a class matrix
     (eig_split_rows).  The split stops once there are k pieces.
+
+    A central character omega_chi is a homomorphism on Z(G) (Schneider,
+    J. Symbolic Comput. 9 (1990) 601-606), so once every piece is an
+    eigenvector of z_1, ..., z_r it is one of every product of their
+    powers, and such a class is skipped, as it splits nothing.  inside
+    marks the classes of that subgroup H; z's powers sigma^t, t below its
+    order m, mark <H, z> = union of the z^-t H as the classes j with
+    inside[sigma^t[j]] for some t.
     """
-    q = wf.q
+    q, k = wf.q, len(cd)
     spaces = np.zeros((k, k), dtype=np.int64)      # the pieces, in its first n rows
     spaces[0, 0] = 1
     n = 1
-    for act in actions:
+    inside = np.zeros(k, dtype=bool)
+    inside[0] = True
+    for i in order:
+        if inside[i]:       # only central classes are ever marked
+            continue
         pieces = spaces[:n]
-        if act.ndim == 1:
-            image = pieces[:, act]
+        central = cd.sizes[i] == 1
+        if central:
+            powers = _perm_powers(class_permutation(cd, i), cd.element_orders[i])
+            inside = inside[powers].any(axis=0)
+            image = pieces[:, powers[1]]
         else:
-            at = np.fmod(act.T, q, dtype=np.float64)    # once, for every product with it
+            # once, for every product with it
+            at = np.fmod(class_matrix(cd, i).T, q, dtype=np.float64)
             image = mat_mul(pieces, at, q)
         rows = np.arange(n)
         lead = np.argmax(pieces != 0, axis=1)
@@ -213,8 +195,8 @@ def _split_spaces(actions, k: int, wf: WorkingField) -> np.ndarray:
         mixed = np.flatnonzero(cross.any(axis=1))
         if not len(mixed):
             continue
-        if act.ndim == 1:
-            parts = _dft_split(pieces[mixed], act, wf)
+        if central:
+            parts = _dft_split(pieces[mixed], powers, wf)
         else:
             parts = np.vstack([eig_split_rows(w, at, q) for w in pieces[mixed]])
         # the first parts replace the mixed pieces, the others follow the rest
@@ -228,40 +210,58 @@ def _split_spaces(actions, k: int, wf: WorkingField) -> np.ndarray:
     return spaces[:n]
 
 
-def _dft_split(pieces: np.ndarray, sigma: np.ndarray, wf: WorkingField) -> np.ndarray:
+def _perm_powers(sigma: np.ndarray, m: int) -> np.ndarray:
+    """The (m, k) array of sigma^t at row t < m, x P^t = x[sigma^t] for
+    x P = x[sigma], by doubling: sigma^(a+t) = sigma^t[sigma^a].  sigma
+    is the class permutation of a central class of element order m, so
+    sigma^m must be the identity."""
+    k = len(sigma)
+    powers = np.empty((m, k), dtype=np.intp)
+    powers[0] = np.arange(k)
+    a = 1
+    while a < m:
+        b = min(a, m - a)
+        powers[a:a + b] = powers[:b, powers[a - 1][sigma]]
+        a += b
+    require(np.array_equal(powers[-1][sigma], powers[0]),
+            "a central class must act with order dividing its element order")
+    return powers
+
+
+def _dft_split(pieces: np.ndarray, powers: np.ndarray, wf: WorkingField) -> np.ndarray:
     """The eigen-components of each row under x -> x P = x[sigma], a class
-    permutation, as rows; no polynomial is solved and nothing is reduced.
+    permutation of order dividing m, as rows, powers[t] being sigma^t for
+    t < m (_perm_powers); no polynomial is solved and nothing is reduced.
 
     The period d of a row u is the least d with u P^d = c u.  It divides
-    the order of P, which divides e, and every eigenvalue lam of a
-    component of u has lam^d = c.  Those roots are lam_i = w^(s + i e/d),
-    i < d, with s = log_w(c) / d, and the component for lam_i is
+    m, which divides e, and every eigenvalue lam of a component of u has
+    lam^d = c.  Those roots are lam_i = w^(s + i e/d), i < d, with
+    s = log_w(c) / d, and the component for lam_i is
     sum_{t<d} lam_i^-t u P^t: its terms in one character cancel unless
     that character's eigenvalue is lam_i, so a root of no character gives
     a zero row, which is dropped.  The shifts of all rows of one period,
-    each twisted by w^(-s t), are gathered at once through the powers of
-    sigma and multiplied by the one d x d DFT matrix z^(-i t), z = w^(e/d).
+    each twisted by w^(-s t), are gathered at once through powers[:d] and
+    multiplied by the one d x d DFT matrix z^(-i t), z = w^(e/d).
     """
-    q, e = wf.q, wf.exponent
+    q, e, m = wf.q, wf.exponent, len(powers)
     n, k = pieces.shape
     wpow = _root_powers(wf)
 
-    # the period of each row: the least divisor d of e with u P^d = c u
+    # the period of each row: the least divisor d of m with u P^d = c u
     lead = np.argmax(pieces != 0, axis=1)
     at_lead = pieces[np.arange(n), lead]
     period = np.zeros(n, dtype=np.int64)
     ratio = np.zeros(n, dtype=np.int64)       # c * u[lead]
     pending = np.arange(n)
-    for d in [d for d in range(2, e + 1) if e % d == 0]:
-        shift = pieces[pending][:, _perm_power(sigma, d)]
+    for d in [d for d in range(2, m + 1) if m % d == 0]:
+        shift = pieces[pending][:, powers[d % m]]
         here = shift[np.arange(len(pending)), lead[pending]]
         closed = ~((shift * at_lead[pending, None] - here[:, None] * pieces[pending]) % q).any(axis=1)
         period[pending[closed]] = d
         ratio[pending[closed]] = here[closed]
         pending = pending[~closed]
-        if not len(pending):
+        if not len(pending):        # at d = m at the latest, as sigma^m = 1
             break
-    require(not len(pending), "a central class must act with order dividing the exponent")
     c = ratio * np.array([inv_mod(x, q) for x in at_lead.tolist()], dtype=np.int64) % q
     logs = np.argmax(wpow == c[:, None], axis=1)
     require(bool((wpow[logs] == c).all() and not (logs % period).any()),
@@ -274,7 +274,8 @@ def _dft_split(pieces: np.ndarray, sigma: np.ndarray, wf: WorkingField) -> np.nd
         # floats, which mat_mul takes as they are, wherever they are exact
         dtype = np.float64 if float_exact(q, d) else np.int64
         wd = wpow.astype(dtype)
-        shifts = _shifts(pieces[sel].astype(dtype), sigma, d)
+        # pieces[sel[r]] P^t at [t, r]
+        shifts = pieces[sel[None, :, None], powers[:d, None, :]].astype(dtype)
         shifts *= wd[-np.outer(t, logs[sel] // d) % e][:, :, None]
         shifts %= q
         comps = mat_mul(wd[-np.outer(t, t) * (e // d) % e], shifts.reshape(d, -1), q)
@@ -290,32 +291,6 @@ def _root_powers(wf: WorkingField) -> np.ndarray:
     while len(wpow) < wf.exponent:
         wpow = np.concatenate([wpow, wpow * pow(w, len(wpow), q) % q])
     return wpow[:wf.exponent]
-
-
-def _shifts(rows: np.ndarray, sigma: np.ndarray, d: int) -> np.ndarray:
-    """The (d, len(rows), k) array of rows[r] P^t = rows[r, sigma^t] at
-    [t, r], the powers of sigma found by doubling: sigma^(a+t) =
-    sigma^t[sigma^a]."""
-    n, k = rows.shape
-    powers = np.empty((d, k), dtype=np.intp)
-    powers[0] = np.arange(k)
-    a = 1
-    while a < d:
-        b = min(a, d - a)
-        powers[a:a + b] = powers[:b, powers[a - 1][sigma]]
-        a += b
-    return rows[np.arange(n)[None, :, None], powers[:, None, :]]
-
-
-def _perm_power(sigma: np.ndarray, t: int) -> np.ndarray:
-    """sigma^t, with x P^t = x[sigma^t] for x P = x[sigma], by squaring."""
-    power, step = np.arange(len(sigma)), sigma
-    while t:
-        if t & 1:
-            power = power[step]
-        step = step[step]
-        t >>= 1
-    return power
 
 
 def _matrix_order(cd: ClassData, orbits: dict) -> list[int]:
@@ -350,7 +325,7 @@ def compute_table(group: PermGroup, prime_offset: int = 0) -> CharTable:
     q = wf.q
     orbits = _galois_orbits(cd)
 
-    spaces = _split_spaces(_class_actions(cd, _matrix_order(cd, orbits)), k, wf)
+    spaces = _split_spaces(cd, _matrix_order(cd, orbits), wf)
     require(len(spaces) == k, "eigenspace splitting incomplete")
 
     inv_classes = cd.power_classes(-1)

@@ -77,11 +77,6 @@ def _classes_meeting(table: CharTable, n: PermGroup) -> np.ndarray:
     return np.bincount(cd.lookup(n.element_rows()[:, cd.index.base]), minlength=len(cd)) > 0
 
 
-def kernel_contains(table: CharTable, row: int, n: PermGroup) -> bool:
-    """Is N inside Ker(chi_row)?"""
-    return bool(_kernels(table)[row, _classes_meeting(table, n)].all())
-
-
 def relative_rows(table: CharTable, n: PermGroup) -> tuple[int, ...]:
     """Irr(G|N): rows whose kernel does not contain N."""
     table.group.check_normal(n)

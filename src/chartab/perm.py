@@ -61,18 +61,6 @@ class Permutation:
     def inverse(self) -> "Permutation":
         return Permutation(invert(self.images), _checked=True)
 
-    def __pow__(self, n: int) -> "Permutation":
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = Permutation.identity(self.degree)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def conjugate(self, g: "Permutation") -> "Permutation":
         """g^-1 * self * g."""
         return g.inverse() * self * g
@@ -240,12 +228,8 @@ def parse_cycles(text: str, degree: int) -> Permutation:
             raise ValueError(f"repeated point in cycle: {text!r}")
         if max(points) >= degree:
             raise ValueError(f"point {max(points)} out of range for degree {degree}")
-        cyc = list(range(degree))
-        for a, b in zip(points, points[1:]):
-            cyc[a] = b
-        cyc[points[-1]] = points[0]
-        composed = Permutation(images, _checked=True) * Permutation(cyc, _checked=True)
-        images = list(composed.images)
+        step = dict(zip(points, points[1:] + points[:1]))
+        images = [step.get(x, x) for x in images]
     if stripped[consumed:].strip():
         raise ValueError(f"bad permutation literal: {text!r}")
     return Permutation(images)

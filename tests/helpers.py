@@ -11,16 +11,17 @@ import cmath
 import dataclasses
 import hashlib
 import random
+import re
 from collections import deque
 from functools import lru_cache
 from itertools import combinations, product
-from math import isqrt
+from math import isqrt, prod
 
 import numpy as np
 
 from chartab import PermGroup, Permutation, construct_cached
 from chartab.chartable import class_matrix, compute_table
-from chartab.fplinalg import InconsistentTable
+from chartab.fplinalg import InconsistentTable, eig_split_rows
 
 
 # the groups of the benchmark's tables workload
@@ -267,6 +268,26 @@ def reference_class_matrix(reps, classes: dict, i: int) -> np.ndarray:
     return m
 
 
+def reference_split(cd, order, wf) -> np.ndarray:
+    """The common eigenvectors split off e_0 by the classes of order in
+    turn, each through its class matrix and eig_split_rows, until there
+    are k, with no class skipped and no DFT, as at_identity gives them."""
+    q = wf.q
+    pieces = np.eye(1, len(cd), dtype=np.int64)
+    for i in order:
+        if len(pieces) == len(cd):
+            break
+        at = class_matrix(cd, i).T % q
+        pieces = np.vstack([eig_split_rows(w, at, q) for w in pieces])
+    return at_identity(pieces, q)
+
+
+def at_identity(rows: np.ndarray, q: int) -> np.ndarray:
+    """The rows scaled to 1 at the identity class (column 0), sorted."""
+    rows = rows * np.array([[pow(int(x), -1, q)] for x in rows[:, 0]]) % q
+    return rows[np.lexsort(rows.T[::-1])]
+
+
 # -- SL(2,5) by matrices ---------------------------------------------------------
 
 def sl25_matrix_order() -> int:
@@ -476,3 +497,39 @@ def abelian_dual_rows(group: PermGroup, exponent: int) -> set[tuple[int, ...]]:
                for x in elems for g in gens):
             rows.add(tuple(val[x] for x in elems))
     return rows
+
+
+# -- closed-form character degrees of corpus families -----------------------------
+
+def family_rows(expr: str) -> list[tuple[int, bool, bool]] | None:
+    """(degree, rational, real) of each irreducible character, from closed
+    forms alone, for a product of cyclic groups, D(n) (order 2n) or
+    Aff(p, d) = C_p : C_d; None for any other expression.
+
+    A linear character is rational iff it is real iff its values are +-1,
+    that is iff its order divides 2: there are 2^(#even factors) of them
+    on a product of cyclic groups, all 2 or 4 of D(n), and 1 + [d even]
+    of Aff(p, d)'s d.  D(n)'s degree-2 characters, j = 1, ..., floor((n-1)/2),
+    take 2 cos(2 pi j t / n), all real, and rational iff n / gcd(j, n) is
+    3, 4 or 6: one for each of 3, 4, 6 dividing n.  Aff(p, d) has (p-1)/d
+    characters of degree d, induced from C_p: their values are sums over
+    a coset of the order-d subgroup H of F_p^x, rational iff H is all of
+    it (d = p-1) and real iff -1 lies in H (d even).  D(1), D(2) and
+    Aff(p, 1) are abelian, and the same forms hold for them.
+    """
+    if re.fullmatch(r"C\(\d+\)( x C\(\d+\))*", expr):
+        factors = [int(n) for n in re.findall(r"\d+", expr)]
+        signs = 2 ** sum(n % 2 == 0 for n in factors)
+        return [(1, True, True)] * signs + [(1, False, False)] * (prod(factors) - signs)
+    if m := re.fullmatch(r"D\((\d+)\)", expr):
+        n = int(m.group(1))
+        linear, wide = (2, (n - 1) // 2) if n % 2 else (4, (n - 2) // 2)
+        rational = sum(n % d == 0 for d in (3, 4, 6))
+        return ([(1, True, True)] * linear + [(2, True, True)] * rational
+                + [(2, False, True)] * (wide - rational))
+    if m := re.fullmatch(r"Aff\((\d+),\s*(\d+)\)", expr):
+        p, d = int(m.group(1)), int(m.group(2))
+        signs = 1 + (d % 2 == 0)
+        return ([(1, True, True)] * signs + [(1, False, False)] * (d - signs)
+                + [(d, d == p - 1, d % 2 == 0)] * ((p - 1) // d))
+    return None

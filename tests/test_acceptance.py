@@ -3,6 +3,7 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 """
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from chartab import (FieldSpec, PermGroup, Permutation, average_degree,
 from chartab.groupspec import construct_cached
 
 from helpers import (abelian_dual_rows, brute_class_map,
-                     brute_has_normal_p_complement, lifted, table_of)
+                     brute_has_normal_p_complement, family_rows, lifted, table_of)
 
 QUOT_A5 = ("Quot(SL(2,5); (0 3)(1 2)(4 19)(5 23)(6 22)(7 21)(8 20)(9 14)"
            "(10 18)(11 17)(12 16)(13 15))")
@@ -248,6 +249,35 @@ def test_criterion_8b_prime_independence(corpus_entries):
         checked += 1
     ok("8b", f"recomputation with the next admissible prime matches on "
              f"{checked} groups of order <= 60")
+
+
+def test_criterion_8c_family_closed_forms(corpus_summary):
+    # products of cyclic groups, D(n) and Aff(p, d): the degrees, and which
+    # rows are rational and real, from closed forms alone (family_rows),
+    # against the harness's degree counts and exact p'-averages
+    def pprime_mean(degrees, p):
+        kept = [d for d in degrees if d % p]
+        return Fraction(sum(kept), len(kept))
+
+    checked = 0
+    for report in corpus_summary.reports:
+        rows = family_rows(report.group)
+        if rows is None:
+            continue
+        degrees = [d for d, _, _ in rows]
+        assert report.order == sum(d * d for d in degrees), report.group
+        fields = {"acd_all": degrees,
+                  "acd_Q": [d for d, rational, _ in rows if rational],
+                  "acd_R": [d for d, _, real in rows if real]}
+        for rec in report.primes:
+            assert rec.n_d == Counter(degrees), (report.group, rec.p)
+            for name, selected in fields.items():
+                assert getattr(rec, name) == pprime_mean(selected, rec.p), \
+                    (report.group, rec.p, name)
+        checked += 1
+    assert checked == 159
+    ok("8c", f"degrees, rational and real rows and p'-averages match the closed "
+             f"forms on {checked} cyclic-product, dihedral and affine groups")
 
 
 # -- 9. structural oracles ----------------------------------------------------------------

@@ -9,18 +9,18 @@ import pytest
 from chartab import (InconsistentTable, WorkingField, acd_pprime_over_central,
                      central_linear_characters, chartable, construct, fplinalg,
                      select_prime, verify_orthogonality)
-from chartab.chartable import (_class_action, _class_actions, _galois_orbits,
-                               _matrix_order, _split_spaces, class_matrix, class_permutation,
-                               compute_table, orthogonality_failures, table_document)
+from chartab.chartable import (_galois_orbits, _matrix_order, _perm_powers, _split_spaces,
+                               class_matrix, class_permutation, compute_table,
+                               orthogonality_failures, table_document)
 from chartab.arith import unit_generators
 from chartab.harness import check_group
-from chartab.invariants import kernel_contains
+from chartab.invariants import relative_rows
 
-from helpers import (TABLES_GROUPS, brute_class_map, derived_subgroup, det_mod, lifted,
-                     lifted_complex_rows, match_rows_numeric, mod_q_values,
+from helpers import (TABLES_GROUPS, at_identity, brute_class_map, derived_subgroup, det_mod,
+                     lifted, lifted_complex_rows, match_rows_numeric, mod_q_values,
                      numeric_character_rows, per_class_lift, reference_class_matrix,
-                     reference_cycle_string, relabel, search_working_prime, table_of,
-                     with_lifted)
+                     reference_cycle_string, reference_split, relabel, search_working_prime,
+                     table_of, with_lifted)
 
 
 # -- working prime ---------------------------------------------------------------
@@ -161,8 +161,8 @@ def test_matrix_order_starts_with_one_class_per_rational_class(monkeypatch):
         assert len(pulled) == n_pulled and set(pulled) <= set(first), expr
 
 
-GALOIS_CASES = [(expr, seed) for expr in TABLES_GROUPS for seed in (None, 7)]
-GALOIS_CASES += [("A(7)", None), ("SL(2,7)", None), ("Aff(13,12)", None)]
+TABLES_CASES = [(expr, seed) for expr in TABLES_GROUPS for seed in (None, 7)]
+GALOIS_CASES = TABLES_CASES + [("A(7)", None), ("SL(2,7)", None), ("Aff(13,12)", None)]
 
 
 @pytest.mark.parametrize("expr, seed", GALOIS_CASES)
@@ -184,27 +184,32 @@ def field_of(group):
     return select_prime(group.conjugacy_classes().exponent, group.order())
 
 
-def test_split_spaces_builds_only_applied_matrices():
+def test_split_spaces_builds_only_applied_matrices(monkeypatch):
+    # a pull is a class matrix or a class permutation; these groups have
+    # at most one central class besides 1, so no class of a prefix is skipped
+    pulled = []
+
+    def counted(build):
+        def pull(cd, i):
+            pulled.append(i)
+            return build(cd, i)
+        return pull
+
+    monkeypatch.setattr(chartable, "class_matrix", counted(class_matrix))
+    monkeypatch.setattr(chartable, "class_permutation", counted(class_permutation))
     early = 0
     for expr in ("S(4)", "A(5)", "D(10)", "SL(2,5)", "Aff(7,3)"):
         group = construct(expr)
         cd = group.conjugacy_classes()
         k, wf = len(cd.reps), field_of(group)
-        mats = [_class_action(cd, i) for i in order_of(cd)]
+        order = order_of(cd)
         # the shortest prefix of the matrix order that splits off every character
-        applied = next(n for n in range(len(mats) + 1)
-                       if len(_split_spaces(mats[:n], k, wf)) == k)
-        pulls = 0
-
-        def stream():
-            nonlocal pulls
-            for mat in mats:
-                pulls += 1
-                yield mat
-
-        assert len(_split_spaces(stream(), k, wf)) == k
-        assert pulls == applied, expr
-        early += applied < len(mats)
+        applied = next(n for n in range(len(order) + 1)
+                       if len(_split_spaces(cd, order[:n], wf)) == k)
+        pulled.clear()
+        assert len(_split_spaces(cd, order, wf)) == k
+        assert pulled == order[:applied], expr
+        early += applied < len(order)
     assert early        # some split finishes before the last matrix
 
 
@@ -226,8 +231,8 @@ def test_split_spaces_reduces_each_new_space_once(monkeypatch):
         calls["added"] += len(out) - 1
         return out
 
-    def counted_dft(pieces, sigma, wf):
-        out = dft(pieces, sigma, wf)
+    def counted_dft(pieces, powers, wf):
+        out = dft(pieces, powers, wf)
         calls["dft"] += 1
         calls["added"] += len(out) - len(pieces)
         return out
@@ -240,7 +245,7 @@ def test_split_spaces_reduces_each_new_space_once(monkeypatch):
         cd = group.conjugacy_classes()
         k = len(cd.reps)
         calls["added"] = 0
-        spaces = _split_spaces((_class_action(cd, i) for i in order_of(cd)), k, field_of(group))
+        spaces = _split_spaces(cd, order_of(cd), field_of(group))
         assert len(spaces) == k, expr
         assert calls["added"] == k - 1, expr
     assert calls["eig"] > 0 and calls["dft"] > 0 and calls["rref"] == 0
@@ -263,9 +268,9 @@ def test_split_spaces_never_splits_a_scalar_action(monkeypatch):
         parts.append(len(out))
         return out
 
-    def checked_dft(pieces, sigma, wf):
-        scalar.extend(is_scalar(w, w[sigma], wf.q) for w in pieces)
-        out = dft(pieces, sigma, wf)
+    def checked_dft(pieces, powers, wf):
+        scalar.extend(is_scalar(w, w[powers[1]], wf.q) for w in pieces)
+        out = dft(pieces, powers, wf)
         parts.append(len(out) / len(pieces))
         return out
 
@@ -276,7 +281,7 @@ def test_split_spaces_never_splits_a_scalar_action(monkeypatch):
         cd = group.conjugacy_classes()
         k, q = len(cd.reps), field_of(group).q
         mats = [class_matrix(cd, i) for i in range(k)]
-        spaces = _split_spaces((_class_action(cd, i) for i in order_of(cd)), k, field_of(group))
+        spaces = _split_spaces(cd, order_of(cd), field_of(group))
         assert len(spaces) == k, expr
         assert_common_eigenvectors(spaces, mats, q, expr)
     assert scalar and not any(scalar)
@@ -315,11 +320,11 @@ def test_central_split_takes_one_dft_per_period(monkeypatch, expr, seed, periods
     seen, sizes, pulled = [], [], []
     dft, product = chartable._dft_split, chartable.mat_mul
 
-    def spied(pieces, sigma, wf):
-        seen.append({period(w, sigma, wf.q) for w in pieces})
+    def spied(pieces, powers, wf):
+        seen.append({period(w, powers[1], wf.q) for w in pieces})
         sizes.append(set())
         monkeypatch.setattr(chartable, "mat_mul", sized)
-        out = dft(pieces, sigma, wf)
+        out = dft(pieces, powers, wf)
         monkeypatch.setattr(chartable, "mat_mul", product)
         return out
 
@@ -350,9 +355,9 @@ def test_central_then_non_central_split(monkeypatch, expr):
     calls = []
     dft, split, build = chartable._dft_split, chartable.eig_split_rows, chartable.class_matrix
 
-    def spied_dft(pieces, sigma, wf):
+    def spied_dft(pieces, powers, wf):
         calls.append("dft")
-        return dft(pieces, sigma, wf)
+        return dft(pieces, powers, wf)
 
     def spied_split(w, at, q):
         calls.append("eig")
@@ -368,7 +373,7 @@ def test_central_then_non_central_split(monkeypatch, expr):
     group = construct(expr)
     cd = group.conjugacy_classes()
     k, wf = len(cd.reps), field_of(group)
-    spaces = _split_spaces((_class_action(cd, i) for i in order_of(cd)), k, wf)
+    spaces = _split_spaces(cd, order_of(cd), wf)
     n_dft = calls.count("dft")
     assert n_dft and "eig" in calls and calls == ["dft"] * n_dft + ["eig"] * (len(calls) - n_dft)
     assert len(spaces) == k
@@ -391,15 +396,67 @@ def test_central_classes_in_the_pulled_subgroup_are_skipped(monkeypatch):
     assert len(built) == 7
 
 
+@pytest.mark.parametrize("expr", ["C(4) x C(4)", "C(3) x C(9)", "C(8) x C(2) x C(2)",
+                                  "CentralProd(SL(2,5), C(4))"])
+def test_central_classes_are_built_only_outside_the_subgroup_before_them(monkeypatch, expr):
+    # up to the last class permutation built, a central class is skipped
+    # exactly when the ones built before it generate it, at every order
+    built = []
+    permutation = chartable.class_permutation
+
+    def counted(cd, i):
+        built.append(i)
+        return permutation(cd, i)
+
+    monkeypatch.setattr(chartable, "class_permutation", counted)
+    group = construct(expr)
+    compute_table(group)
+    cd = group.conjugacy_classes()
+    central = [i for i in _matrix_order(cd, _galois_orbits(cd)) if cd.sizes[i] == 1]
+    generators = []
+    for i in central[:central.index(built[-1]) + 1]:
+        inside = cd.reps[i] in group.subgroup(generators)
+        assert (i in built) != inside, (expr, i)
+        if not inside:
+            generators.append(cd.reps[i])
+    assert len(generators) == len(built)
+
+
+@pytest.mark.parametrize("expr, seed", TABLES_CASES)
+def test_central_powers_are_built_once_per_class_permutation(monkeypatch, expr, seed):
+    # the skip and the DFT read one array of a central class's powers
+    built, powered = [], []
+    permutation, powers = chartable.class_permutation, chartable._perm_powers
+
+    def counted(cd, i):
+        built.append(i)
+        return permutation(cd, i)
+
+    def counted_powers(sigma, m):
+        powered.append(m)
+        return powers(sigma, m)
+
+    monkeypatch.setattr(chartable, "class_permutation", counted)
+    monkeypatch.setattr(chartable, "_perm_powers", counted_powers)
+    group = construct(expr) if seed is None else relabel(construct(expr), seed)
+    compute_table(group)
+    cd = group.conjugacy_classes()
+    assert powered == [cd.element_orders[i] for i in built], (expr, seed)
+    if expr == " x ".join(["C(2)"] * 7):
+        assert len(powered) == 7
+
+
 @pytest.mark.parametrize("expr", ["C(2) x C(2) x C(2) x C(2) x C(2) x C(2) x C(2)", "C(200)",
                                   "S(3) x C(4)", "CentralProd(SL(2,5), C(4))", "SL(2,9)"])
 def test_central_skip_leaves_the_spaces_unchanged(expr):
+    # the split, with its skips and DFTs, finds the same eigenvectors as
+    # every class applied through its class matrix
     for group in (construct(expr), relabel(construct(expr), 7)):
         cd = group.conjugacy_classes()
-        k, wf = len(cd), field_of(group)
+        wf = field_of(group)
         order = _matrix_order(cd, _galois_orbits(cd))
-        every = _split_spaces((_class_action(cd, i) for i in order), k, wf)
-        assert np.array_equal(_split_spaces(_class_actions(cd, order), k, wf), every), expr
+        assert np.array_equal(at_identity(_split_spaces(cd, order, wf), wf.q),
+                              reference_split(cd, order, wf)), expr
 
 
 def test_class_permutation_is_the_class_matrix():
@@ -423,23 +480,24 @@ def test_dft_split_drops_roots_no_character_takes():
     # two eigenvalues, so two of the four DFT rows are zero and are dropped
     wf = WorkingField(q=5, w=2, exponent=4)
     v1, vi = np.array([1, 1, 1, 1]), np.array([1, 2, 4, 3])
-    parts = chartable._dft_split(((v1 + vi) % 5)[None, :], np.array([1, 2, 3, 0]), wf)
+    powers = _perm_powers(np.array([1, 2, 3, 0]), 4)
+    parts = chartable._dft_split(((v1 + vi) % 5)[None, :], powers, wf)
     multiple_of = [[not ((part * v[0] - v * part[0]) % 5).any() for v in (v1, vi)]
                    for part in parts]
     assert sorted(multiple_of) == [[False, True], [True, False]]
 
 
 def test_dft_split_rejects_an_order_not_dividing_the_exponent():
-    # a 3-cycle of the classes cannot act for exponent 2: the period
-    # search stops at e and raises instead of looping
-    wf = WorkingField(q=5, w=4, exponent=2)
-    with pytest.raises(InconsistentTable, match="dividing the exponent"):
-        _split_spaces([np.array([1, 2, 0])], 3, wf)
+    # a 3-cycle of the classes cannot act for an element of order 2: its
+    # powers are refused, so the period search always ends
+    with pytest.raises(InconsistentTable, match="order dividing its element order"):
+        _perm_powers(np.array([1, 2, 0]), 2)
     # a 4-cycle for exponent 2: u = e_0 - e_2 has period 2 with u P^2 = -u,
     # but lam^2 = -1 has no root lam = +-1
+    wf = WorkingField(q=5, w=4, exponent=2)
     u = np.array([[1, 0, 4, 0]])
     with pytest.raises(InconsistentTable, match="roots of unity"):
-        chartable._dft_split(u, np.array([1, 2, 3, 0]), wf)
+        chartable._dft_split(u, _perm_powers(np.array([1, 2, 3, 0]), 4), wf)
 
 
 def _similar_to_diagonal(diag: list[int], seed: int, q: int) -> tuple[np.ndarray, np.ndarray]:
@@ -889,7 +947,7 @@ def test_library_paths_read_cells(expr):
     table_document(t)
     # G' lies in the kernel of exactly the linear characters
     derived = derived_subgroup(g)
-    assert [kernel_contains(t, r, derived) for r in range(t.n_classes)] == [
+    assert [r not in relative_rows(t, derived) for r in range(t.n_classes)] == [
         d == 1 for d in t.degrees]
     center = g.subgroup([x for x in g.elements() if not x.is_identity()
                          and all(x * h == h * x for h in g.generators)])

@@ -1,7 +1,9 @@
 import random
 import time
 import tracemalloc
+from functools import reduce
 from math import factorial, gcd
+from operator import mul
 
 import numpy as np
 import pytest
@@ -659,11 +661,12 @@ def test_power_map_matches_permutation_powers():
                     power = power * rep
                 assert table[j].tolist() == expected, (expr, j)
             # power_classes(a) is the class of rep**a, for a below 0 and
-            # at or past every element order too
+            # at or past every element order too: rep**a is a % m products
             top = table.shape[1]
             for a in (-top - 1, -2, -1, 0, 1, top - 1, top, 2 * top + 1):
                 assert cd.power_classes(a).tolist() == [
-                    classes[rep ** a] for rep in cd.reps], (expr, a)
+                    classes[reduce(mul, [rep] * (a % rep.order()), group.identity())]
+                    for rep in cd.reps], (expr, a)
 
 
 def test_classes_of_the_empty_base():
