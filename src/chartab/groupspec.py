@@ -289,7 +289,7 @@ def cyclic(n: int) -> PermGroup:
     if n == 1:
         return PermGroup([], 1)
     charge_words(2, n)
-    rot = Permutation(tuple((i + 1) % n for i in range(n)), _checked=True)
+    rot = Permutation(tuple((i + 1) % n for i in range(n)), True)
     return PermGroup([rot], n)
 
 
@@ -302,8 +302,8 @@ def dihedral(n: int) -> PermGroup:
     if n == 2:
         return PermGroup([parse_cycles("(0 1)", 4), parse_cycles("(2 3)", 4)], 4)
     charge_words(3, n)
-    rot = Permutation(tuple((i + 1) % n for i in range(n)), _checked=True)
-    flip = Permutation(tuple((n - i) % n for i in range(n)), _checked=True)
+    rot = Permutation(tuple((i + 1) % n for i in range(n)), True)
+    flip = Permutation(tuple((n - i) % n for i in range(n)), True)
     return PermGroup([rot, flip], n)
 
 
@@ -315,7 +315,7 @@ def symmetric(n: int) -> PermGroup:
     charge_words(3, n)
     gens = [parse_cycles("(0 1)", n)]
     if n > 2:
-        gens.append(Permutation(tuple((i + 1) % n for i in range(n)), _checked=True))
+        gens.append(Permutation(tuple((i + 1) % n for i in range(n)), True))
     return PermGroup(gens, n)
 
 
@@ -330,14 +330,14 @@ def alternating(n: int) -> PermGroup:
     three = parse_cycles("(0 1 2)", n)
     if n % 2 == 1:
         # A_n = <(0 1 2), (0 1 ... n-1)> for odd n
-        big = Permutation(tuple((i + 1) % n for i in range(n)), _checked=True)
+        big = Permutation(tuple((i + 1) % n for i in range(n)), True)
     else:
         # A_n = <(0 1 2), (1 2 ... n-1)> for even n
         imgs = list(range(n))
         for i in range(1, n - 1):
             imgs[i] = i + 1
         imgs[n - 1] = 1
-        big = Permutation(tuple(imgs), _checked=True)
+        big = Permutation(tuple(imgs), True)
     return PermGroup([three, big], n)
 
 
@@ -369,7 +369,7 @@ def special_linear_2(q: int) -> PermGroup:
             nx = gf.add(gf.mul(m[0][0], x), gf.mul(m[0][1], y))
             ny = gf.add(gf.mul(m[1][0], x), gf.mul(m[1][1], y))
             images.append(index[(nx, ny)])
-        gens.append(Permutation(tuple(images), _checked=True))
+        gens.append(Permutation(tuple(images), True))
     group = PermGroup(gens, len(points))
     require(group.order() == q * (q * q - 1), f"SL(2,{q}) has the wrong order")
     return group
@@ -391,7 +391,7 @@ def projective_sl2(q: int) -> PermGroup:
             images.append(q if ny == 0 else gf.mul(nx, _gf_inv(gf, ny)))
         nx, ny = a, c   # image of [1 : 0]
         images.append(q if ny == 0 else gf.mul(nx, _gf_inv(gf, ny)))
-        gens.append(Permutation(tuple(images), _checked=True))
+        gens.append(Permutation(tuple(images), True))
     group = PermGroup(gens, q + 1)
     require(group.order() == q * (q * q - 1) // 2, f"PSL(2,{q}) has the wrong order")
     return group
@@ -411,13 +411,13 @@ def affine(p: int, d: int) -> PermGroup:
     if d < 1 or (p - 1) % d != 0:
         raise GroupExprError(f"Aff(p,d) needs d | p-1, got p={p}, d={d}")
     charge_words(3, p)
-    shift = Permutation(tuple((i + 1) % p for i in range(p)), _checked=True)
+    shift = Permutation(tuple((i + 1) % p for i in range(p)), True)
     if d == 1:
         return PermGroup([shift], p)
     # a power of the primitive root: element_of_order(p, d) would pick a
     # different multiplier for some (p, d), Aff(7,3) among them
     h = pow(element_of_order(p, p - 1), (p - 1) // d, p)
-    mult = Permutation(tuple((h * i) % p for i in range(p)), _checked=True)
+    mult = Permutation(tuple((h * i) % p for i in range(p)), True)
     return PermGroup([shift, mult], p)
 
 
@@ -433,7 +433,7 @@ def central_prod_sl25(m: int) -> PermGroup:
     index = {v: i for i, v in enumerate(points)}
     neg = [index[((-a) % 5, (-b) % 5)] for (a, b) in points]
     half_turn = [(i + m) % (2 * m) for i in range(2 * m)]
-    diag = Permutation(tuple(neg) + tuple(j + len(points) for j in half_turn), _checked=True)
+    diag = Permutation(tuple(neg) + tuple(j + len(points) for j in half_turn), True)
     return prod.quotient_by(prod.subgroup([diag]))
 
 

@@ -11,9 +11,11 @@ the first two; no other module composes image tuples or words itself.
 
 A word is an element's images in the form sift multiplies fastest, made by
 as_word: up to degree 256 it is bytes(images), and the product by a coset
-table entry is one bytes.translate call through the entry's 256-byte
-translation table; above degree 256 it is the image tuple, multiplied by
-an itemgetter call as in compose.
+table row is one bytes.translate call through the row's 256-byte
+translation table, which translation_tables builds with the level; above
+degree 256 it is a point array, and the product is one gather through the
+table row itself, so nothing is built for it.  word_images turns a word
+back into its image tuple.
 
 A point array, such as a coset table of a stabilizer chain, has the
 narrowest dtype that holds the points, point_dtype(degree): uint8 up to
@@ -49,17 +51,17 @@ class Permutation:
 
     @staticmethod
     def identity(degree: int) -> "Permutation":
-        return Permutation(range(degree), _checked=True)
+        return Permutation(range(degree), True)
 
     @property
     def degree(self) -> int:
         return len(self.images)
 
     def __mul__(self, other: "Permutation") -> "Permutation":
-        return Permutation(compose(self.images, other.images), _checked=True)
+        return Permutation(compose(self.images, other.images), True)
 
     def inverse(self) -> "Permutation":
-        return Permutation(invert(self.images), _checked=True)
+        return Permutation(invert(self.images), True)
 
     def conjugate(self, g: "Permutation") -> "Permutation":
         """g^-1 * self * g."""
@@ -109,10 +111,18 @@ def invert(p: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(inv)
 
 
-def as_word(images) -> bytes | tuple[int, ...]:
-    """The word of an element with these images: bytes up to degree 256,
-    where every point fits in a byte, and the image tuple above."""
-    return bytes(images) if len(images) <= len(_BYTE_POINTS) else tuple(images)
+def as_word(images) -> bytes | np.ndarray:
+    """The word of an element with these images, a sequence of ints or a
+    point_dtype array such as a coset-table row: bytes up to degree 256,
+    where every point fits in a byte, and a point_dtype array above."""
+    if len(images) <= len(_BYTE_POINTS):
+        return bytes(images)
+    return np.asarray(images, dtype=point_dtype(len(images)))
+
+
+def word_images(word: bytes | np.ndarray) -> tuple[int, ...]:
+    """The image tuple, of Python ints, of a word made by as_word."""
+    return tuple(word) if type(word) is bytes else tuple(word.tolist())
 
 
 def point_dtype(degree: int) -> np.dtype:
@@ -170,39 +180,59 @@ def _cycles(images, names) -> list[list]:
     return out
 
 
-def sift(word: bytes | tuple[int, ...], levels,
-         start: int = 0) -> tuple[bytes | tuple[int, ...], int]:
+def translation_tables(table: np.ndarray, transversal: dict[int, int], kept=(),
+                       level=None) -> list[bytes | None] | None:
+    """The point-indexed entries sift reads on a level with this coset table
+    and transversal (orbit point -> row): up to degree 256 a list of degree
+    items, at orbit point x the translation table of row transversal[x],
+    its bytes padded with the identity on degree..255, and None off the
+    orbit; the points in kept keep the tables level holds.  Above degree
+    256 sift gathers through the table rows themselves: None."""
+    degree = table.shape[1]
+    if degree > len(_BYTE_POINTS):
+        return None
+    pad = _BYTE_POINTS[degree:]
+    entries = [None] * degree
+    for x in kept:
+        entries[x] = level.translations[x]
+    for x, r in transversal.items():
+        if entries[x] is None:
+            entries[x] = table[r].tobytes() + pad
+    return entries
+
+
+def sift(word: bytes | np.ndarray, levels,
+         start: int = 0) -> tuple[bytes | np.ndarray, int]:
     """Reduce a word (as_word) through the levels of a stabilizer chain from
     level start on; returns the residue's word and the level where it
     stopped (len(levels) if it passed them all).
 
     Each level has a base point, a coset table, table, whose row
     transversal[x] is a v_x with v_x[x] == point for each orbit point x,
-    and entries, the entries read so far by orbit point, in the form the
-    product takes: the residue is multiplied by v_x, word * v_x, as
-    word.translate(v_x) on bytes words, where the entry is the bytes of
-    the table row (a uint8 row, point_dtype) padded with the identity on
-    degree..255, and as in compose on tuple words, where it is the row's
-    image tuple.  All words of a chain have its degree, so a level's
-    entries all have one form.  The first read of
-    an entry builds it from the table row and keeps it in entries, so an
-    entry is converted once per table; threads racing on an entry build
-    equal entries, and either may stay.  A level moves its base point, so
-    a chain of degree <= 1 has no levels and nothing is composed there.
+    and the residue is multiplied by v_x, word * v_x.  Up to degree 256
+    that is word.translate(v) with v = translations[x], the level's
+    point-indexed translation tables (translation_tables), which hold None
+    off the orbit; above it, one gather through the row, row.take(word).
+    All words of a chain have its degree, so one form serves all its
+    levels.  sift writes nothing to the levels, so threads may share a
+    chain.  A level moves its base point, so a chain of degree <= 1 has no
+    levels and nothing is composed there.
     """
-    small = type(word) is bytes
-    for i in range(start, len(levels)):
-        lvl = levels[i]
-        x = word[lvl.point]
-        v = lvl.entries.get(x)
-        if v is None:
-            r = lvl.transversal.get(x)
+    # iterating the levels themselves, with no index, is measurably faster;
+    # a sift that stops looks up the index of its level
+    rest = levels[start:] if start else levels
+    if type(word) is bytes:
+        for lvl in rest:
+            v = lvl.translations[word[lvl.point]]
+            if v is None:
+                return word, levels.index(lvl)
+            word = word.translate(v)
+    else:
+        for lvl in rest:
+            r = lvl.transversal.get(word.item(lvl.point))
             if r is None:
-                return word, i
-            row = lvl.table[r]
-            v = lvl.entries[x] = (row.tobytes() + _BYTE_POINTS[len(row):] if small
-                                  else tuple(row.tolist()))
-        word = word.translate(v) if small else itemgetter(*word)(v)
+                return word, levels.index(lvl)
+            word = lvl.table[r].take(word)
     return word, len(levels)
 
 

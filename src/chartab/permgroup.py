@@ -14,22 +14,22 @@ Two representations coexist:
   chain are charged 4 bytes per entry, which no point dtype exceeds,
   against MEMORY_BUDGET; the breadth-first search stops as soon as an
   orbit has more points than the budget leaves rows for, and the chain
-  raises DenseCapExceeded before its table exists; its generators and
-  its identity word, image tuples of WORD_BYTES a point, are charged
-  before the word is built (charge_words, which the constructors of
-  groupspec call before the generators exist).  Closing tests the
-  off-tree Schreier generators v_pt^-1 * s * v_s(pt) of a level on its
-  table a chunk at a time (one is the identity exactly when s * v_s(pt) ==
-  v_pt), forms only those that fail and sifts them; a level keeps the
-  pairs whose generators passed, and skips them while their rows stand.
+  raises DenseCapExceeded before its table exists; its generators, image
+  tuples, and its identity word are charged at WORD_BYTES a point before
+  the word is built (charge_words, which the constructors of groupspec
+  call before the generators exist).  Closing tests the off-tree Schreier
+  generators v_pt^-1 * s * v_s(pt) of a level on its table a chunk at a
+  time (one is the identity exactly when s * v_s(pt) == v_pt), forms only
+  those that fail and sifts them; a level keeps the pairs whose generators
+  passed, and skips them while their rows stand.
   Sifting reduces words with perm.sift: up to degree 256 a word is the
-  bytes of the image tuple and each product is one bytes.translate call,
-  above it the image tuple multiplied by itemgetter; sift builds an entry
-  from its table row (the row's bytes, up to degree 256) when it first
-  reads it and keeps it with the level.  Sifting, membership and orbit
-  building build no Permutation, and a chain build creates one only for
-  each residue it registers as a strong generator; StabilizerChain.sift
-  and _register take image tuples;
+  bytes of the image tuple and each product is one bytes.translate call
+  through a translation table that the level built with its coset table,
+  above it a point array gathered through the table row itself; a sift
+  builds nothing and writes nothing to the chain, so threads may share
+  one.  Sifting, membership and orbit building build no Permutation, and
+  a chain build creates one only for each residue it registers as a strong
+  generator; StabilizerChain.sift and _register take image tuples;
 * a dense element store (capped at 200000 elements and at MEMORY_BUDGET
   bytes, both checked against the chain's order before enumeration): one
   read-only (order, degree) int32 array of image rows in tuple order,
@@ -58,10 +58,6 @@ Groups and their class data are immutable after construction (ClassData's
 arrays are read-only), and so is a group's chain, which changes only inside
 StabilizerChain.__init__.  Normal structure (solvability, normal
 p-complements) is read off the character table, in invariants.
-The lazy caches are write-once and safe to share across threads.  That
-includes each level's sift entries: an entry is built from the read-only
-table and stored under its point in one dict assignment, so threads that
-race on an entry build equal entries and either may stay.
 """
 
 from __future__ import annotations
@@ -72,13 +68,15 @@ from math import lcm, prod
 import numpy as np
 
 from .fplinalg import require
-from .perm import Permutation, as_word, cycle_string, from_rows, point_dtype, sift
+from .perm import (Permutation, as_word, cycle_string, from_rows, point_dtype, sift,
+                   translation_tables, word_images)
 
 DEFAULT_ENUM_CAP = 200_000
 MEMORY_BUDGET = 1 << 29     # bytes: the most a group's chain, or its dense store, may hold
 # bytes per point of an image tuple, an 8-byte slot and a 32-byte int under
-# tracemalloc (39.99 B at degree 10^6, for the generator of C(n) and the
-# chain's identity word alike)
+# tracemalloc (39.99 B at degree 10^6, for the generator of C(n)); the
+# chain's identity word is charged at the same rate, though above degree 256
+# it is a point array of at most 4 bytes a point, so the charge is generous
 WORD_BYTES = 40
 _GATHER_CHUNK = 1 << 18     # entries gathered at once by the Schreier test
 
@@ -88,8 +86,8 @@ class DenseCapExceeded(ValueError):
 
 
 def charge_words(count: int, degree: int) -> None:
-    """Refuse, before they exist, count image tuples at this degree, a
-    group's generators and its chain's identity word, at WORD_BYTES a point."""
+    """Refuse, before they exist, count words at this degree, a group's
+    generators and its chain's identity word, at WORD_BYTES a point."""
     if count * degree * WORD_BYTES > MEMORY_BUDGET:
         raise DenseCapExceeded(
             f"the generators and identity word at degree {degree} ({count} image "
@@ -114,14 +112,21 @@ class _Level:
     that point, in discovery order; their Schreier generators are the
     identity by construction.  checked holds the pairs whose Schreier
     generators are known to sift to the identity through the levels below,
-    the tree edges among them.  entries maps the orbit points whose entries
-    sifting has read to the entries in the form perm.sift multiplies by:
-    256-byte translation tables up to degree 256, image tuples above;
-    perm.sift builds each from its table row on first read.
+    the tree edges among them.
+
+    translations is what perm.sift reads, built with the table by
+    perm.translation_tables: up to degree 256 a list of degree items, the
+    256-byte translation table of v_x at each orbit point x and None off
+    the orbit; above degree 256 None, as sift gathers through the table
+    rows.  A rebuild builds the tables of its new rows only.  The levels
+    of a chain of degree d hold at most d + (d - 1) + ... + 2 < d(d + 1)/2
+    rows, so at d = 256 their translation tables hold at most 8.1 MiB of
+    bytes, under 10 MiB with their object headers and the lists: a small
+    part of MEMORY_BUDGET, so they are not charged against it.
     """
 
     __slots__ = ("point", "gens", "images", "preimages", "transversal", "table",
-                 "tree_edges", "checked", "entries")
+                 "tree_edges", "checked", "translations")
 
     def __init__(self, point: int, identity: np.ndarray):
         self.point = point
@@ -132,7 +137,7 @@ class _Level:
         self.table = identity
         self.tree_edges: dict[tuple[int, int], int] = {}
         self.checked: set[tuple[int, int]] = set()
-        self.entries: dict[int, bytes | tuple[int, ...]] = {}
+        self.translations = translation_tables(identity, self.transversal)
 
 
 class StabilizerChain:
@@ -141,8 +146,8 @@ class StabilizerChain:
     def __init__(self, generators: list[Permutation], degree: int):
         charge_words(len(generators) + 1, degree)
         self.degree = degree
-        self.identity = as_word(range(degree))
         self._identity_table = _readonly(np.arange(degree, dtype=point_dtype(degree))[None, :])
+        self.identity = as_word(self._identity_table[0])
         self.levels: list[_Level] = []
         self._table_rows = 0            # the orbit sizes summed over the levels
         self._stale: set[int] = set()   # levels given generators since they were built
@@ -152,8 +157,8 @@ class StabilizerChain:
                 self._rebuild_orbit(j)
             self._stale.clear()
             word, i = sift(as_word(g.images), self.levels)
-            if word != self.identity:
-                self._register(tuple(word), i)
+            if not self._is_identity(word):
+                self._register(word_images(word), i)
         self._close()
 
     def _rebuild_orbit(self, i: int) -> None:
@@ -162,12 +167,13 @@ class StabilizerChain:
         the row of pt gathered through s^-1 (img -> pt -> point).
 
         Generators are only ever appended, so a point the search reaches
-        along the same tree edges as before keeps its row, its sift entry
-        and its checked Schreier generators; only the other rows are
-        gathered again.  The tables of the other levels leave room for a
-        cap on this level's rows under MEMORY_BUDGET, and the search stops
-        as soon as it finds more points than that: the chain then raises
-        DenseCapExceeded before the table is allocated."""
+        along the same tree edges as before keeps its row, its translation
+        table and its checked Schreier generators; only the other rows, and
+        their translation tables, are built again.  The tables of the other
+        levels leave room for a cap on this level's rows under
+        MEMORY_BUDGET, and the search stops as soon as it finds more points
+        than that: the chain then raises DenseCapExceeded before the table
+        is allocated."""
         lvl = self.levels[i]
         others = self._table_rows - len(lvl.transversal)
         cap = MEMORY_BUDGET // (4 * self.degree) - others
@@ -195,7 +201,6 @@ class StabilizerChain:
         if len(kept) < len(lvl.transversal):
             lvl.checked = {(pt, gi) for pt, gi in lvl.checked
                            if pt in kept and gens[gi][pt] in kept}
-            lvl.entries = {x: v for x, v in lvl.entries.items() if x in kept}
         if len(kept) < len(points):
             table = np.empty((len(points), self.degree), dtype=point_dtype(self.degree))
             old, old_row, preimages = lvl.table, lvl.transversal, lvl.preimages
@@ -207,6 +212,7 @@ class StabilizerChain:
                     # v_img[x] = v_pt[s^-1[x]]
                     table[r] = table[row[pt]][preimages[gi]]
             lvl.table = _readonly(table)
+            lvl.translations = translation_tables(table, row, kept, lvl)
         lvl.checked.update(tree)
         lvl.transversal, lvl.tree_edges = row, tree
         self._table_rows = others + len(points)
@@ -215,7 +221,12 @@ class StabilizerChain:
         """Reduce the image tuple of an element through the chain; returns
         the image tuple of the residue and the level where it stopped."""
         word, i = sift(as_word(images), self.levels, start)
-        return tuple(word), i
+        return word_images(word), i
+
+    def _is_identity(self, word) -> bool:
+        """Whether a word of the chain's degree (as_word) is the identity."""
+        return (word == self.identity if type(word) is bytes
+                else np.array_equal(word, self.identity))
 
     def _register(self, images: tuple[int, ...], i: int) -> None:
         """Add a residue that stopped at level i as a strong generator of
@@ -225,7 +236,7 @@ class StabilizerChain:
             base_pt = next(p for p, x in enumerate(images) if x != p)
             self.levels.append(_Level(base_pt, self._identity_table))
             self._table_rows += 1
-        h = Permutation(images, _checked=True)
+        h = Permutation(images, True)
         h_images = np.array(images, dtype=np.intp)
         h_preimages = h_images.argsort()
         for j in range(i + 1):
@@ -289,11 +300,11 @@ class StabilizerChain:
                 # the generator g = v_pt^-1 * (s * v_s(pt)) has g[v_pt[x]] = sw[x]
                 formed = np.empty((len(failed), self.degree), dtype=table.dtype)
                 formed[np.arange(len(failed))[:, None], table[at[failed, 0]]] = sw[failed]
-                for k, g in zip(failed.tolist(), formed.tolist()):
+                for k, g in zip(failed.tolist(), formed):
                     residue, stop = sift(as_word(g), self.levels, i + 1)
-                    if residue != self.identity:
+                    if not self._is_identity(residue):
                         lvl.checked.update(block[:k])
-                        return tuple(residue), stop
+                        return word_images(residue), stop
             lvl.checked.update(block)
         return None
 
@@ -303,7 +314,7 @@ class StabilizerChain:
     def contains(self, g: Permutation) -> bool:
         images = g.images
         return (len(images) == self.degree
-                and sift(as_word(images), self.levels)[0] == self.identity)
+                and self._is_identity(sift(as_word(images), self.levels)[0]))
 
 
 @dataclass(frozen=True)
@@ -672,7 +683,7 @@ class PermGroup:
             # (rep * g)[b] = g[rep[b]]
             products = np.array(g.images, dtype=np.int32)[rows[reps][:, base]]
             images = coset[index.row(products)]
-            quot_gens.append(Permutation(images.tolist(), _checked=True))
+            quot_gens.append(Permutation(images.tolist(), True))
         return PermGroup(quot_gens, len(reps))
 
     def __repr__(self) -> str:
@@ -684,7 +695,7 @@ def direct_product(a: PermGroup, b: PermGroup) -> PermGroup:
     deg = a.degree + b.degree
     charge_words(len(a.generators) + len(b.generators) + 1, deg)
     fixed_a, fixed_b = tuple(range(a.degree)), tuple(range(a.degree, deg))
-    gens = [Permutation(g.images + fixed_b, _checked=True) for g in a.generators]
-    gens += [Permutation(fixed_a + tuple(i + a.degree for i in g.images), _checked=True)
+    gens = [Permutation(g.images + fixed_b, True) for g in a.generators]
+    gens += [Permutation(fixed_a + tuple(i + a.degree for i in g.images), True)
              for g in b.generators]
     return PermGroup(gens, deg)

@@ -1,9 +1,12 @@
 import random
+import sys
+import threading
 import time
 import tracemalloc
 from functools import reduce
 from math import factorial, gcd
 from operator import mul
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +20,7 @@ from chartab.groupspec import construct_cached
 from chartab.invariants import has_normal_p_complement, is_solvable
 
 from chartab import permgroup
-from chartab.perm import compose, point_dtype
+from chartab.perm import as_word, compose, point_dtype
 from chartab.permgroup import MEMORY_BUDGET, PermGroup, StabilizerChain
 
 from helpers import (TABLES_GROUPS, bfs_classes, brute_class_map, brute_conjugacy_sizes,
@@ -196,14 +199,31 @@ def test_chain_tables_match_a_fresh_search():
 
 
 def test_chain_order_leaves_few_sift_tuples():
-    # a cyclic group's one level is a path whose only non-tree Schreier
-    # generator passes the table test: its build sifts nothing, so the
-    # sift entries (image tuples at this degree) of its 2000 table rows are
-    # never built
+    # a chain does all its work while it is built: above degree 256 a sift
+    # gathers through the coset-table rows and keeps nothing, so C(2000)'s
+    # chain holds no more memory after one membership test per coset than
+    # right after it is built
     g = construct("C(2000)")
-    assert g.order() == 2000
+    (rot,) = g.generators
+    queries, x = [], g.identity()
+    for _ in range(2000):
+        queries.append(x)
+        x = x * rot
+    # the live blocks that chartab's own code allocated, so that the test's
+    # own objects do not count
+    library = [tracemalloc.Filter(True, str(Path(permgroup.__file__).parent / "*"))]
+    tracemalloc.start()
+    try:
+        assert g.order() == 2000
+        built = tracemalloc.take_snapshot().filter_traces(library)
+        assert all(q in g for q in queries)
+        tested = tracemalloc.take_snapshot().filter_traces(library)
+    finally:
+        tracemalloc.stop()
+    assert sum(t.size for t in built.traces) > 2000 * 2000
+    assert sum(t.size for t in tested.traces) <= sum(t.size for t in built.traces)
     (lvl,) = g.chain.levels
-    assert len(lvl.transversal) == 2000 and len(lvl.entries) <= 2
+    assert len(lvl.transversal) == 2000 and lvl.translations is None
 
 
 def _refuse_cyclic_chain(n: int, traced: bool) -> tuple[float, int]:
@@ -537,10 +557,94 @@ def test_sift_matches_product_oracle(expr, relabelled):
     assert Permutation.identity(g.degree + 1) not in g
     if g.degree:
         assert Permutation.identity(g.degree - 1) not in g
-    entry = bytes if g.degree <= 256 else tuple
-    entries = [v for lvl in chain.levels for v in lvl.entries.values()]
-    assert all(type(v) is entry and len(v) == max(256, g.degree) for v in entries), expr
-    assert entries or g.degree <= 1, expr
+    pad = bytes(range(g.degree, 256))
+    for lvl in chain.levels:
+        if g.degree <= 256:
+            assert lvl.translations == [
+                lvl.table[lvl.transversal[x]].tobytes() + pad if x in lvl.transversal
+                else None for x in range(g.degree)], expr
+        else:
+            assert lvl.translations is None, expr
+
+
+def _queries(g: PermGroup, seed: int, n: int) -> list[Permutation]:
+    """n seeded queries: words in the generators, members, alternating with
+    uniform shuffles of the points."""
+    rng = random.Random(seed)
+    queries = []
+    for _ in range(n // 2):
+        word = g.identity()
+        for _ in range(rng.randrange(1, 12)):
+            word = word * rng.choice(g.generators)
+        images = list(range(g.degree))
+        rng.shuffle(images)
+        queries += [word, Permutation(images)]
+    return queries
+
+
+def _chain_state(chain) -> list:
+    """Each level's coset table bytes, transversal, translation tables and
+    checked Schreier generators, copied."""
+    return [(lvl.table.tobytes(), dict(lvl.transversal),
+             None if lvl.translations is None else list(lvl.translations),
+             set(lvl.checked)) for lvl in chain.levels]
+
+
+@pytest.mark.parametrize("expr", ["S(10)", "C(257)"])
+def test_sifting_never_writes_to_a_chain(expr):
+    # a chain does all its work while it is built: membership tests leave
+    # every level as it was, so threads may share one chain
+    g = construct(expr)
+    queries = _queries(g, 5, 2000)
+    before = _chain_state(g.chain)
+    expected = [x in g for x in queries]
+    assert _chain_state(g.chain) == before
+    # every shuffle is in S(10), and nearly none in C(257)
+    assert all(expected) if expr == "S(10)" else expected.count(False) == 1000
+    # more threads than cores, switching often, share the one chain
+    answers = [None] * 4
+
+    def run(k):
+        answers[k] = [x in g for x in queries]
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(len(answers))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert answers == [expected] * len(answers)
+    assert _chain_state(g.chain) == before
+
+
+@pytest.mark.parametrize("expr, degree", [("C(256)", 256), ("C(257)", 257),
+                                          ("S(4) x C(252)", 256), ("S(4) x C(253)", 257)])
+def test_words_change_form_above_degree_256(expr, degree):
+    # up to degree 256 a word is bytes, above it a point array; the chain's
+    # own sift takes and returns image tuples of Python ints at both
+    g = construct(expr)
+    assert g.degree == degree
+    word = as_word(range(degree))
+    if degree <= 256:
+        assert type(word) is bytes
+    else:
+        assert isinstance(word, np.ndarray) and word.dtype == point_dtype(degree)
+    for x in _queries(g, 3, 20):
+        residue, level = g.chain.sift(x.images)
+        assert type(residue) is tuple and len(residue) == degree
+        assert all(type(y) is int for y in residue)
+        expected, stop = product_sift(g.chain, x)
+        assert (residue, level) == (expected.images, stop), expr
+    for x in g.generators:
+        # x with one more point, fixed, is of the wrong degree
+        assert x in g and Permutation(x.images + (degree,)) not in g, expr
+    assert Permutation.identity(degree + 1) not in g
+    assert Permutation.identity(degree - 1) not in g
 
 
 # -- conjugacy classes -----------------------------------------------------------

@@ -96,6 +96,23 @@ def test_image_tuples_are_composed_only_in_perm():
     assert not found, found
 
 
+def test_translation_tables_are_read_only_in_perm():
+    # the sift loop has one home beside translate and itemgetter: perm.py
+    # reads a level's point-indexed translation tables, and other modules
+    # only store what perm.translation_tables builds
+    found, read_in_perm = [], False
+    for path in sorted(Path(chartab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        loads = [node for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                 and node.attr == "translations" and isinstance(node.ctx, ast.Load)]
+        if path.name == "perm.py":
+            read_in_perm = bool(loads)
+        else:
+            found += [f"{path.name}:{node.lineno} {ast.unparse(node)}" for node in loads]
+    assert read_in_perm
+    assert not found, found
+
+
 def test_compose_is_used_only_in_perm():
     # perm.from_rows is the one builder of Permutations from image rows, so
     # no other library module needs the product kernel compose
