@@ -14,8 +14,8 @@ as_word: up to degree 256 it is bytes(images), and the product by a coset
 table row is one bytes.translate call through the row's 256-byte
 translation table, which translation_tables builds with the level; above
 degree 256 it is a point array, and the product is one gather through the
-table row itself, so nothing is built for it.  word_images turns a word
-back into its image tuple.
+table row itself, so nothing is built for it.  A stabilizer chain keeps
+each strong generator as the point array of its word.
 
 A point array, such as a coset table of a stabilizer chain, has the
 narrowest dtype that holds the points, point_dtype(degree): uint8 up to
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import re
 from math import lcm
-from operator import itemgetter
+from operator import eq, itemgetter
 
 import numpy as np
 
@@ -68,7 +68,7 @@ class Permutation:
         return g.inverse() * self * g
 
     def is_identity(self) -> bool:
-        return self.images == tuple(range(len(self.images)))
+        return all(map(eq, self.images, range(len(self.images))))
 
     def order(self) -> int:
         return lcm(*(len(c) for c in self.cycles()))
@@ -118,11 +118,6 @@ def as_word(images) -> bytes | np.ndarray:
     if len(images) <= len(_BYTE_POINTS):
         return bytes(images)
     return np.asarray(images, dtype=point_dtype(len(images)))
-
-
-def word_images(word: bytes | np.ndarray) -> tuple[int, ...]:
-    """The image tuple, of Python ints, of a word made by as_word."""
-    return tuple(word) if type(word) is bytes else tuple(word.tolist())
 
 
 def point_dtype(degree: int) -> np.dtype:

@@ -8,28 +8,29 @@ Two representations coexist:
   narrowest unsigned dtype that holds the points, whose rows are the
   inverse coset representatives in breadth-first discovery order, and the
   orbit-tree edges that built it, whose Schreier generators are the
-  identity.  A rebuild gathers each new row from its parent's row through
-  the inverse of the generator that discovered it, and keeps the rows of
-  the points reached along the same tree edges as before.  The tables of a
-  chain are charged 4 bytes per entry, which no point dtype exceeds,
-  against MEMORY_BUDGET; the breadth-first search stops as soon as an
-  orbit has more points than the budget leaves rows for, and the chain
-  raises DenseCapExceeded before its table exists; its generators, image
-  tuples, and its identity word are charged at WORD_BYTES a point before
-  the word is built (charge_words, which the constructors of groupspec
-  call before the generators exist).  Closing tests the off-tree Schreier
-  generators v_pt^-1 * s * v_s(pt) of a level on its table a chunk at a
-  time (one is the identity exactly when s * v_s(pt) == v_pt), forms only
-  those that fail and sifts them; a level keeps the pairs whose generators
-  passed, and skips them while their rows stand.
+  identity.  Each strong generator is held once, as one read-only point
+  array shared by every level it generates.  A rebuild scatters each new
+  row from its parent's row through the generator that discovered it, and
+  keeps the rows of the points reached along the same tree edges as
+  before.  The tables of a chain are charged 4 bytes per entry, which no
+  point dtype exceeds, against MEMORY_BUDGET; the breadth-first search
+  stops as soon as an orbit has more points than the budget leaves rows
+  for, and the chain raises DenseCapExceeded before its table exists; its
+  generators, image tuples, and its identity word are charged at
+  WORD_BYTES a point before the word is built (charge_words, which the
+  constructors of groupspec call before the generators exist).  Closing
+  tests the off-tree Schreier generators v_pt^-1 * s * v_s(pt) of a level
+  on its table a chunk at a time (one is the identity exactly when
+  s * v_s(pt) == v_pt), forms only those that fail and sifts them; a level
+  keeps the pairs whose generators passed, and skips them while their
+  rows stand.
   Sifting reduces words with perm.sift: up to degree 256 a word is the
   bytes of the image tuple and each product is one bytes.translate call
   through a translation table that the level built with its coset table,
   above it a point array gathered through the table row itself; a sift
   builds nothing and writes nothing to the chain, so threads may share
-  one.  Sifting, membership and orbit building build no Permutation, and
-  a chain build creates one only for each residue it registers as a strong
-  generator; StabilizerChain.sift and _register take image tuples;
+  one.  Sifting, membership and chain builds build no Permutation, and a
+  residue is registered as a strong generator as the word sift returns;
 * a dense element store (capped at 200000 elements and at MEMORY_BUDGET
   bytes, both checked against the chain's order before enumeration): one
   read-only (order, degree) int32 array of image rows in tuple order,
@@ -69,7 +70,7 @@ import numpy as np
 
 from .fplinalg import require
 from .perm import (Permutation, as_word, cycle_string, from_rows, point_dtype, sift,
-                   translation_tables, word_images)
+                   translation_tables)
 
 DEFAULT_ENUM_CAP = 200_000
 MEMORY_BUDGET = 1 << 29     # bytes: the most a group's chain, or its dense store, may hold
@@ -105,12 +106,12 @@ class _Level:
     table is a read-only (orbit size, degree) array of point_dtype(degree);
     its row r is v_x for the r-th orbit point x in discovery order, the
     inverse of a coset representative carrying point to x, so v_x[x] ==
-    point and sifting multiplies by it directly.  transversal maps each orbit point to its
-    row.  images and preimages hold the image arrays of the strong
-    generators and of their inverses, one per generator.  tree_edges maps
-    each (point, generator index) pair that discovered an orbit point to
-    that point, in discovery order; their Schreier generators are the
-    identity by construction.  checked holds the pairs whose Schreier
+    point and sifting multiplies by it directly.  transversal maps each
+    orbit point to its row.  images holds the strong generators, each a
+    read-only point_dtype(degree) array that every level it generates
+    shares.  tree_edges maps each (point, generator index) pair that
+    discovered an orbit point to that point, in discovery order; their
+    Schreier generators are the identity by construction.  checked holds the pairs whose Schreier
     generators are known to sift to the identity through the levels below,
     the tree edges among them.
 
@@ -125,14 +126,12 @@ class _Level:
     part of MEMORY_BUDGET, so they are not charged against it.
     """
 
-    __slots__ = ("point", "gens", "images", "preimages", "transversal", "table",
-                 "tree_edges", "checked", "translations")
+    __slots__ = ("point", "images", "transversal", "table", "tree_edges", "checked",
+                 "translations")
 
     def __init__(self, point: int, identity: np.ndarray):
         self.point = point
-        self.gens: list[Permutation] = []
         self.images: list[np.ndarray] = []
-        self.preimages: list[np.ndarray] = []
         self.transversal: dict[int, int] = {point: 0}
         self.table = identity
         self.tree_edges: dict[tuple[int, int], int] = {}
@@ -158,13 +157,13 @@ class StabilizerChain:
             self._stale.clear()
             word, i = sift(as_word(g.images), self.levels)
             if not self._is_identity(word):
-                self._register(word_images(word), i)
+                self._register(word, i)
         self._close()
 
     def _rebuild_orbit(self, i: int) -> None:
         """Rebuild level i's orbit by breadth-first search from its base
         point, then its coset table in discovery order: the row of s[pt] is
-        the row of pt gathered through s^-1 (img -> pt -> point).
+        the row of pt scattered through s (s[y] -> y -> point).
 
         Generators are only ever appended, so a point the search reaches
         along the same tree edges as before keeps its row, its translation
@@ -180,12 +179,12 @@ class StabilizerChain:
         row = {lvl.point: 0}
         tree: dict[tuple[int, int], int] = {}
         points = [lvl.point]
-        gens = [s.images for s in lvl.gens]
+        gens = lvl.images
         for pt in points:       # grows as the search discovers points
             if len(points) > cap:
                 break
             for gi, s in enumerate(gens):
-                img = s[pt]
+                img = s.item(pt)
                 if img not in row:
                     row[img] = len(points)
                     points.append(img)
@@ -200,50 +199,51 @@ class StabilizerChain:
                 kept.add(img)
         if len(kept) < len(lvl.transversal):
             lvl.checked = {(pt, gi) for pt, gi in lvl.checked
-                           if pt in kept and gens[gi][pt] in kept}
+                           if pt in kept and gens[gi].item(pt) in kept}
         if len(kept) < len(points):
             table = np.empty((len(points), self.degree), dtype=point_dtype(self.degree))
-            old, old_row, preimages = lvl.table, lvl.transversal, lvl.preimages
+            old, old_row = lvl.table, lvl.transversal
+            # the images of the generators that discover new rows, as intp,
+            # for this rebuild only: numpy scatters through an intp index
+            # 2-3 times faster than through a narrower one
+            scatter: dict[int, np.ndarray] = {}
             table[0] = old[0]     # the identity
             for r, ((pt, gi), img) in enumerate(tree.items(), 1):
                 if img in kept:
                     table[r] = old[old_row[img]]
                 else:
-                    # v_img[x] = v_pt[s^-1[x]]
-                    table[r] = table[row[pt]][preimages[gi]]
+                    if gi not in scatter:
+                        scatter[gi] = gens[gi].astype(np.intp)
+                    # v_img[s[y]] = v_pt[y]
+                    table[r][scatter[gi]] = table[row[pt]]
             lvl.table = _readonly(table)
             lvl.translations = translation_tables(table, row, kept, lvl)
         lvl.checked.update(tree)
         lvl.transversal, lvl.tree_edges = row, tree
         self._table_rows = others + len(points)
 
-    def sift(self, images: tuple[int, ...], start: int = 0) -> tuple[tuple[int, ...], int]:
-        """Reduce the image tuple of an element through the chain; returns
-        the image tuple of the residue and the level where it stopped."""
-        word, i = sift(as_word(images), self.levels, start)
-        return word_images(word), i
-
     def _is_identity(self, word) -> bool:
         """Whether a word of the chain's degree (as_word) is the identity."""
         return (word == self.identity if type(word) is bytes
                 else np.array_equal(word, self.identity))
 
-    def _register(self, images: tuple[int, ...], i: int) -> None:
-        """Add a residue that stopped at level i as a strong generator of
-        every level whose preceding base points it fixes; their orbits are
+    def _register(self, word, i: int) -> None:
+        """Add a residue word (as_word) that stopped at level i as a strong
+        generator of every level whose preceding base points it fixes, one
+        read-only point array shared by those levels; their orbits are
         rebuilt when next read."""
+        if type(word) is bytes:
+            h = np.frombuffer(word, np.uint8)
+        else:
+            # a residue that no level moved is still a row of the block
+            # _schreier_residue formed
+            h = _readonly(word if word.base is None else word.copy())
         if i == len(self.levels):
-            base_pt = next(p for p, x in enumerate(images) if x != p)
+            base_pt = int(np.argmax(h != self._identity_table[0]))
             self.levels.append(_Level(base_pt, self._identity_table))
             self._table_rows += 1
-        h = Permutation(images, True)
-        h_images = np.array(images, dtype=np.intp)
-        h_preimages = h_images.argsort()
         for j in range(i + 1):
-            lvl = self.levels[j]
-            lvl.gens.append(h)
-            lvl.images.append(h_images)
-            lvl.preimages.append(h_preimages)
+            self.levels[j].images.append(h)
             self._stale.add(j)
 
     def _close(self) -> None:
@@ -265,8 +265,8 @@ class StabilizerChain:
                 residue, i = found
                 self._register(residue, i)
 
-    def _schreier_residue(self, i: int) -> tuple[tuple[int, ...], int] | None:
-        """The residue images of the first Schreier generator of level i that
+    def _schreier_residue(self, i: int) -> tuple[bytes | np.ndarray, int] | None:
+        """The residue word of the first Schreier generator of level i that
         does not sift to the identity through the levels below, with the
         level where it stopped, or None.
 
@@ -278,20 +278,19 @@ class StabilizerChain:
         there is none, are checked: the levels below only grow, so they
         stay members."""
         lvl = self.levels[i]
-        row, table = lvl.transversal, lvl.table
-        gens = [s.images for s in lvl.gens]
+        row, table, gens = lvl.transversal, lvl.table, lvl.images
         pairs = [(pt, gi) for pt in sorted(row) for gi in range(len(gens))
                  if (pt, gi) not in lvl.checked]
         if not pairs:
             return None
-        images = np.array(lvl.images)
+        images = np.array(gens)
         entries = table.reshape(-1)
         chunk = max(1, _GATHER_CHUNK // self.degree)
         for c in range(0, len(pairs), chunk):
             block = pairs[c:c + chunk]
             # (row of pt, generator index, offset of the row of s[pt]) per pair
             at = np.array([x for pt, gi in block
-                           for x in (row[pt], gi, row[gens[gi][pt]] * self.degree)],
+                           for x in (row[pt], gi, row[gens[gi].item(pt)] * self.degree)],
                           dtype=np.intp).reshape(-1, 3)
             # (s * v_s(pt))[x] = v_s(pt)[s[x]]
             sw = entries[images[at[:, 1]] + at[:, 2:]]
@@ -304,7 +303,7 @@ class StabilizerChain:
                     residue, stop = sift(as_word(g), self.levels, i + 1)
                     if not self._is_identity(residue):
                         lvl.checked.update(block[:k])
-                        return word_images(residue), stop
+                        return residue, stop
             lvl.checked.update(block)
         return None
 
@@ -382,7 +381,7 @@ class ClassData:
     representative.  All of them are read-only, and they are the only class
     index: class_of(x) looks x up through them.  reps builds the
     representatives as Permutations on each access, and rep_strings writes
-    them in cycle notation.
+    their rows in cycle notation without building them.
     """
 
     sizes: tuple[int, ...]
@@ -406,8 +405,10 @@ class ClassData:
     def rep_strings(self) -> list[str]:
         """The representatives in cycle notation, as
         Permutation.cycle_string writes them, every point named once."""
-        names = [str(x) for x in range(self.index.rows.shape[1])]
-        return [cycle_string(rep.images, names) for rep in self.reps]
+        rows = self.index.rows[self.rep_index]
+        names = [str(x) for x in range(rows.shape[1])]
+        # a row's ints at a time: all k rows' ints would take 40 bytes a point
+        return [cycle_string(row.tolist(), names) for row in rows]
 
     def power_classes(self, a: int) -> np.ndarray:
         """The class of rep_j**a for each class j, by reduction mod its

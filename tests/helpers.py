@@ -83,7 +83,7 @@ def brute_mulclose(gens) -> frozenset:
 
 
 def product_sift(chain, g: Permutation, start: int = 0) -> tuple[Permutation, int]:
-    """StabilizerChain.sift by one Permutation product per level, each
+    """perm.sift through a chain by one Permutation product per level, each
     composed as tuple(q[x] for x in p) with q a coset-table row read as a
     list: (residue, stuck level)."""
     for i in range(start, len(chain.levels)):
@@ -101,7 +101,7 @@ def chain_hash(chain) -> str:
     table images and sorted tree edges: equal hashes mean equal chains."""
     digest = hashlib.sha256()
     for lvl in chain.levels:
-        digest.update(repr((lvl.point, [s.images for s in lvl.gens],
+        digest.update(repr((lvl.point, [tuple(s.tolist()) for s in lvl.images],
                             sorted(tuple(v) for v in lvl.table.tolist()),
                             sorted(lvl.tree_edges))).encode())
     return digest.hexdigest()[:16]

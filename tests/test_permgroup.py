@@ -20,7 +20,7 @@ from chartab.groupspec import construct_cached
 from chartab.invariants import has_normal_p_complement, is_solvable
 
 from chartab import permgroup
-from chartab.perm import as_word, compose, point_dtype
+from chartab.perm import as_word, compose, cycle_string, point_dtype, sift
 from chartab.permgroup import MEMORY_BUDGET, PermGroup, StabilizerChain
 
 from helpers import (TABLES_GROUPS, bfs_classes, brute_class_map, brute_conjugacy_sizes,
@@ -187,7 +187,8 @@ def test_chain_tables_match_a_fresh_search():
             for lvl in g.chain.levels:
                 rows, edges, queue = {lvl.point: g.identity()}, [], [lvl.point]
                 for pt in queue:
-                    for gi, s in enumerate(lvl.gens):
+                    for gi, s in enumerate(lvl.images):
+                        s = Permutation(s.tolist())
                         img = s.images[pt]
                         if img not in rows:
                             rows[img] = s.inverse() * rows[pt]
@@ -251,10 +252,11 @@ def test_chain_over_the_memory_budget_is_refused_before_its_table():
     seconds, peak = _refuse_cyclic_chain(20000, traced=True)
     assert seconds < 1.0
     assert peak < 50 * 2 ** 20
-    # tracing the million ints of C(1000000)'s identity word alone can take
-    # most of a second, so its time is taken untraced
+    # C(1000000)'s refusal holds its identity table, its generator's word
+    # and their comparison, under 10 MiB of uint32 and bool points, and no
+    # image tuple; its time is taken untraced
     assert _refuse_cyclic_chain(1000000, traced=False)[0] < 1.0
-    assert _refuse_cyclic_chain(1000000, traced=True)[1] < 100 * 2 ** 20
+    assert _refuse_cyclic_chain(1000000, traced=True)[1] < 16 * 2 ** 20
 
 
 def test_dense_store_over_the_memory_budget_is_refused_before_it_exists(monkeypatch):
@@ -331,7 +333,7 @@ CHAIN_SHAPES = {
 def test_chain_shape_unchanged_by_tree_edge_skip(expr):
     g = construct(expr)
     chain = StabilizerChain(list(g.generators), g.degree)
-    got = [(lvl.point, len(lvl.transversal), [s.cycle_string() for s in lvl.gens])
+    got = [(lvl.point, len(lvl.transversal), [cycle_string(s.tolist()) for s in lvl.images])
            for lvl in chain.levels]
     assert got == CHAIN_SHAPES[expr]
 
@@ -343,7 +345,7 @@ def test_chain_tree_edges_give_identity_schreier_generators():
             assert len(lvl.tree_edges) == len(lvl.transversal) - 1, expr
             v = {x: Permutation(lvl.table[r].tolist()) for x, r in lvl.transversal.items()}
             for pt, gi in lvl.tree_edges:
-                s = lvl.gens[gi]
+                s = Permutation(lvl.images[gi].tolist())
                 schreier = v[pt].inverse() * s * v[s.images[pt]]
                 assert schreier.is_identity(), expr
 
@@ -397,9 +399,10 @@ def test_schreier_identity_test_matches_the_product():
         for lvl in construct(expr).chain.levels:
             table = {x: tuple(lvl.table[r].tolist()) for x, r in lvl.transversal.items()}
             for pt in table:
-                for gi, s in enumerate(lvl.gens):
+                for gi, s in enumerate(lvl.images):
                     if (pt, gi) in lvl.tree_edges:
                         continue
+                    s = Permutation(s.tolist())
                     w = table[s.images[pt]]
                     trivial = compose(s.images, w) == table[pt]
                     product = Permutation(table[pt]).inverse() * s * Permutation(w)
@@ -465,9 +468,10 @@ def test_chain_closure_forms_few_schreier_generators(sifts):
     assert chain.order() == 100 and 4 <= len([w for start, w in sifts if start > 0]) <= 7
 
 
-def test_chain_build_makes_a_permutation_only_per_strong_generator(monkeypatch):
-    # orbits, coset tables and Schreier tests stay image tuples: S(8)'s
-    # chain has 35 orbit points and 10 strong generators
+def test_chain_build_makes_no_permutation_and_holds_each_strong_generator_once(monkeypatch):
+    # orbits, coset tables, Schreier tests and strong generators are words
+    # and point arrays: S(8)'s chain has 35 orbit points and 10 strong
+    # generators, each one read-only array shared by the levels it generates
     g = construct("S(8)")
     built = []
     init = Permutation.__init__
@@ -478,9 +482,16 @@ def test_chain_build_makes_a_permutation_only_per_strong_generator(monkeypatch):
 
     monkeypatch.setattr(Permutation, "__init__", counted)
     chain = StabilizerChain(list(g.generators), 8)
-    strong = {id(s) for lvl in chain.levels for s in lvl.gens}
+    assert not built
     assert sum(len(lvl.transversal) for lvl in chain.levels) == 35
-    assert len(built) == len(strong) == 10
+    strong = {id(s): s for lvl in chain.levels for s in lvl.images}
+    assert len(strong) == len({s.tobytes() for s in strong.values()}) == 10
+    assert all(s.dtype == point_dtype(8) and not s.flags.writeable for s in strong.values())
+    # a generator of level j also generates every level above it, so the
+    # deepest of the 7 levels shares its generators with all the others
+    assert len(chain.levels) == 7
+    for upper, lower in zip(chain.levels, chain.levels[1:]):
+        assert all(any(s is t for t in upper.images) for s in lower.images)
 
 
 @pytest.mark.parametrize("degree", [0, 1])
@@ -521,7 +532,7 @@ def test_membership_builds_no_permutation(monkeypatch):
 
 
 # C(256), C(257) and S(4) x C(252), S(4) x C(253) sit on either side of
-# degree 256, where sifting moves from bytes words to image tuples
+# degree 256, where sifting moves from bytes words to point arrays
 @pytest.mark.parametrize("expr", ["S(6)", "A(7)", "D(10)", "SL(2,5)", "PSL(2,7)",
                                   "C(1)", "C(2)", "C(256)", "C(257)",
                                   "S(4) x C(252)", "S(4) x C(253)"])
@@ -546,9 +557,9 @@ def test_sift_matches_product_oracle(expr, relabelled):
     members = 0
     for x in queries:
         for start in (0, 1):
-            residue, level = chain.sift(x.images, start)
+            residue, level = sift(as_word(x.images), chain.levels, start)
             expected, expected_level = product_sift(chain, x, start)
-            assert (residue, level) == (expected.images, expected_level), expr
+            assert (list(residue), level) == (list(expected.images), expected_level), expr
         member = product_sift(chain, x)[0].is_identity()
         assert (x in g) == member, expr
         members += member
@@ -625,8 +636,8 @@ def test_sifting_never_writes_to_a_chain(expr):
 @pytest.mark.parametrize("expr, degree", [("C(256)", 256), ("C(257)", 257),
                                           ("S(4) x C(252)", 256), ("S(4) x C(253)", 257)])
 def test_words_change_form_above_degree_256(expr, degree):
-    # up to degree 256 a word is bytes, above it a point array; the chain's
-    # own sift takes and returns image tuples of Python ints at both
+    # up to degree 256 a word is bytes, above it a point array, and a
+    # residue keeps the form of the word sifted
     g = construct(expr)
     assert g.degree == degree
     word = as_word(range(degree))
@@ -635,11 +646,12 @@ def test_words_change_form_above_degree_256(expr, degree):
     else:
         assert isinstance(word, np.ndarray) and word.dtype == point_dtype(degree)
     for x in _queries(g, 3, 20):
-        residue, level = g.chain.sift(x.images)
-        assert type(residue) is tuple and len(residue) == degree
-        assert all(type(y) is int for y in residue)
+        residue, level = sift(as_word(x.images), g.chain.levels)
+        assert type(residue) is type(word) and len(residue) == degree
+        if degree > 256:
+            assert residue.dtype == point_dtype(degree)
         expected, stop = product_sift(g.chain, x)
-        assert (residue, level) == (expected.images, stop), expr
+        assert (list(residue), level) == (list(expected.images), stop), expr
     for x in g.generators:
         # x with one more point, fixed, is of the wrong degree
         assert x in g and Permutation(x.images + (degree,)) not in g, expr
