@@ -15,9 +15,10 @@ d | p-1, CentralProd(SL(2,5), C(2m)), Quot(expr; gens), File("path").
 Group files are JSON: {"degree": n, "generators": [...]} where each
 generator is an image array or a cycle-notation string.
 
-The constructors whose degree is an argument, and group files, charge
-their generators and the chain's identity word (permgroup.charge_words)
-before building them, so a huge degree is refused before it costs memory.
+The constructors build their generators as point arrays.  Those whose
+degree is an argument, and group files, charge their generators and the
+chain's identity word (permgroup.charge_words) before building them, so a
+huge degree is refused before it costs memory.
 """
 
 from __future__ import annotations
@@ -27,8 +28,10 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .arith import element_of_order, is_prime
-from .perm import Permutation, parse_cycles
+from .perm import Permutation, parse_cycles, point_dtype, unchecked
 from .fplinalg import require
 from .permgroup import PermGroup, charge_words, direct_product
 
@@ -283,14 +286,19 @@ class _GF:
 
 # -- named constructors --------------------------------------------------------
 
+def _rotation(n: int) -> np.ndarray:
+    """The images of i -> i + 1 mod n."""
+    points = np.arange(n, dtype=point_dtype(n))
+    return np.concatenate([points[1:], points[:1]])
+
+
 def cyclic(n: int) -> PermGroup:
     if n < 1:
         raise GroupExprError(f"C(n) needs n >= 1, got {n}")
     if n == 1:
         return PermGroup([], 1)
     charge_words(2, n)
-    rot = Permutation(tuple((i + 1) % n for i in range(n)), True)
-    return PermGroup([rot], n)
+    return PermGroup([unchecked(_rotation(n))], n)
 
 
 def dihedral(n: int) -> PermGroup:
@@ -302,9 +310,9 @@ def dihedral(n: int) -> PermGroup:
     if n == 2:
         return PermGroup([parse_cycles("(0 1)", 4), parse_cycles("(2 3)", 4)], 4)
     charge_words(3, n)
-    rot = Permutation(tuple((i + 1) % n for i in range(n)), True)
-    flip = Permutation(tuple((n - i) % n for i in range(n)), True)
-    return PermGroup([rot, flip], n)
+    rot = _rotation(n)
+    # the flip i -> -i mod n: the rotation's images reversed
+    return PermGroup([unchecked(rot), unchecked(rot[::-1])], n)
 
 
 def symmetric(n: int) -> PermGroup:
@@ -315,7 +323,7 @@ def symmetric(n: int) -> PermGroup:
     charge_words(3, n)
     gens = [parse_cycles("(0 1)", n)]
     if n > 2:
-        gens.append(Permutation(tuple((i + 1) % n for i in range(n)), True))
+        gens.append(unchecked(_rotation(n)))
     return PermGroup(gens, n)
 
 
@@ -328,17 +336,11 @@ def alternating(n: int) -> PermGroup:
         return PermGroup([parse_cycles("(0 1 2)", 3)], 3)
     charge_words(3, n)
     three = parse_cycles("(0 1 2)", n)
-    if n % 2 == 1:
-        # A_n = <(0 1 2), (0 1 ... n-1)> for odd n
-        big = Permutation(tuple((i + 1) % n for i in range(n)), True)
-    else:
-        # A_n = <(0 1 2), (1 2 ... n-1)> for even n
-        imgs = list(range(n))
-        for i in range(1, n - 1):
-            imgs[i] = i + 1
-        imgs[n - 1] = 1
-        big = Permutation(tuple(imgs), True)
-    return PermGroup([three, big], n)
+    # A_n = <(0 1 2), (0 1 ... n-1)> for odd n, <(0 1 2), (1 2 ... n-1)> for even n
+    big = _rotation(n)
+    if n % 2 == 0:
+        big[[0, -1]] = 0, 1
+    return PermGroup([three, unchecked(big)], n)
 
 
 def _sl2_generators(q: int) -> tuple[list[list[list[int]]], _GF]:
@@ -364,12 +366,12 @@ def special_linear_2(q: int) -> PermGroup:
     index = {v: i for i, v in enumerate(points)}
     gens = []
     for m in mats:
-        images = []
-        for (x, y) in points:
+        images = np.empty(len(points), dtype=point_dtype(len(points)))
+        for i, (x, y) in enumerate(points):
             nx = gf.add(gf.mul(m[0][0], x), gf.mul(m[0][1], y))
             ny = gf.add(gf.mul(m[1][0], x), gf.mul(m[1][1], y))
-            images.append(index[(nx, ny)])
-        gens.append(Permutation(tuple(images), True))
+            images[i] = index[(nx, ny)]
+        gens.append(unchecked(images))
     group = PermGroup(gens, len(points))
     require(group.order() == q * (q * q - 1), f"SL(2,{q}) has the wrong order")
     return group
@@ -384,14 +386,14 @@ def projective_sl2(q: int) -> PermGroup:
     gens = []
     for m in mats:
         a, b, c, d = m[0][0], m[0][1], m[1][0], m[1][1]
-        images = []
+        images = np.empty(q + 1, dtype=point_dtype(q + 1))
         for z in range(q):
             nx = gf.add(gf.mul(a, z), b)
             ny = gf.add(gf.mul(c, z), d)
-            images.append(q if ny == 0 else gf.mul(nx, _gf_inv(gf, ny)))
+            images[z] = q if ny == 0 else gf.mul(nx, _gf_inv(gf, ny))
         nx, ny = a, c   # image of [1 : 0]
-        images.append(q if ny == 0 else gf.mul(nx, _gf_inv(gf, ny)))
-        gens.append(Permutation(tuple(images), True))
+        images[q] = q if ny == 0 else gf.mul(nx, _gf_inv(gf, ny))
+        gens.append(unchecked(images))
     group = PermGroup(gens, q + 1)
     require(group.order() == q * (q * q - 1) // 2, f"PSL(2,{q}) has the wrong order")
     return group
@@ -411,13 +413,14 @@ def affine(p: int, d: int) -> PermGroup:
     if d < 1 or (p - 1) % d != 0:
         raise GroupExprError(f"Aff(p,d) needs d | p-1, got p={p}, d={d}")
     charge_words(3, p)
-    shift = Permutation(tuple((i + 1) % p for i in range(p)), True)
+    shift = unchecked(_rotation(p))
     if d == 1:
         return PermGroup([shift], p)
     # a power of the primitive root: element_of_order(p, d) would pick a
     # different multiplier for some (p, d), Aff(7,3) among them
     h = pow(element_of_order(p, p - 1), (p - 1) // d, p)
-    mult = Permutation(tuple((h * i) % p for i in range(p)), True)
+    # h * i < p^2 fits in int64: charge_words keeps p below 2^23
+    mult = unchecked((np.arange(p, dtype=np.int64) * h % p).astype(point_dtype(p)))
     return PermGroup([shift, mult], p)
 
 
@@ -431,10 +434,11 @@ def central_prod_sl25(m: int) -> PermGroup:
     # -I in SL(2,5) on nonzero vectors: v -> -v
     points = _vector_points(5)
     index = {v: i for i, v in enumerate(points)}
-    neg = [index[((-a) % 5, (-b) % 5)] for (a, b) in points]
-    half_turn = [(i + m) % (2 * m) for i in range(2 * m)]
-    diag = Permutation(tuple(neg) + tuple(j + len(points) for j in half_turn), True)
-    return prod.quotient_by(prod.subgroup([diag]))
+    # the diagonal element: -I on SL(2,5)'s points and i -> i + m on C(2m)'s
+    diag = np.arange(prod.degree, dtype=point_dtype(prod.degree))
+    diag[:len(points)] = [index[((-a) % 5, (-b) % 5)] for (a, b) in points]
+    diag[len(points):] = np.roll(diag[len(points):], -m)
+    return prod.quotient_by(prod.subgroup([unchecked(diag)]))
 
 
 def group_from_file(path: str) -> PermGroup:

@@ -28,7 +28,7 @@ from .fields import FieldSpec, field_rows
 from .groupspec import GroupExprError, construct, parse_group_expr
 from .invariants import (average_degree, degree_counts, has_normal_p_complement,
                          irr_pprime, is_solvable, mean_degree, pprime_rows)
-from .perm import Permutation
+from .perm import from_rows
 from .permgroup import PermGroup
 
 _REPORT_ENCODER = json.JSONEncoder(sort_keys=True, indent=1, separators=(",", ": "))
@@ -364,7 +364,7 @@ def fuzz_lemmas(group: PermGroup, trials: int, seed: int,
     tested = 0
     for _ in range(trials):
         k = rng.choice((1, 2, 3))
-        gens = [Permutation(rows[rng.randrange(len(rows))].tolist()) for _ in range(k)]
+        gens = from_rows(rows[[rng.randrange(len(rows)) for _ in range(k)]])
         sub = group.subgroup(gens)
         fp = _subgroup_fingerprint(sub)
         if fp in seen:

@@ -1,36 +1,31 @@
-"""Permutations on {0, ..., degree-1} stored as full image tuples.
+"""Permutations on {0, ..., degree-1}, each held as one read-only point array.
 
 Composition is left-to-right: (p * q) sends x to q[p[x]], i.e. apply p
 first.  This matches the exponent convention x^(gh) = (x^g)^h used by the
 group-theoretic code throughout.
 
-This module is the one home of the product kernels: compose (the
-product of image tuples), invert (the inverse) and sift (a stabilizer
-chain's reduction of a word through its coset tables).  Permutation wraps
-the first two; no other module composes image tuples or words itself.
+A point array, a Permutation's images or a coset table of a stabilizer
+chain, has the narrowest dtype that holds the points, point_dtype(degree).
+Permutation(images) checks and copies its images; the library wraps the
+arrays it computes with unchecked, and the rows of an image array, such as
+a group's dense store, with from_rows.  A product is one gather and an
+inverse one scatter.
 
-A word is an element's images in the form sift multiplies fastest, made by
-as_word: up to degree 256 it is bytes(images), and the product by a coset
-table row is one bytes.translate call through the row's 256-byte
-translation table, which translation_tables builds with the level; above
-degree 256 it is a point array, and the product is one gather through the
-table row itself, so nothing is built for it.  A stabilizer chain keeps
-each strong generator as the point array of its word.
-
-A point array, such as a coset table of a stabilizer chain, has the
-narrowest dtype that holds the points, point_dtype(degree): uint8 up to
-degree 256, the degrees whose words are bytes, so a row's bytes are its
-word; uint16 up to degree 65536; uint32 above.  from_rows is the one
-builder of Permutations from an array of image rows, such as a group's
-dense store, and cycle_string the one writer of cycle notation, for a
-Permutation and for the image rows of a class's representatives alike.
+This module is the one home of sift, a stabilizer chain's reduction of a
+word through its coset tables.  A word is an element's images in the form
+sift multiplies fastest, made by as_word: up to degree 256 the bytes of the
+point array, and the product by a coset table row is one bytes.translate
+call through the row's 256-byte translation table, which
+translation_tables builds with the level; above degree 256 the point array
+itself, and the product is one gather through the table row.  cycle_string
+is the one writer of cycle notation, for a Permutation and for the image
+rows of a class's representatives alike.
 """
 
 from __future__ import annotations
 
 import re
 from math import lcm
-from operator import eq, itemgetter
 
 import numpy as np
 
@@ -41,83 +36,81 @@ _BYTE_POINTS = bytes(range(256))    # a bytes word holds the points 0..255
 class Permutation:
     __slots__ = ("images",)
 
-    def __init__(self, images, _checked: bool = False):
-        images = tuple(images)
-        if not _checked:
-            n = len(images)
-            if sorted(images) != list(range(n)):
-                raise ValueError(f"not a permutation of 0..{n - 1}: {images!r}")
-        self.images = images
+    def __init__(self, images):
+        """images[x] is the image of x: the points 0..n-1 in some order, as a
+        sequence or an array, copied; anything else raises ValueError."""
+        given = np.array(images)    # a copy: later changes to images change nothing
+        n = given.size
+        # checked before the cast, which would wrap or overflow on bad points
+        if (given.ndim != 1 or n and given.dtype.kind not in "iu"
+                or not np.array_equal(np.sort(given), np.arange(n))):
+            raise ValueError(f"not a permutation of 0..{n - 1}: {images!r}")
+        self.images = given.astype(point_dtype(n))
+        self.images.flags.writeable = False
 
     @staticmethod
     def identity(degree: int) -> "Permutation":
-        return Permutation(range(degree), True)
+        return unchecked(np.arange(degree, dtype=point_dtype(degree)))
 
     @property
     def degree(self) -> int:
         return len(self.images)
 
     def __mul__(self, other: "Permutation") -> "Permutation":
-        return Permutation(compose(self.images, other.images), True)
+        return unchecked(other.images.take(self.images))
 
     def inverse(self) -> "Permutation":
-        return Permutation(invert(self.images), True)
+        inv = np.empty_like(self.images)
+        inv[self.images] = np.arange(len(inv), dtype=inv.dtype)
+        return unchecked(inv)
 
     def conjugate(self, g: "Permutation") -> "Permutation":
         """g^-1 * self * g."""
         return g.inverse() * self * g
 
     def is_identity(self) -> bool:
-        return all(map(eq, self.images, range(len(self.images))))
+        return bool((self.images == np.arange(self.degree, dtype=self.images.dtype)).all())
 
     def order(self) -> int:
         return lcm(*(len(c) for c in self.cycles()))
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each rotated to start at its minimum."""
-        return [tuple(c) for c in _cycles(self.images, range(self.degree))]
+        return [tuple(c) for c in _cycles(self.images.tolist(), range(self.degree))]
 
     def cycle_string(self) -> str:
-        return cycle_string(self.images)
+        return cycle_string(self.images.tolist())
 
     def __repr__(self) -> str:
         return f"Permutation[{self.cycle_string()}, deg={self.degree}]"
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Permutation) and self.images == other.images
+        # one degree means one dtype, so equal bytes are equal images
+        return (isinstance(other, Permutation) and self.degree == other.degree
+                and self.images.tobytes() == other.images.tobytes())
 
     def __lt__(self, other: "Permutation") -> bool:
-        return self.images < other.images
+        """Tuple order of the images."""
+        return self.images.tolist() < other.images.tolist()
 
     def __hash__(self) -> int:
-        return hash(self.images)
+        return hash(self.images.tobytes())
 
 
-def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    """Image tuple of the product p * q, (q[p[0]], q[p[1]], ...), in one
-    C-level call (sift makes the same call inline on tuple words)."""
-    if len(p) <= 1:
-        # itemgetter needs two indices to return a tuple; degree <= 1 has
-        # only the identity, so the product is q
-        return q
-    return itemgetter(*p)(q)
+def unchecked(images: np.ndarray) -> Permutation:
+    """The Permutation whose images are this point_dtype array, computed as
+    a permutation by the caller: made read-only, neither checked nor copied."""
+    images.flags.writeable = False
+    p = Permutation.__new__(Permutation)
+    p.images = images
+    return p
 
 
-def invert(p: tuple[int, ...]) -> tuple[int, ...]:
-    """Image tuple of the inverse of p."""
-    inv = [0] * len(p)
-    for i, j in enumerate(p):
-        inv[j] = i
-    return tuple(inv)
-
-
-def as_word(images) -> bytes | np.ndarray:
-    """The word of an element with these images, a sequence of ints or a
-    point_dtype array such as a coset-table row: bytes up to degree 256,
-    where every point fits in a byte, and a point_dtype array above."""
-    if len(images) <= len(_BYTE_POINTS):
-        return bytes(images)
-    return np.asarray(images, dtype=point_dtype(len(images)))
+def as_word(images: np.ndarray) -> bytes | np.ndarray:
+    """The word of an element whose images are this point_dtype array, such
+    as a Permutation's images or a coset-table row: its bytes up to degree
+    256, where every point fits in a byte, and the array itself above."""
+    return images.tobytes() if len(images) <= len(_BYTE_POINTS) else images
 
 
 def point_dtype(degree: int) -> np.dtype:
@@ -128,21 +121,17 @@ def point_dtype(degree: int) -> np.dtype:
 
 
 def from_rows(rows: np.ndarray) -> tuple[Permutation, ...]:
-    """The rows of an (n, degree) array of images as Permutations, with no
-    int object made per entry: up to degree 256 the image tuples are cut
-    from one bytes buffer of all the rows, so their items are the small
-    ints Python shares, and above it each is gathered from one tuple of the
-    point ints."""
-    n, degree = rows.shape
-    # True is _checked, passed by position: the keyword makes each call
-    # measurably slower
-    if degree > len(_BYTE_POINTS):
-        points = tuple(range(degree))
-        return tuple([Permutation(compose(row.tolist(), points), True) for row in rows])
-    buf = rows.astype(point_dtype(degree)).tobytes()
-    # degree references to one iterator: each tuple takes the next row
-    images = zip(*[iter(buf)] * degree) if degree else [()] * n
-    return tuple([Permutation(t, True) for t in images])
+    """The rows of an (n, degree) array of images as Permutations, each a
+    view of one read-only point_dtype copy of the rows."""
+    points = rows.astype(point_dtype(rows.shape[1]))
+    points.flags.writeable = False
+    # a view of a read-only array is read-only: unchecked's flag write would double the time
+    perms = []
+    for row in points:
+        p = Permutation.__new__(Permutation)
+        p.images = row
+        perms.append(p)
+    return tuple(perms)
 
 
 def cycle_string(images, names=None) -> str:
@@ -234,13 +223,16 @@ def sift(word: bytes | np.ndarray, levels,
 def parse_cycles(text: str, degree: int) -> Permutation:
     """Parse cycle notation like "(0 1 2)(3 4)" into a permutation.
 
-    Accepts spaces or commas between points; "()" is the identity.
+    Accepts spaces or commas between points; "()" is the identity.  Cycles
+    compose left to right, each in time linear in its length.
     """
     stripped = text.strip()
     if not stripped:
         raise ValueError("empty permutation literal")
     consumed = 0
-    images = list(range(degree))
+    images = np.arange(degree, dtype=point_dtype(degree))
+    inv = images.copy()             # images[inv[y]] == y
+    img, pre = memoryview(images), memoryview(inv)
     for m in _CYCLE_RE.finditer(stripped):
         if stripped[consumed:m.start()].strip():
             raise ValueError(f"bad permutation literal: {text!r}")
@@ -253,8 +245,11 @@ def parse_cycles(text: str, degree: int) -> Permutation:
             raise ValueError(f"repeated point in cycle: {text!r}")
         if max(points) >= degree:
             raise ValueError(f"point {max(points)} out of range for degree {degree}")
-        step = dict(zip(points, points[1:] + points[:1]))
-        images = [step.get(x, x) for x in images]
+        # the point inv[x] has image x, which the cycle sends to the next point
+        at = [pre[x] for x in points]
+        for i, y in zip(at, points[1:] + points[:1]):
+            img[i] = y
+            pre[y] = i
     if stripped[consumed:].strip():
         raise ValueError(f"bad permutation literal: {text!r}")
-    return Permutation(images)
+    return unchecked(images)

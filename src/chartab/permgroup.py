@@ -16,16 +16,16 @@ Two representations coexist:
   point dtype exceeds, against MEMORY_BUDGET; the breadth-first search
   stops as soon as an orbit has more points than the budget leaves rows
   for, and the chain raises DenseCapExceeded before its table exists; its
-  generators, image tuples, and its identity word are charged at
-  WORD_BYTES a point before the word is built (charge_words, which the
-  constructors of groupspec call before the generators exist).  Closing
+  generators and its identity word are charged at WORD_BYTES a point
+  before the word is built (charge_words, which the constructors of
+  groupspec call before the generators exist).  Closing
   tests the off-tree Schreier generators v_pt^-1 * s * v_s(pt) of a level
   on its table a chunk at a time (one is the identity exactly when
   s * v_s(pt) == v_pt), forms only those that fail and sifts them; a level
   keeps the pairs whose generators passed, and skips them while their
   rows stand.
   Sifting reduces words with perm.sift: up to degree 256 a word is the
-  bytes of the image tuple and each product is one bytes.translate call
+  bytes of the point array and each product is one bytes.translate call
   through a translation table that the level built with its coset table,
   above it a point array gathered through the table row itself; a sift
   builds nothing and writes nothing to the chain, so threads may share
@@ -70,14 +70,13 @@ import numpy as np
 
 from .fplinalg import require
 from .perm import (Permutation, as_word, cycle_string, from_rows, point_dtype, sift,
-                   translation_tables)
+                   translation_tables, unchecked)
 
 DEFAULT_ENUM_CAP = 200_000
 MEMORY_BUDGET = 1 << 29     # bytes: the most a group's chain, or its dense store, may hold
-# bytes per point of an image tuple, an 8-byte slot and a 32-byte int under
-# tracemalloc (39.99 B at degree 10^6, for the generator of C(n)); the
-# chain's identity word is charged at the same rate, though above degree 256
-# it is a point array of at most 4 bytes a point, so the charge is generous
+# bytes charged per point of each word: the 40 B a point of the int tuples
+# that generators once were, kept so that the same inputs are refused,
+# though a word is now a point array of at most 4 bytes a point
 WORD_BYTES = 40
 _GATHER_CHUNK = 1 << 18     # entries gathered at once by the Schreier test
 
@@ -91,8 +90,8 @@ def charge_words(count: int, degree: int) -> None:
     generators and its chain's identity word, at WORD_BYTES a point."""
     if count * degree * WORD_BYTES > MEMORY_BUDGET:
         raise DenseCapExceeded(
-            f"the generators and identity word at degree {degree} ({count} image "
-            f"tuples) would pass MEMORY_BUDGET ({MEMORY_BUDGET} bytes)")
+            f"the generators and identity word at degree {degree} ({count} words) "
+            f"would pass MEMORY_BUDGET ({MEMORY_BUDGET} bytes)")
 
 
 class NotNormal(ValueError):
@@ -180,11 +179,13 @@ class StabilizerChain:
         tree: dict[tuple[int, int], int] = {}
         points = [lvl.point]
         gens = lvl.images
+        # each generator's points as Python ints, read faster than by ndarray.item
+        reads = [memoryview(s) for s in gens]
         for pt in points:       # grows as the search discovers points
             if len(points) > cap:
                 break
-            for gi, s in enumerate(gens):
-                img = s.item(pt)
+            for gi, s in enumerate(reads):
+                img = s[pt]
                 if img not in row:
                     row[img] = len(points)
                     points.append(img)
@@ -199,7 +200,7 @@ class StabilizerChain:
                 kept.add(img)
         if len(kept) < len(lvl.transversal):
             lvl.checked = {(pt, gi) for pt, gi in lvl.checked
-                           if pt in kept and gens[gi].item(pt) in kept}
+                           if pt in kept and reads[gi][pt] in kept}
         if len(kept) < len(points):
             table = np.empty((len(points), self.degree), dtype=point_dtype(self.degree))
             old, old_row = lvl.table, lvl.transversal
@@ -235,8 +236,8 @@ class StabilizerChain:
         if type(word) is bytes:
             h = np.frombuffer(word, np.uint8)
         else:
-            # a residue that no level moved is still a row of the block
-            # _schreier_residue formed
+            # a residue that no level moved is still the word sifted: a row
+            # of the block _schreier_residue formed, or a generator's images
             h = _readonly(word if word.base is None else word.copy())
         if i == len(self.levels):
             base_pt = int(np.argmax(h != self._identity_table[0]))
@@ -284,13 +285,14 @@ class StabilizerChain:
         if not pairs:
             return None
         images = np.array(gens)
+        reads = [memoryview(s) for s in gens]       # as in _rebuild_orbit
         entries = table.reshape(-1)
         chunk = max(1, _GATHER_CHUNK // self.degree)
         for c in range(0, len(pairs), chunk):
             block = pairs[c:c + chunk]
             # (row of pt, generator index, offset of the row of s[pt]) per pair
             at = np.array([x for pt, gi in block
-                           for x in (row[pt], gi, row[gens[gi].item(pt)] * self.degree)],
+                           for x in (row[pt], gi, row[reads[gi][pt]] * self.degree)],
                           dtype=np.intp).reshape(-1, 3)
             # (s * v_s(pt))[x] = v_s(pt)[s[x]]
             sw = entries[images[at[:, 1]] + at[:, 2:]]
@@ -421,7 +423,7 @@ class ClassData:
 
     def class_of(self, x: Permutation) -> int:
         """Class id of an element x of the group."""
-        return int(self.lookup(np.array(x.images)[self.index.base]))
+        return int(self.lookup(x.images[self.index.base]))
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
@@ -603,9 +605,8 @@ class PermGroup:
         # (g^-1 x g)[b] = g[x[g^-1[b]]] under left-to-right composition
         conj = []
         for g in self.generators:
-            g_arr = np.array(g.images, dtype=np.int32)
-            g_inv = np.array(g.inverse().images, dtype=np.intp)
-            conj.append(index.row(g_arr[images[:, g_inv[base]]]))
+            g_inv = g.inverse().images
+            conj.append(index.row(g.images[images[:, g_inv[base]]]))
 
         # a label only falls, and only to a row of the same class; once no map
         # and no jump lowers one, labels agree along every map (each permutes
@@ -682,9 +683,8 @@ class PermGroup:
         quot_gens = []
         for g in self.generators:
             # (rep * g)[b] = g[rep[b]]
-            products = np.array(g.images, dtype=np.int32)[rows[reps][:, base]]
-            images = coset[index.row(products)]
-            quot_gens.append(Permutation(images.tolist(), True))
+            images = coset[index.row(g.images[rows[reps][:, base]])]
+            quot_gens.append(unchecked(images.astype(point_dtype(len(reps)))))
         return PermGroup(quot_gens, len(reps))
 
     def __repr__(self) -> str:
@@ -695,8 +695,8 @@ def direct_product(a: PermGroup, b: PermGroup) -> PermGroup:
     """A x B acting on the disjoint union of their point sets."""
     deg = a.degree + b.degree
     charge_words(len(a.generators) + len(b.generators) + 1, deg)
-    fixed_a, fixed_b = tuple(range(a.degree)), tuple(range(a.degree, deg))
-    gens = [Permutation(g.images + fixed_b, True) for g in a.generators]
-    gens += [Permutation(fixed_a + tuple(i + a.degree for i in g.images), True)
-             for g in b.generators]
-    return PermGroup(gens, deg)
+    points = np.arange(deg, dtype=point_dtype(deg))
+    left, right = points[:a.degree], points[a.degree:]     # B's point i is right[i]
+    gens = [np.concatenate([g.images, right]) for g in a.generators]
+    gens += [np.concatenate([left, right[g.images]]) for g in b.generators]
+    return PermGroup([unchecked(x) for x in gens], deg)

@@ -82,6 +82,25 @@ def brute_mulclose(gens) -> frozenset:
     return frozenset(out)
 
 
+def count_permutations(monkeypatch) -> list:
+    """A list that grows by one for each Permutation made while monkeypatch
+    holds, checked or not: each one sets its images once, through the slot
+    descriptor this wraps."""
+    slot = Permutation.images
+    made = []
+
+    class Counted:
+        def __get__(self, obj, cls=None):
+            return slot.__get__(obj, cls)
+
+        def __set__(self, obj, value):
+            made.append(None)
+            slot.__set__(obj, value)
+
+    monkeypatch.setattr(Permutation, "images", Counted())
+    return made
+
+
 def product_sift(chain, g: Permutation, start: int = 0) -> tuple[Permutation, int]:
     """perm.sift through a chain by one Permutation product per level, each
     composed as tuple(q[x] for x in p) with q a coset-table row read as a

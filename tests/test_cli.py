@@ -251,13 +251,19 @@ def test_verify_rejects_max_order_below_one(capsys, max_order):
     {"degree": -1, "generators": []},
     {"degree": 3, "generators": [[0, 1]]},
     {"degree": 3, "generators": [[1, 0]]},
+    {"degree": 3, "generators": [[-1, 0, 1]]},
+    {"degree": 3, "generators": [[0, 1, 18446744073709551616]]},
+    {"degree": 3, "generators": [[0, 0, 1]]},
+    {"degree": 3, "generators": ["(0 3)"]},
 ], ids=["entry-not-a-list", "not-a-list", "float-degree", "string-degree", "bool-degree",
-        "zero-degree", "negative-degree", "short-identity-generator", "short-generator"])
+        "zero-degree", "negative-degree", "short-identity-generator", "short-generator",
+        "negative-point", "point-2^64", "repeated-point", "cycle-point-out-of-range"])
 def test_malformed_group_file_exit_code(capsys, tmp_path, doc):
     path = tmp_path / "group.json"
     path.write_text(json.dumps(doc))
     code, _, err = run(capsys, "table", f'File("{path}")')
     assert code == 2 and err.startswith("error:") and "Traceback" not in err
+    assert err.count("\n") == 1
 
 
 def test_dense_cap_error(capsys):

@@ -20,14 +20,14 @@ from chartab.groupspec import construct_cached
 from chartab.invariants import has_normal_p_complement, is_solvable
 
 from chartab import permgroup
-from chartab.perm import as_word, compose, cycle_string, point_dtype, sift
+from chartab.perm import as_word, cycle_string, point_dtype, sift
 from chartab.permgroup import MEMORY_BUDGET, PermGroup, StabilizerChain
 
 from helpers import (TABLES_GROUPS, bfs_classes, brute_class_map, brute_conjugacy_sizes,
                      brute_has_normal_p_complement, brute_mulclose,
                      brute_normal_closure, central_product_coset_count,
                      chain_hash, class_hash, closure_has_normal_p_complement,
-                     derived_series, normal_closure, product_sift, relabel,
+                     count_permutations, derived_series, normal_closure, product_sift, relabel,
                      series_is_solvable, sl25_matrix_order)
 
 
@@ -94,8 +94,8 @@ def test_element_rows_match_elements(expr, relabelled):
     assert g.element_rows() is rows
 
 
-# up to degree 256 the image tuples are cut from the rows' bytes, above it
-# gathered from one tuple of point ints
+# at byte-word degrees and above them, Permutations are views of one point
+# array copied from the rows
 @pytest.mark.parametrize("expr", ["A(8)", "C(256)", "C(257)", "C(300)"])
 def test_elements_and_reps_are_the_rows(expr):
     g = construct(expr)
@@ -103,6 +103,33 @@ def test_elements_and_reps_are_the_rows(expr):
     assert g.elements() == tuple(Permutation(tuple(row)) for row in rows.tolist())
     cd = g.conjugacy_classes()
     assert cd.reps == tuple(Permutation(tuple(row)) for row in rows[cd.rep_index].tolist())
+
+
+def _holds_point_array(p: Permutation) -> bool:
+    images = p.images
+    return (images.ndim == 1 and images.dtype == point_dtype(p.degree)
+            and not images.flags.writeable)
+
+
+def test_every_permutation_holds_a_read_only_point_array(corpus_entries):
+    for expr in ("S(4)", "D(10)", "C(257)"):
+        g = construct(expr)
+        elements = g.elements()
+        assert sorted(elements) == list(elements), expr
+        x, y = elements[1], elements[-1]
+        made = [*elements, *g.conjugacy_classes().reps, x * y, x.inverse(), x.conjugate(y),
+                g.identity(), parse_cycles("(0 1)", g.degree)]
+        assert all(map(_holds_point_array, made)), expr
+    c12 = construct("C(12)")
+    quotient = c12.quotient_by(c12.subgroup([parse_cycles("(0 3 6 9)(1 4 7 10)(2 5 8 11)", 12)]))
+    assert all(map(_holds_point_array, quotient.generators))
+    # every constructor, both sides of the uint8 limit in direct products,
+    # and A(n) at odd and even n
+    exprs = [*corpus_entries, "D(1)", "D(2)", "A(9)", "A(10)", "S(3) x C(300)",
+             "C(300) x S(3)", "CentralProd(SL(2,5), C(300))"]
+    for expr in exprs:
+        g = construct_cached(expr)
+        assert all(map(_holds_point_array, g.generators)), expr
 
 
 def test_enumeration_cap(monkeypatch):
@@ -404,7 +431,7 @@ def test_schreier_identity_test_matches_the_product():
                         continue
                     s = Permutation(s.tolist())
                     w = table[s.images[pt]]
-                    trivial = compose(s.images, w) == table[pt]
+                    trivial = tuple(w[x] for x in s.images) == table[pt]
                     product = Permutation(table[pt]).inverse() * s * Permutation(w)
                     assert trivial == product.is_identity(), expr
                     outcomes.add(trivial)
@@ -473,14 +500,7 @@ def test_chain_build_makes_no_permutation_and_holds_each_strong_generator_once(m
     # and point arrays: S(8)'s chain has 35 orbit points and 10 strong
     # generators, each one read-only array shared by the levels it generates
     g = construct("S(8)")
-    built = []
-    init = Permutation.__init__
-
-    def counted(self, *args, **kwargs):
-        built.append(args)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(Permutation, "__init__", counted)
+    built = count_permutations(monkeypatch)
     chain = StabilizerChain(list(g.generators), 8)
     assert not built
     assert sum(len(lvl.transversal) for lvl in chain.levels) == 35
@@ -518,14 +538,7 @@ def test_membership_builds_no_permutation(monkeypatch):
     # the even permutations: a k-cycle is a product of k - 1 transpositions
     expected = [sum(len(c) - 1 for c in x.cycles()) % 2 == 0 for x in queries]
     g.order()
-    built = []
-    init = Permutation.__init__
-
-    def counted(self, *args, **kwargs):
-        built.append(args)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(Permutation, "__init__", counted)
+    built = count_permutations(monkeypatch)
     assert [x in g for x in queries] == expected
     assert not built
     assert True in expected and False in expected
@@ -640,7 +653,7 @@ def test_words_change_form_above_degree_256(expr, degree):
     # residue keeps the form of the word sifted
     g = construct(expr)
     assert g.degree == degree
-    word = as_word(range(degree))
+    word = as_word(np.arange(degree, dtype=point_dtype(degree)))
     if degree <= 256:
         assert type(word) is bytes
     else:
@@ -654,7 +667,7 @@ def test_words_change_form_above_degree_256(expr, degree):
         assert (list(residue), level) == (list(expected.images), stop), expr
     for x in g.generators:
         # x with one more point, fixed, is of the wrong degree
-        assert x in g and Permutation(x.images + (degree,)) not in g, expr
+        assert x in g and Permutation(x.images.tolist() + [degree]) not in g, expr
     assert Permutation.identity(degree + 1) not in g
     assert Permutation.identity(degree - 1) not in g
 
@@ -808,7 +821,7 @@ def test_class_arrays_read_only():
     assert index.rows is g.element_rows()
     # each representative is the first member of its class
     firsts = g.element_rows()[cd.member_index[cd.member_offsets[:-1]]]
-    assert [r.images for r in cd.reps] == [tuple(row) for row in firsts.tolist()]
+    assert [r.images.tolist() for r in cd.reps] == firsts.tolist()
 
 
 # -- normal structure -------------------------------------------------------------

@@ -113,19 +113,28 @@ def test_translation_tables_are_read_only_in_perm():
     assert not found, found
 
 
-def test_compose_is_used_only_in_perm():
-    # perm.from_rows is the one builder of Permutations from image rows, so
-    # no other library module needs the product kernel compose
+def test_images_are_converted_only_in_perm():
+    # a Permutation's images are one read-only point array that the library
+    # uses as it is: no module outside perm.py turns it into a tuple, a list
+    # or another array
     found = []
     for path in sorted(Path(chartab.__file__).parent.glob("*.py")):
         if path.name == "perm.py":
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
-                found += [f"{path.name}:{node.lineno} imports compose" for a in node.names
-                          if a.name == "compose"]
-            elif isinstance(node, ast.Attribute) and node.attr == "compose":
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if (isinstance(func, ast.Name) and func.id in ("tuple", "list")
+                    or isinstance(func, ast.Attribute) and func.attr in ("array", "asarray")):
+                wrapped = node.args
+            elif isinstance(func, ast.Attribute) and func.attr == "tolist":
+                wrapped = [func.value]
+            else:
+                continue
+            if any(isinstance(n, ast.Attribute) and n.attr == "images"
+                   for arg in wrapped for n in ast.walk(arg)):
                 found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
     assert not found, found
 
